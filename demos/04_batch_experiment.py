@@ -33,4 +33,4 @@ with tempfile.TemporaryDirectory() as tmp:
     s = result.summary
     print(f"rows: {s['rows']}  failed: {s['failed']}  "
           f"avg |sim-analytic|/sim: {s['avg_error_pct']:.2f}%  "
-          f"share < 9%: {s['share_error_below_9pct']:.0%}")
+          f"share < 10%: {s['share_error_below_10pct']:.0%}")

@@ -15,7 +15,6 @@ from .errors import (
     InvalidSupport,
     NonPositiveRate,
     NonTermination,
-    QuadratureFailure,
     SeriesOverflow,
     SingularSystem,
     TandemPollError,
@@ -33,8 +32,6 @@ from .model import (
     validate_params,
 )
 from .primitives import (
-    ErlangDist,
-    HittingTimeDist,
     drain_wait,
     hitting_mean,
     hitting_pdf,
@@ -51,15 +48,7 @@ from .reporting import (
     parse_report,
     run_experiment,
 )
-from .scenarios import (
-    ScenarioReport,
-    SubScenarioOutcome,
-    analyze,
-    build_tree_m1,
-    build_tree_m2,
-    build_tree_m3,
-    build_tree_m4,
-)
+from .scenarios import ScenarioReport, SubScenarioOutcome, analyze
 from .simulator import (
     SimConfig,
     SimEstimate,

@@ -145,7 +145,7 @@ def _drain_system(lam: float, mu1: float, mu2: float, n: int):
     return A
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def lattice_solution(lam: float, mu1: float, mu2: float, n_max: int) -> LatticeSolution:
     n = n_max
     A, b1, b2, b_ovf = _interior_system(lam, mu1, mu2, n)

@@ -25,10 +25,6 @@ class SeriesOverflow(TandemPollError):
     """A series evaluation could not be completed even in the log domain."""
 
 
-class QuadratureFailure(TandemPollError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
 class SingularSystem(TandemPollError):
     """A linear system arising from an absorbing chain could not be solved."""
 

@@ -85,8 +85,6 @@ class TruncationConfig:
     n_max: int = 80
     eps: float = 1e-3
     series_tol: float = 1e-10
-    quad_tol: float = 1e-8
-    t_max_factor: float = 50.0
     max_depth: int = 50
 
     def __post_init__(self):
@@ -94,10 +92,8 @@ class TruncationConfig:
             raise ValueError("n_max must be >= 10")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        for name in ("series_tol", "quad_tol"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1e-4:
-                raise ValueError(f"{name} must lie in (0, 1e-4]")
+        if not 0.0 < self.series_tol <= 1e-4:
+            raise ValueError("series_tol must lie in (0, 1e-4]")
 
 
 def validate_params(p: SystemParams) -> SystemParams:

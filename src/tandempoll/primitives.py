@@ -8,7 +8,8 @@ These are the building blocks the scenario analysis is assembled from:
 * the tagged-customer drain time through two stations with no external
   arrivals (a two-index recursion),
 * the race between two independent Erlang clocks (negative-binomial tail),
-* the race between an Erlang clock and an M/M/1 busy period (quadrature).
+* the race between an Erlang clock and an M/M/1 busy period (an exact
+  series from the busy-period generating function).
 
 Everything here is a pure function of its arguments; results that are
 expensive to evaluate are memoised.
@@ -17,17 +18,14 @@ expensive to evaluate are memoised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-from .errors import InvalidSupport, QuadratureFailure, SeriesOverflow, UnstableQueue
+from .errors import InvalidSupport, SeriesOverflow, UnstableQueue
 
 __all__ = [
-    "HittingTimeDist",
-    "ErlangDist",
     "hitting_mean",
     "hitting_pdf",
     "transfer_count_pmf",
@@ -84,21 +82,6 @@ def _log_bessel_i(order: int, x: np.ndarray, series_tol: float) -> np.ndarray:
     if not np.all(np.isfinite(out[np.asarray(x) > 0])):
         raise SeriesOverflow("Bessel series failed to converge in the log domain")
     return out
-
-
-@dataclass(frozen=True)
-class HittingTimeDist:
-    """Hitting time to 0 of an M/M/1 queue started with L customers."""
-
-    L: int
-    lam: float
-    mu: float
-
-    def mean(self) -> float:
-        return hitting_mean(self.L, self.lam, self.mu)
-
-    def pdf(self, t, series_tol: float = 1e-10):
-        return hitting_pdf(self.L, self.lam, self.mu, t, series_tol=series_tol)
 
 
 def hitting_pdf(L: int, lam: float, mu: float, t, series_tol: float = 1e-10):
@@ -163,13 +146,6 @@ def transfer_count_pmf(k: int, w: int, mu1: float, mu2: float) -> float:
     return math.exp(log_val)
 
 
-def transfer_count_cdf(kmax: int, w: int, mu1: float, mu2: float) -> float:
-    """P(K <= kmax) by direct summation of the pmf."""
-    if kmax < 0:
-        return 0.0
-    return sum(transfer_count_pmf(k, w, mu1, mu2) for k in range(kmax + 1))
-
-
 # ---------------------------------------------------------------------------
 # Tagged-customer drain through two stations (no external arrivals)
 # ---------------------------------------------------------------------------
@@ -219,22 +195,6 @@ def drain_wait(u: int, w: int, mu1: float, mu2: float) -> float:
 # Erlang vs Erlang race
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ErlangDist:
-    """Sum of n independent exponential service times with rate mu."""
-
-    n: int
-    mu: float
-
-    def mean(self) -> float:
-        return self.n / self.mu
-
-    def cdf(self, t):
-        if self.n == 0:
-            return np.where(np.asarray(t) >= 0.0, 1.0, 0.0)
-        return special.gammainc(self.n, self.mu * np.asarray(t, dtype=float))
-
-
 def race_erlang(u: int, mu1: float, w: int, mu2: float) -> float:
     """P(u services at rate mu1 all finish before w services at rate mu2).
 
@@ -268,22 +228,24 @@ def race_erlang(u: int, mu1: float, w: int, mu2: float) -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=65536)
-def race_busy_period(
-    u: int,
-    lam1: float,
-    mu1: float,
-    w: int,
-    mu2: float,
-    quad_tol: float = 1e-8,
-    t_max_factor: float = 50.0,
-) -> float:
+def race_busy_period(u: int, lam1: float, mu1: float, w: int, mu2: float) -> float:
     """P(an Erlang(w, mu2) clock rings before an M/M/1 queue with arrival
     rate lam1, service rate mu1 and u initial customers first empties).
 
-    Evaluated as the integral of the Erlang cdf against the hitting-time
-    density over [0, T] with T a large multiple of both means.  Degenerate
-    counts: w = 0 wins instantly (returns 1.0) and u = 0 empties instantly
-    (returns 0.0), with the w = 0 convention taking precedence.
+    The hitting time from u is the sum of u independent busy periods, so
+    the number of rate-mu2 ticks before it is the u-fold convolution of a,
+    the tick count during one busy period.  Its generating function solves
+    A = (mu1 + lam1 A^2 + mu2 x A) / s with s = lam1 + mu1 + mu2, whence,
+    with r = sqrt(s^2 - 4 lam1 mu1),
+
+        a_0 = 2 mu1 / (s + r),
+        a_k = (mu2 a_{k-1} + lam1 sum_{j=1}^{k-1} a_j a_{k-j}) / r.
+
+    The clock wins iff at least w ticks occur, so the result is
+    1 - sum_{k<w} (a^{*u})_k: a finite sum of positive terms, with no
+    truncation of the time axis.  Degenerate counts: w = 0 wins instantly
+    (returns 1.0) and u = 0 empties instantly (returns 0.0), with the
+    w = 0 convention taking precedence.
     """
     if u < 0 or w < 0:
         raise InvalidSupport(f"counts must be non-negative, got ({u}, {w})")
@@ -291,16 +253,14 @@ def race_busy_period(
         return 1.0
     if u == 0:
         return 0.0
-    g_mean = hitting_mean(u, lam1, mu1)
-    h_mean = w / mu2
-    t_hi = t_max_factor * max(g_mean, h_mean)
-
-    def integrand(t: float) -> float:
-        return float(special.gammainc(w, mu2 * t)) * hitting_pdf(u, lam1, mu1, t)
-
-    val, abserr = integrate.quad(integrand, 0.0, t_hi, epsabs=quad_tol, epsrel=0.0, limit=400)
-    if abserr > 100.0 * quad_tol:
-        raise QuadratureFailure(
-            f"quadrature error estimate {abserr:.3e} exceeds the requested {quad_tol:.3e}"
-        )
-    return min(1.0, max(0.0, val))
+    hitting_mean(u, lam1, mu1)  # raises UnstableQueue unless lam1 < mu1
+    s = lam1 + mu1 + mu2
+    r = math.sqrt(s * s - 4.0 * lam1 * mu1)
+    a = np.empty(w)
+    a[0] = 2.0 * mu1 / (s + r)
+    for k in range(1, w):
+        a[k] = (mu2 * a[k - 1] + lam1 * np.dot(a[1:k], a[k - 1:0:-1])) / r
+    ticks = a
+    for _ in range(u - 1):
+        ticks = np.convolve(ticks, a)[:w]
+    return min(1.0, max(0.0, 1.0 - float(ticks.sum())))

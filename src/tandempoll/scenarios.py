@@ -35,15 +35,7 @@ from .errors import ThresholdUnreached
 from .model import ArrivalState, SystemParams, TruncationConfig, relabel_for_class2, validate_params
 from .primitives import drain_wait, race_busy_period, race_erlang, transfer_count_pmf
 
-__all__ = [
-    "SubScenarioOutcome",
-    "ScenarioReport",
-    "analyze",
-    "build_tree_m1",
-    "build_tree_m2",
-    "build_tree_m3",
-    "build_tree_m4",
-]
+__all__ = ["SubScenarioOutcome", "ScenarioReport", "analyze"]
 
 _DEFAULT_TRUNC = TruncationConfig()
 
@@ -115,10 +107,7 @@ class _Engine:
     def _race_f(self, a: int, b: int) -> float:
         """P(station 2 clears b class-2 customers before station 1's
         class-1 queue, holding a and replenished by arrivals, empties)."""
-        return race_busy_period(
-            a, self.lam1, self.mu11, b, self.mu22,
-            self.trunc.quad_tol, self.trunc.t_max_factor,
-        )
+        return race_busy_period(a, self.lam1, self.mu11, b, self.mu22)
 
     # -- stage A: station 2 still on queue 1 --------------------------------
 
@@ -287,11 +276,8 @@ class _Engine:
         finishing its class-1 backlog; branches into stage A or stage C."""
         if weight <= 0.0:
             return
-        tr = self.trunc
         l21_r, l12_r = _nnint(l21), _nnint(l12)
-        p_jp = race_busy_period(
-            l21_r, self.lam2, self.mu21, l12_r, self.mu12, tr.quad_tol, tr.t_max_factor
-        )
+        p_jp = race_busy_period(l21_r, self.lam2, self.mu21, l12_r, self.mu12)
         p_j = 1.0 - p_jp
 
         if p_j > 0.0:
@@ -365,44 +351,6 @@ class _Engine:
             self._stage_c("L′≺", p_lp, int(l11), l12, total2 - v9, 0.0, t_lp, t_lp)
 
 
-def _build(s: ArrivalState, p: SystemParams, trunc: TruncationConfig) -> _Engine:
-    p = validate_params(p)
-    s, p = relabel_for_class2(s, p)
-    eng = _Engine(p, trunc)
-    runner = {1: eng.run_m1, 2: eng.run_m2, 3: eng.run_m3, 4: eng.run_m4}[s.m]
-    runner(s)
-    return eng
-
-
-def build_tree_m1(s, p, trunc=_DEFAULT_TRUNC):
-    """Sub-scenario leaves and residual mass for scenario m = 1."""
-    assert s.m == 1
-    eng = _build(s, p, trunc)
-    rep = eng.report(1)
-    return list(rep.outcomes), rep.residual_prob
-
-
-def build_tree_m2(s, p, trunc=_DEFAULT_TRUNC):
-    assert s.m == 2
-    eng = _build(s, p, trunc)
-    rep = eng.report(2)
-    return list(rep.outcomes), rep.residual_prob
-
-
-def build_tree_m3(s, p, trunc=_DEFAULT_TRUNC):
-    assert s.m == 3
-    eng = _build(s, p, trunc)
-    rep = eng.report(3)
-    return list(rep.outcomes), rep.residual_prob
-
-
-def build_tree_m4(s, p, trunc=_DEFAULT_TRUNC):
-    assert s.m == 4
-    eng = _build(s, p, trunc)
-    rep = eng.report(4)
-    return list(rep.outcomes), rep.residual_prob
-
-
 def analyze(s: ArrivalState, p: SystemParams, trunc: TruncationConfig = _DEFAULT_TRUNC) -> ScenarioReport:
     """Mean conditional wait of the tagged customer from snapshot ``s``.
 
@@ -411,5 +359,7 @@ def analyze(s: ArrivalState, p: SystemParams, trunc: TruncationConfig = _DEFAULT
     zero wait) and aggregates the leaves.  A class-2 tagged customer is
     relabeled onto the class-1 analysis first.
     """
-    eng = _build(s, p, trunc)
+    s, p = relabel_for_class2(s, validate_params(p))
+    eng = _Engine(p, trunc)
+    {1: eng.run_m1, 2: eng.run_m2, 3: eng.run_m3, 4: eng.run_m4}[s.m](s)
     return eng.report(s.m)

@@ -9,6 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 
 def mm1_hitting_samples(L, lam, mu, n, seed):
@@ -83,6 +84,27 @@ def lattice_race_samples(u, w, lam, mu1, mu2, n, seed):
         r2_first[idx[done]] = j[idx[done]] == 0
         alive[idx[done]] = False
     return r2_first, t
+
+
+def lattice_race_prob(u, lam, mu1, w, mu2):
+    """P(w rate-mu2 phases complete before an M/M/1 queue from u empties),
+    by solving the absorbing chain on (queue level i, phases left r):
+
+        (lam+mu1+mu2) f(i,r) - lam f(i+1,r) - mu1 f(i-1,r) = mu2 f(i,r-1),
+        f(0,r) = 0,  f(i,0) = 1,
+
+    truncated at u + 500 levels, where arrivals are reflected."""
+    n = u + 500
+    total = lam + mu1 + mu2
+    bands = np.zeros((3, n))  # levels 1..n, in solve_banded's layout
+    bands[0, 1:] = -lam
+    bands[1, :] = total
+    bands[1, -1] = total - lam
+    bands[2, :-1] = -mu1
+    f = np.ones(n)
+    for _ in range(w):
+        f = solve_banded((1, 1), bands, mu2 * f)
+    return float(f[u - 1])
 
 
 def erlang_race_exact(u, mu1, w, mu2):

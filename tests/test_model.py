@@ -91,7 +91,7 @@ class TestTruncationConfig:
         TruncationConfig()
 
     @pytest.mark.parametrize("kwargs", [
-        {"n_max": 5}, {"eps": 0.0}, {"eps": 1.0}, {"series_tol": 1e-3}, {"quad_tol": 0.0},
+        {"n_max": 5}, {"eps": 0.0}, {"eps": 1.0}, {"series_tol": 1e-3},
     ])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):

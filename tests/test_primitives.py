@@ -6,7 +6,6 @@ from scipy import integrate, stats
 
 from tandempoll.errors import InvalidSupport, UnstableQueue
 from tandempoll.primitives import (
-    ErlangDist,
     drain_wait,
     hitting_mean,
     hitting_pdf,
@@ -15,7 +14,13 @@ from tandempoll.primitives import (
     transfer_count_pmf,
 )
 
-from oracles import erlang_race_exact, mm1_hitting_samples, tandem_drain_samples, transfer_count_exact
+from oracles import (
+    erlang_race_exact,
+    lattice_race_prob,
+    mm1_hitting_samples,
+    tandem_drain_samples,
+    transfer_count_exact,
+)
 
 RATE_PAIRS = [(2.86, 2.86), (2.22, 2.22), (2.22, 2.86), (2.86, 2.22)]
 
@@ -201,6 +206,26 @@ class TestRaceBusyPeriod:
             ref = 1.0 - race_erlang(u, 2.86, w, 2.22)
             assert abs(lim - ref) < 1e-4
 
+    @pytest.mark.parametrize("lam1,mu1,mu2", [
+        (1.0, 2.86, 2.22), (1.0, 2.22, 2.86), (1.3, 1.6, 2.0), (1.8, 2.22, 0.9),
+    ])
+    def test_matches_lattice_solve(self, lam1, mu1, mu2):
+        # class loads up to 0.81; (1, 1.3, 1.6, 5, 2.0) is the point where a
+        # time-truncated integral loses 4e-4 of mass
+        counts = (1, 2, 3, 5, 8, 12, 20)
+        for u in counts:
+            for w in counts:
+                assert race_busy_period(u, lam1, mu1, w, mu2) == pytest.approx(
+                    lattice_race_prob(u, lam1, mu1, w, mu2), abs=1e-12
+                ), (u, w)
+
+    def test_no_arrivals_is_exact_erlang_race(self):
+        for u in (1, 2, 5, 12):
+            for w in (1, 3, 8, 20):
+                assert race_busy_period(u, 0.0, 2.86, w, 2.22) == pytest.approx(
+                    1.0 - race_erlang(u, 2.86, w, 2.22), abs=1e-14
+                )
+
     def test_vs_paired_monte_carlo(self):
         u, lam1, mu1, w, mu2 = 2, 1.0, 2.86, 2, 2.22
         n = 400_000
@@ -215,7 +240,6 @@ class TestRaceBusyPeriod:
         # orderings must split the mass (ties have probability zero)
         u, lam1, mu1, w, mu2 = 2, 1.0, 2.22, 3, 2.86
         fwd = race_busy_period(u, lam1, mu1, w, mu2)
-        erl = ErlangDist(w, mu2)
 
         def integrand(t):
             g_cdf = integrate.quad(lambda s: hitting_pdf(u, lam1, mu1, s), 0, t, limit=200)[0]
@@ -226,7 +250,6 @@ class TestRaceBusyPeriod:
 
         rev, _ = integrate.quad(integrand, 0, 80.0, limit=200)
         assert fwd + rev == pytest.approx(1.0, abs=1e-5)
-        assert erl.mean() == pytest.approx(w / mu2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from tandempoll import reporting
 from tandempoll.model import SystemParams, TruncationConfig, validate_params
 from tandempoll.reporting import (
     SCHEMA,
@@ -101,6 +103,16 @@ class TestRunExperiment:
         assert result.summary["failed"] == 4
         assert all(r.error is not None for r in result.rows)
 
+    def test_error_below_threshold_counts_as_accurate(self, monkeypatch):
+        # analytic 0.905 against a simulated 1.0 is a 9.5% gap
+        monkeypatch.setattr(reporting, "analyze",
+                            lambda *a: SimpleNamespace(cond_wait=0.905, residual_prob=0.0))
+        monkeypatch.setattr(reporting, "simulate_conditional",
+                            lambda *a: SimpleNamespace(mean=1.0, stderr=0.0))
+        result = run_experiment(small_config(modes=("analytic", "simulate")))
+        assert result.rows[0].error_pct == pytest.approx(9.5)
+        assert result.summary["share_error_below_10pct"] == 1.0
+
     def test_deterministic_given_seed(self):
         a = run_experiment(small_config())
         b = run_experiment(small_config())
@@ -120,6 +132,21 @@ class TestEmit:
             assert r1.sim_mean == r0.sim_mean
             assert r1.det == r0.det
             assert r1.residual == r0.residual
+
+    def test_failed_row_round_trip(self, tmp_path):
+        rows = [
+            ComparisonRow(la=(1, 1, 1, 1), m=1, analytic=1.5, det=1.25, residual=0.0),
+            ComparisonRow(la=(60, 60, 60, 60), m=1,
+                          error="TruncationTooTight: start (125, 2), n_max = 80"),
+        ]
+        path = tmp_path / "out.csv"
+        emit_report(rows, str(path), "csv")
+        back = parse_report(str(path))
+        assert [r.error for r in back] == [r.error for r in rows]
+        assert back[1].analytic is None and back[1].residual is None
+        table = tmp_path / "out.txt"
+        emit_report(rows, str(table), "table")
+        assert rows[1].error in table.read_text()
 
     def test_single_row_csv_is_two_lines(self, tmp_path):
         result = run_experiment(small_config(modes=("deterministic",)))

@@ -4,13 +4,7 @@ import pytest
 
 from tandempoll.model import ArrivalState, SystemParams, TruncationConfig, validate_params
 from tandempoll.primitives import transfer_count_pmf
-from tandempoll.scenarios import (
-    analyze,
-    build_tree_m1,
-    build_tree_m2,
-    build_tree_m3,
-    build_tree_m4,
-)
+from tandempoll.scenarios import analyze
 
 GRID = [
     (1, 1, 1, 1), (3, 3, 3, 3), (6, 6, 6, 6),
@@ -66,7 +60,7 @@ class TestFirstCycleLeaf:
     def test_prob_is_transfer_tail(self):
         p = sym(2.86)
         la = (1, 1, 1, 1)
-        outcomes, _ = build_tree_m1(ArrivalState(la=la, m=1), p)
+        outcomes = analyze(ArrivalState(la=la, m=1), p).outcomes
         ride = next(o for o in outcomes if o.label == "A≺B")
         tail = 1.0 - sum(transfer_count_pmf(k, la[2], 2.86, 2.86) for k in range(la[0] + 1))
         assert ride.prob == pytest.approx(tail, abs=1e-12)
@@ -75,7 +69,7 @@ class TestFirstCycleLeaf:
     def test_zero_upstream_tail_with_empty_station2(self):
         # empty class-1 queue at station 2 forces an immediate switch there
         p = sym(2.86)
-        outcomes, _ = build_tree_m1(ArrivalState(la=(2, 1, 0, 1), m=1), p)
+        outcomes = analyze(ArrivalState(la=(2, 1, 0, 1), m=1), p).outcomes
         assert all(o.label != "A≺B" or o.prob == 0 for o in outcomes)
 
 
@@ -135,16 +129,6 @@ class TestProperties:
         ref = analyze(s1, p1)
         assert rep.cond_wait == pytest.approx(ref.cond_wait, abs=1e-12)
 
-    def test_builders_match_analyze(self):
-        p = sym(2.86)
-        for m, builder in [(1, build_tree_m1), (2, build_tree_m2),
-                           (3, build_tree_m3), (4, build_tree_m4)]:
-            s = ArrivalState(la=(3, 3, 3, 3), m=m)
-            outcomes, residual = builder(s, p)
-            rep = analyze(s, p)
-            assert residual == rep.residual_prob
-            assert sum(o.prob * o.wait for o in outcomes) == pytest.approx(rep.cond_wait)
-
     def test_monotone_in_station2_backlog(self):
         p = sym(2.86)
         w1 = analyze(ArrivalState(la=(1, 1, 1, 1), m=1), p).cond_wait
@@ -185,14 +169,13 @@ class TestFirstPrinciplesRecomputation:
     def test_leaves_match_direct_arithmetic(self):
         from tandempoll.absorption import absorption_probs, mfpt_to_empty
         from tandempoll.primitives import drain_wait, race_busy_period, race_erlang
-        from tandempoll.scenarios import build_tree_m1
 
         lam, mu = 1.0, 2.86
         tau = 1 / mu
         la = (2, 1, 1, 2)
         l11, l21, l12, l22 = la
         p = sym(mu)
-        outcomes, _ = build_tree_m1(ArrivalState(la=la, m=1), p)
+        outcomes = analyze(ArrivalState(la=la, m=1), p).outcomes
         got = {o.label: o for o in outcomes}
 
         pmf = {k: transfer_count_pmf(k, l12, mu, mu) for k in range(l11 + 1)}
@@ -240,12 +223,12 @@ class TestFirstPrinciplesRecomputation:
 
     def test_m3_branch_masses(self):
         from tandempoll.primitives import race_busy_period
-        from tandempoll.scenarios import build_tree_m3
 
         lam, mu = 1.0, 2.22
         la = (2, 3, 2, 1)
         p = sym(mu)
-        outcomes, residual = build_tree_m3(ArrivalState(la=la, m=3), p)
+        rep = analyze(ArrivalState(la=la, m=3), p)
+        outcomes, residual = rep.outcomes, rep.residual_prob
         p_jp = race_busy_period(la[1], lam, mu, la[2], mu)
         mass_j = sum(o.prob for o in outcomes if o.label.startswith("J≺"))
         mass_jp = sum(o.prob for o in outcomes if o.label.startswith("J′≺K≺"))
@@ -254,12 +237,12 @@ class TestFirstPrinciplesRecomputation:
 
     def test_m4_branch_masses(self):
         from tandempoll.absorption import absorption_probs
-        from tandempoll.scenarios import build_tree_m4
 
         lam, mu = 1.0, 2.86
         la = (1, 2, 3, 2)
         p = sym(mu)
-        outcomes, residual = build_tree_m4(ArrivalState(la=la, m=4), p)
+        rep = analyze(ArrivalState(la=la, m=4), p)
+        outcomes, residual = rep.outcomes, rep.residual_prob
         p1, p2 = absorption_probs(la[1], la[3], lam, mu, mu)
         mass_l = sum(o.prob for o in outcomes if o.label.startswith("L≺"))
         mass_lp = sum(o.prob for o in outcomes if o.label.startswith("L′≺"))
