@@ -2,29 +2,17 @@
 
 Same network and polling rules as the stochastic model, but every class-i
 interarrival equals 1/lam_i (first arrival at 1/lam_i) and every class-i
-service at station j takes exactly tau_ij.  The tagged customer's system
-time is then an exact number computed by an event-by-event timeline.
-
-Simultaneous events are resolved in two phases: first every due completion
-is applied (station-1 completions hand their customer to station 2) and
-every due arrival is enqueued, then each free server picks its next job
-under the exhaustive rule.  This makes a transfer that lands exactly when
-the downstream server finishes count as available work, which is what keeps
-the timeline consistent with the stochastic model's zero-switchover
-semantics.
+service at station j takes exactly tau_ij = 1/mu_ij.  The tagged customer's
+system time is then an exact number: the simulator's event loop run once
+with constant clocks.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
-from .errors import NonTermination
 from .model import ArrivalState, SystemParams, relabel_for_class2, validate_params
+from .simulator import _tagged_sojourn
 
 __all__ = ["deterministic_wait"]
-
-_EVENT_BUDGET = 1_000_000
-_TIE = 1e-12
 
 
 def deterministic_wait(s: ArrivalState, p: SystemParams) -> float:
@@ -32,76 +20,8 @@ def deterministic_wait(s: ArrivalState, p: SystemParams) -> float:
 
     Customers in service at t = 0 need a full service time (the snapshot
     carries no age information).  Raises ``NonTermination`` if the tagged
-    customer has not departed within the event budget.
+    customer has not departed within the step budget.
     """
     p = validate_params(p)
     s, p = relabel_for_class2(s, p)
-    tau = [[1.0 / p.mu[c][j] for j in (0, 1)] for c in (0, 1)]
-    ia = [1.0 / p.lam[0], 1.0 / p.lam[1]]
-
-    l11, l21, l12, l22 = s.la
-    queues = [[deque(), deque()], [deque(), deque()]]
-    for _ in range(l11):
-        queues[0][0].append(0)
-    queues[0][0].append(1)  # tagged
-    for _ in range(l21):
-        queues[0][1].append(0)
-    for _ in range(l12):
-        queues[1][0].append(0)
-    for _ in range(l22):
-        queues[1][1].append(0)
-
-    s1, s2 = s.servers
-    position = [s1 - 1, s2 - 1]
-    serving = [-1, -1]
-    current = [None, None]
-    end = [float("inf"), float("inf")]
-    next_arrival = [ia[0], ia[1]]
-    t = 0.0
-
-    def pick(j: int) -> None:
-        pos = position[j]
-        for c in (pos, 1 - pos):
-            if queues[j][c]:
-                cust = queues[j][c].popleft()
-                serving[j] = c
-                current[j] = cust
-                position[j] = c
-                end[j] = t + tau[c][j]
-                return
-        serving[j] = -1
-        current[j] = None
-        end[j] = float("inf")
-
-    pick(1)
-    pick(0)
-
-    for _ in range(_EVENT_BUDGET):
-        t_next = min(end[0], end[1], next_arrival[0], next_arrival[1])
-        t = t_next
-        # Phase 1: apply every event due now (completions, then arrivals).
-        free = [False, False]
-        tagged_done = False
-        if end[1] <= t + _TIE:
-            if current[1] == 1:
-                tagged_done = True
-            end[1] = float("inf")
-            free[1] = True
-        if end[0] <= t + _TIE:
-            c = serving[0]
-            queues[1][c].append(current[0])
-            end[0] = float("inf")
-            free[0] = True
-        for c in (0, 1):
-            if next_arrival[c] <= t + _TIE:
-                queues[0][c].append(0)
-                next_arrival[c] += ia[c]
-        if tagged_done:
-            return t
-        # Phase 2: free servers choose (idle servers also re-check for work).
-        for j in (1, 0):
-            if free[j] or serving[j] == -1:
-                pick(j)
-    raise NonTermination(
-        f"tagged customer still in system after {_EVENT_BUDGET} events"
-    )
+    return _tagged_sojourn(s, p, lambda: 1.0)

@@ -38,4 +38,4 @@ class ThresholdUnreached(TandemPollError):
 
 
 class NonTermination(TandemPollError):
-    """The deterministic timeline failed to reach the tagged departure within the event budget."""
+    """A tagged-customer run failed to reach its departure within the step budget."""

@@ -267,7 +267,3 @@ def main(argv=None) -> int:
         if r.error is not None:
             print(f"  FAILED {r.la} m={r.m}: {r.error}", file=sys.stderr)
     return 0 if s["failed"] == 0 else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

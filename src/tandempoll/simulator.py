@@ -1,20 +1,30 @@
 """Discrete-event simulation of the tandem polling network.
 
-Two modes share one event loop:
+``_Polling`` is the package's one implementation of the network, and three
+routes share its event loop:
 
 * ``simulate_conditional`` starts from the snapshot a tagged customer sees
   (queue lengths plus server positions), runs until the tagged customer
   leaves station 2, and averages the tagged system time over replications;
 * ``simulate_steady_state`` runs one long run and estimates the long-run
   mean system time (waiting inclusive of service) of a class via batch
-  means, discarding a warm-up prefix.
+  means, discarding a warm-up prefix;
+* ``deterministic.deterministic_wait`` runs the tagged customer once with
+  constant clocks, every duration equal to its mean.
 
-Events are selected by minimum time with a fixed priority for (measure-zero)
-ties: completions before arrivals, station 2 before station 1, class 1
-before class 2.  Each replication draws from its own stream derived from
-(seed, replication index) through numpy's SeedSequence spawning, so results
-do not depend on execution order and parallel runs reproduce serial ones
-bit for bit.
+Events at the same instant: a step advances to the earliest clock and
+applies every event due within ``_TIE`` of it, in the order station-2
+completion, station-1 hand-off, class-1 arrival, class-2 arrival; only then
+does each freed or idle server pick its next job, station 2 first.  Under
+constant clocks this makes a hand-off that lands exactly when the downstream
+server finishes count as available work, as zero switchover requires.  The
+rule cannot change a stochastic result: two exponential clocks land within
+``_TIE`` of each other with negligible probability, so in practice each step
+applies one event, drawing in the order of a one-event-per-step loop.
+
+Each replication draws from its own stream derived from (seed, replication
+index) through numpy's SeedSequence spawning, so results do not depend on
+execution order and parallel runs reproduce serial ones bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonTermination
 from .model import ArrivalState, SystemParams, relabel_for_class2, validate_params
 
 __all__ = [
@@ -38,6 +49,9 @@ __all__ = [
 ]
 
 _INF = math.inf
+_TIE = 1e-12
+# Steps a tagged-customer run may take before it raises NonTermination.
+_STEP_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -58,6 +72,12 @@ class SimConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.batches < 2:
+            raise ValueError("batches must be >= 2")
+        if self.warmup_departures < 0:
+            raise ValueError("warmup_departures must be >= 0")
+        if self.horizon_departures < self.batches:
+            raise ValueError("horizon_departures must be >= batches")
 
 
 @dataclass(frozen=True)
@@ -99,12 +119,17 @@ class _ExpStream:
 
 
 class _Polling:
-    """One realisation of the two-station exhaustive polling network."""
+    """One realisation of the two-station exhaustive polling network.
 
-    def __init__(self, p: SystemParams, rng: np.random.Generator, trace=None):
+    Each duration is ``draw()`` divided by its rate: a unit exponential
+    (``_ExpStream.draw``) for simulation, or 1.0 for the constant-rate
+    timeline.
+    """
+
+    def __init__(self, p: SystemParams, draw, trace=None):
         self.lam = p.lam
         self.mu = p.mu
-        self.exp = _ExpStream(rng)
+        self.draw = draw
         # queues[j][c]: deque of (customer id, arrival time), j in {0,1} for
         # station 1/2 and c in {0,1} for class 1/2
         self.queues = [[deque(), deque()], [deque(), deque()]]
@@ -119,7 +144,6 @@ class _Polling:
         # Little's-law accounting
         self.n_in_system = 0
         self.area = 0.0
-        self.last_t = 0.0
 
     # -- helpers -----------------------------------------------------------
 
@@ -127,17 +151,12 @@ class _Polling:
         self.next_cid += 1
         return self.next_cid
 
-    def _advance(self, t: float) -> None:
-        self.area += self.n_in_system * (t - self.last_t)
-        self.last_t = t
-        self.t = t
-
     def _start(self, j: int, c: int) -> None:
         cust = self.queues[j][c].popleft()
         self.serving[j] = c
         self.in_service[j] = cust
         self.position[j] = c
-        self.end[j] = self.t + self.exp.draw() / self.mu[c][j]
+        self.end[j] = self.t + self.draw() / self.mu[c][j]
         self._emit("start", j, c, cust[0])
 
     def _pick_next(self, j: int) -> None:
@@ -168,28 +187,21 @@ class _Polling:
 
     # -- initialisation ----------------------------------------------------
 
-    def seed_snapshot(self, s: ArrivalState, tagged: bool) -> int:
-        """Populate queues per the snapshot; returns the tagged customer id.
+    def seed_snapshot(self, s: ArrivalState) -> int:
+        """Populate queues per the snapshot, with the tagged customer at the
+        tail of the class-1 queue at station 1; returns the tagged id.
 
         Customers present at t = 0 carry arrival time 0.  Whoever is at the
         head of the queue indicated by the scenario starts a full fresh
         service (exponential services carry no age).
         """
         l11, l21, l12, l22 = s.la
-        for _ in range(l12):
-            self.queues[1][0].append((self._new_cid(), 0.0))
-        for _ in range(l22):
-            self.queues[1][1].append((self._new_cid(), 0.0))
-        for _ in range(l11):
-            self.queues[0][0].append((self._new_cid(), 0.0))
-        for _ in range(l21):
-            self.queues[0][1].append((self._new_cid(), 0.0))
-        self.n_in_system = l11 + l21 + l12 + l22
-        tagged_id = -1
-        if tagged:
-            tagged_id = self._new_cid()
-            self.queues[0][0].append((tagged_id, 0.0))
-            self.n_in_system += 1
+        for j, c, n in ((1, 0, l12), (1, 1, l22), (0, 0, l11), (0, 1, l21)):
+            for _ in range(n):
+                self.queues[j][c].append((self._new_cid(), 0.0))
+        tagged_id = self._new_cid()
+        self.queues[0][0].append((tagged_id, 0.0))
+        self.n_in_system = l11 + l21 + l12 + l22 + 1
         s1, s2 = s.servers
         self.position = [s1 - 1, s2 - 1]
         trace, self.trace = self.trace, None
@@ -202,67 +214,80 @@ class _Polling:
 
     def schedule_arrivals(self) -> None:
         for c in (0, 1):
-            self.next_arrival[c] = self.t + self.exp.draw() / self.lam[c]
+            self.next_arrival[c] = self.t + self.draw() / self.lam[c]
 
     # -- event loop --------------------------------------------------------
 
-    def next_event(self) -> tuple[float, int]:
-        """(time, kind): kind 0 = station-2 completion, 1 = station-1
-        completion, 2 = class-1 arrival, 3 = class-2 arrival."""
-        best_t, best_k = self.end[1], 0
-        if self.end[0] < best_t:
-            best_t, best_k = self.end[0], 1
-        if self.next_arrival[0] < best_t:
-            best_t, best_k = self.next_arrival[0], 2
-        if self.next_arrival[1] < best_t:
-            best_t, best_k = self.next_arrival[1], 3
-        return best_t, best_k
-
     def step(self):
-        """Process one event; returns (cid, system_time) on a departure,
-        else None.  Trace rows are emitted after the event's state updates,
-        so each row is a consistent post-event snapshot."""
-        t, kind = self.next_event()
-        self._advance(t)
-        if kind == 0:
+        """Apply the events at the earliest clock (see the module docstring);
+        returns (cid, class index, system time) when a customer leaves
+        station 2, else None.  Trace rows are emitted after the picks, so
+        each row is a consistent post-step snapshot."""
+        end, arrival = self.end, self.next_arrival
+        t = end[1]  # explicit compares: several times cheaper than min()
+        if end[0] < t:
+            t = end[0]
+        if arrival[0] < t:
+            t = arrival[0]
+        if arrival[1] < t:
+            t = arrival[1]
+        self.area += self.n_in_system * (t - self.t)
+        self.t = t
+        due = t + _TIE
+        rows = None if self.trace is None else []
+        out = None
+        done2 = end[1] <= due
+        if done2:
             cid, arr = self.in_service[1]
             c = self.serving[1]
             self.n_in_system -= 1
-            self._pick_next(1)
-            self._emit("depart", 1, c, cid)
-            return cid, t - arr
-        if kind == 1:
-            cid, arr = self.in_service[0]
+            out = cid, c, t - arr
+            if rows is not None:
+                rows.append(("depart", 1, c, cid))
+        done1 = end[0] <= due
+        if done1:
+            cust = self.in_service[0]
             c = self.serving[0]
-            self.queues[1][c].append((cid, arr))
-            if self.serving[1] == -1:
-                self._pick_next(1)
+            self.queues[1][c].append(cust)
+            if rows is not None:
+                rows.append(("transfer", 0, c, cust[0]))
+        for c in (0, 1):
+            if arrival[c] <= due:
+                cid = self._new_cid()
+                self.queues[0][c].append((cid, t))
+                self.n_in_system += 1
+                arrival[c] += self.draw() / self.lam[c]
+                if rows is not None:
+                    rows.append(("arrival", 0, c, cid))
+        if done2 or self.serving[1] == -1:
+            self._pick_next(1)
+        if done1 or self.serving[0] == -1:
             self._pick_next(0)
-            self._emit("transfer", 0, c, cid)
-            return None
-        c = kind - 2
-        cid = self._new_cid()
-        self.queues[0][c].append((cid, t))
-        self.n_in_system += 1
-        self.next_arrival[c] = t + self.exp.draw() / self.lam[c]
-        if self.serving[0] == -1:
-            self._pick_next(0)
-        self._emit("arrival", 0, c, cid)
-        return None
+        if rows:
+            for row in rows:
+                self._emit(*row)
+        return out
+
+
+def _tagged_sojourn(s: ArrivalState, p: SystemParams, draw, trace=None) -> float:
+    """System time of the tagged customer from snapshot ``s`` (relabelled,
+    validated parameters); raises ``NonTermination`` past the step budget."""
+    net = _Polling(p, draw, trace)
+    tagged_id = net.seed_snapshot(s)
+    for _ in range(_STEP_BUDGET):
+        out = net.step()
+        if out is not None and out[0] == tagged_id:
+            return out[2]
+    raise NonTermination(f"tagged customer still in system after {_STEP_BUDGET} steps")
 
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
-def _one_conditional(args) -> float:
-    s, p, seed, rep = args
-    net = _Polling(p, _rep_rng(seed, rep))
-    tagged_id = net.seed_snapshot(s, tagged=True)
-    while True:
-        out = net.step()
-        if out is not None and out[0] == tagged_id:
-            return out[1]
+def _one_conditional(job, trace=None) -> float:
+    s, p, seed, rep = job
+    return _tagged_sojourn(s, p, _ExpStream(_rep_rng(seed, rep)).draw, trace)
 
 
 def simulate_conditional(
@@ -282,17 +307,10 @@ def simulate_conditional(
     p = validate_params(p)
     s, p = relabel_for_class2(s, p)
     waits = np.empty(c.replications)
+    first = 0
     if trace is not None:
-        net = _Polling(p, _rep_rng(c.seed, 0), trace=trace)
-        tagged_id = net.seed_snapshot(s, tagged=True)
-        while True:
-            out = net.step()
-            if out is not None and out[0] == tagged_id:
-                waits[0] = out[1]
-                break
+        waits[0] = _one_conditional((s, p, c.seed, 0), trace)
         first = 1
-    else:
-        first = 0
     jobs = [(s, p, c.seed, rep) for rep in range(first, c.replications)]
     if n_jobs > 1 and jobs:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
@@ -319,39 +337,37 @@ def simulate_steady_state(
     error.  Little's-law quantities are accumulated over the kept window
     across both classes.
     """
+    if measured_class not in (1, 2):
+        raise ValueError(f"measured_class must be 1 or 2, got {measured_class!r}")
     p = validate_params(p)
-    net = _Polling(p, _rep_rng(c.seed, 0))
+    net = _Polling(p, _ExpStream(_rep_rng(c.seed, 0)).draw)
     net.schedule_arrivals()
+    measured = measured_class - 1
     kept = []
     pooled_sum = 0.0
     pooled_n = 0
     departures = 0
     target = c.warmup_departures + c.horizon_departures
-    area0 = time0 = None
+    area0 = time0 = 0.0
     while departures < target:
-        _, kind = net.next_event()
-        if kind == 0:
-            served_class = net.serving[1] + 1
-            out = net.step()
-            departures += 1
-            if departures == c.warmup_departures:
-                area0, time0 = net.area, net.last_t
-            if departures > c.warmup_departures:
-                pooled_sum += out[1]
-                pooled_n += 1
-                if served_class == measured_class:
-                    kept.append(out[1])
-        else:
-            net.step()
+        out = net.step()
+        if out is None:
+            continue
+        departures += 1
+        if departures == c.warmup_departures:
+            area0, time0 = net.area, net.t
+        if departures > c.warmup_departures:
+            pooled_sum += out[2]
+            pooled_n += 1
+            if out[1] == measured:
+                kept.append(out[2])
     kept_arr = np.asarray(kept)
     nb = c.batches
     usable = (kept_arr.shape[0] // nb) * nb
     batches = kept_arr[:usable].reshape(nb, -1).mean(axis=1)
     mean = float(kept_arr.mean())
     stderr = float(batches.std(ddof=1) / math.sqrt(nb))
-    if area0 is None:
-        area0, time0 = 0.0, 0.0
-    window = net.last_t - time0
+    window = net.t - time0
     time_avg_n = (net.area - area0) / window if window > 0 else float("nan")
     lam_total = p.lam[0] + p.lam[1]
     return SteadyStateEstimate(

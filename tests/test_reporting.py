@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -16,6 +20,8 @@ from tandempoll.reporting import (
     run_experiment,
 )
 from tandempoll.simulator import SimConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_config(**over):
@@ -182,6 +188,19 @@ class TestMain:
         assert main([cfg, "-o", str(out), "--modes", "deterministic", "--seed", "3"]) == 0
         rows = parse_report(str(out))
         assert all(r.sim_mean is None for r in rows)
+
+    def test_python_m_runs_cli(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        out = tmp_path / "r.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tandempoll", str(ROOT / "demos" / "experiment.json"),
+             "--modes", "deterministic", "-o", str(out)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert len(parse_report(str(out))) == 20
 
     def test_cli_failure_exit_code(self, tmp_path):
         # a case beyond the truncation headroom fails its rows; the batch

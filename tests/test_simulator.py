@@ -1,6 +1,9 @@
 
 import pytest
 
+from tandempoll import simulator
+from tandempoll.deterministic import deterministic_wait
+from tandempoll.errors import NonTermination
 from tandempoll.model import ArrivalState, SystemParams, validate_params
 from tandempoll.simulator import (
     SimConfig,
@@ -54,6 +57,21 @@ class TestConditional:
         b = simulate_conditional(ArrivalState(la=(2, 1, 1, 3), m=3, tagged_class=1), p,
                                  SimConfig(replications=400, seed=5))
         assert a == b
+
+
+class TestStepBudget:
+    # from (6,6,6,6) with servers (1,1) the tagged customer leaves after at
+    # least 7 station-1 hand-offs, one per step, so 5 steps cannot reach it
+    def test_deterministic_raises(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_STEP_BUDGET", 5)
+        with pytest.raises(NonTermination):
+            deterministic_wait(ArrivalState(la=(6, 6, 6, 6), m=1), sym(2.86))
+
+    def test_conditional_raises(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_STEP_BUDGET", 5)
+        with pytest.raises(NonTermination):
+            simulate_conditional(ArrivalState(la=(6, 6, 6, 6), m=1), sym(2.86),
+                                 SimConfig(replications=2, seed=1))
 
 
 @pytest.fixture(scope="module", params=[((3, 2, 1, 2), 3, 12), ((6, 6, 6, 6), 4, 99)])
@@ -140,3 +158,21 @@ class TestSteadyState:
         a = simulate_steady_state(sym(2.86), cfg)
         b = simulate_steady_state(sym(2.86), cfg)
         assert a == b
+
+
+class TestSettingsRejected:
+    @pytest.mark.parametrize("kwargs", [
+        dict(batches=1),
+        dict(warmup_departures=-1),
+        dict(horizon_departures=10, warmup_departures=10),
+        dict(horizon_departures=0),
+    ])
+    def test_config(self, kwargs):
+        with pytest.raises(ValueError):
+            SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("measured_class", [0, 3])
+    def test_measured_class(self, measured_class):
+        cfg = SimConfig(seed=1, warmup_departures=10, horizon_departures=100)
+        with pytest.raises(ValueError):
+            simulate_steady_state(sym(2.86), cfg, measured_class=measured_class)
