@@ -11,6 +11,7 @@ numerical knobs used by the analytic machinery.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 from .errors import NonPositiveRate, UnstableSystem
@@ -51,6 +52,35 @@ class SystemParams:
         return (self.rho_station(1), self.rho_station(2))
 
 
+def _is_real(x) -> bool:
+    """Whether ``x`` is a real number, numpy's scalar types included, and
+    not a ``bool``.  Plain ints and floats skip the slower ABC check."""
+    return type(x) in (float, int) or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+
+
+def _count(x) -> int:
+    """``x`` as a Python int if it is an integral real number, else -1."""
+    if type(x) is int or (_is_real(x) and math.isfinite(x) and x == int(x)):
+        return int(x)
+    return -1
+
+
+def _queue_lengths(la) -> tuple[int, int, int, int]:
+    """``la`` as a tuple of four Python ints.
+
+    Integral numbers such as ``2.0`` or ``np.int64(2)`` are converted;
+    anything else (``1.5``, negative counts, ``True``, ``"1"``) raises
+    ``ValueError``, so every route and every report sees the same counts.
+    """
+    try:
+        counts = tuple(map(_count, la))
+    except TypeError:
+        counts = ()
+    if len(counts) != 4 or min(counts) < 0:
+        raise ValueError(f"la must be four non-negative integers, got {la!r}")
+    return counts
+
+
 @dataclass(frozen=True)
 class ArrivalState:
     """Snapshot seen by the tagged customer at t = 0.
@@ -69,8 +99,7 @@ class ArrivalState:
             raise ValueError(f"scenario index m must be in 1..4, got {self.m}")
         if self.tagged_class not in (1, 2):
             raise ValueError(f"tagged_class must be 1 or 2, got {self.tagged_class}")
-        if len(self.la) != 4 or any(x < 0 or x != int(x) for x in self.la):
-            raise ValueError(f"la must be four non-negative integers, got {self.la}")
+        object.__setattr__(self, "la", _queue_lengths(self.la))
 
     @property
     def servers(self) -> tuple[int, int]:
@@ -100,15 +129,16 @@ def validate_params(p: SystemParams) -> SystemParams:
     """Check positivity and stability of a parameter set.
 
     Returns the parameter object unchanged (derived quantities are computed
-    on demand, so validation is idempotent).  Raises ``NonPositiveRate`` for
+    on demand, so validation is idempotent).  A rate may be any real number
+    type, numpy's included, except ``bool``.  Raises ``NonPositiveRate`` for
     bad rates and ``UnstableSystem`` when rho_j >= 1 at either station.
     """
     rates = list(p.lam) + [m for row in p.mu for m in row]
     if len(p.lam) != 2 or len(p.mu) != 2 or any(len(row) != 2 for row in p.mu):
         raise ValueError("expected 2 arrival rates and a 2x2 service rate matrix")
     for r in rates:
-        if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0):
-            raise NonPositiveRate(f"all rates must be positive and finite, got {r!r}")
+        if not (_is_real(r) and math.isfinite(r) and r > 0):
+            raise NonPositiveRate(f"all rates must be positive and finite numbers, got {r!r}")
     for j in (1, 2):
         if p.rho_station(j) >= 1.0:
             raise UnstableSystem(

@@ -33,7 +33,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .deterministic import deterministic_wait
-from .model import ArrivalState, SystemParams, TruncationConfig, validate_params
+from .model import ArrivalState, SystemParams, TruncationConfig, _queue_lengths, validate_params
 from .scenarios import analyze
 from .simulator import SimConfig, simulate_conditional
 
@@ -71,6 +71,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.cases:
             raise ValueError("config needs at least one case")
+        # the checks and conversion ArrivalState applies, so a bad count
+        # fails at load and reports print integral counts as ints
+        object.__setattr__(self, "cases", tuple(_queue_lengths(c) for c in self.cases))
         if not self.modes:
             raise ValueError("config needs at least one mode")
         bad = set(self.modes) - set(_MODES)

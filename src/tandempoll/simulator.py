@@ -24,7 +24,10 @@ applies one event, drawing in the order of a one-event-per-step loop.
 
 Each replication draws from its own stream derived from (seed, replication
 index) through numpy's SeedSequence spawning, so results do not depend on
-execution order and parallel runs reproduce serial ones bit for bit.
+execution order and parallel runs reproduce serial ones bit for bit.  A
+stream fetches its draws in blocks that grow from 64 to 8,192, so a
+replication that uses tens of draws pays for no more; the block size cannot
+change a result (see ``_ExpStream``).
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ _INF = math.inf
 _TIE = 1e-12
 # Steps a tagged-customer run may take before it raises NonTermination.
 _STEP_BUDGET = 1_000_000
+# Unit-exponential draws in _ExpStream's first block and its largest block.
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -100,22 +106,30 @@ class SteadyStateEstimate:
 
 
 class _ExpStream:
-    """Buffered unit-exponential draws from one Generator."""
+    """Unit-exponential draws from one Generator, fetched in Python-list
+    blocks of ``_FIRST_BLOCK`` draws, doubling at each refill up to
+    ``_MAX_BLOCK``.
+
+    The block size cannot change a result: ``Generator.exponential`` fills
+    an array one value at a time from the bit stream, so 64 draws and then
+    128 give the same numbers as 192 at once.
+    """
 
     __slots__ = ("rng", "buf", "i")
 
-    def __init__(self, rng: np.random.Generator, size: int = 8192):
+    def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.buf = rng.exponential(size=size)
+        self.buf = rng.exponential(size=_FIRST_BLOCK).tolist()
         self.i = 0
 
     def draw(self) -> float:
-        if self.i >= self.buf.shape[0]:
-            self.buf = self.rng.exponential(size=self.buf.shape[0])
-            self.i = 0
-        v = self.buf[self.i]
-        self.i += 1
-        return float(v)
+        i = self.i
+        buf = self.buf
+        if i == len(buf):
+            buf = self.buf = self.rng.exponential(size=min(2 * i, _MAX_BLOCK)).tolist()
+            i = 0
+        self.i = i + 1
+        return buf[i]
 
 
 class _Polling:
@@ -157,7 +171,8 @@ class _Polling:
         self.in_service[j] = cust
         self.position[j] = c
         self.end[j] = self.t + self.draw() / self.mu[c][j]
-        self._emit("start", j, c, cust[0])
+        if self.trace is not None:
+            self._emit("start", j, c, cust[0])
 
     def _pick_next(self, j: int) -> None:
         """Exhaustive polling: stay on the current queue while it has work,
@@ -301,9 +316,13 @@ def simulate_conditional(
 
     Each replication re-creates the snapshot, injects the tagged customer at
     the tail of its class queue at station 1, and runs until that customer
-    departs station 2.  ``trace``, if a list is supplied, collects event
+    departs station 2.  ``n_jobs`` is the number of worker processes; at 1
+    the replications run in this process, and any count gives the same
+    result bit for bit.  ``trace``, if a list is supplied, collects event
     rows from replication 0 (see ``write_trace``).
     """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs!r}")
     p = validate_params(p)
     s, p = relabel_for_class2(s, p)
     waits = np.empty(c.replications)

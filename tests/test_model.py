@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from tandempoll.errors import NonPositiveRate, UnstableSystem
@@ -40,6 +41,15 @@ class TestValidate:
         p = sym(2.86)
         assert validate_params(validate_params(p)) == p
 
+    @pytest.mark.parametrize("rate", [np.int64(1), np.float32(1.0)])
+    def test_accepts_numpy_rates(self, rate):
+        p = SystemParams(lam=(rate, 1.0), mu=((3.0, 3.0), (3.0, 3.0)))
+        assert validate_params(p) == p
+
+    def test_rejects_bool_rate(self):
+        with pytest.raises(NonPositiveRate):
+            validate_params(SystemParams(lam=(True, 1.0), mu=((3.0, 3.0), (3.0, 3.0))))
+
 
 class TestArrivalState:
     def test_scenario_encoding(self):
@@ -55,6 +65,20 @@ class TestArrivalState:
             ArrivalState(la=(1, -1, 1, 1), m=1)
         with pytest.raises(ValueError):
             ArrivalState(la=(1, 1, 1, 1), m=1, tagged_class=3)
+
+    @pytest.mark.parametrize("count", [2, 2.0, np.int64(2), np.float64(2.0)])
+    def test_integral_counts_become_ints(self, count):
+        s = ArrivalState(la=(count, 1, 1, 1), m=1)
+        assert s.la == (2, 1, 1, 1)
+        assert all(type(x) is int for x in s.la)
+
+    @pytest.mark.parametrize("la", [
+        (1.5, 1, 1, 1), (True, 1, 1, 1), ("1", 1, 1, 1), (float("inf"), 1, 1, 1),
+        (float("nan"), 1, 1, 1), (1, 1, 1), 4,
+    ])
+    def test_rejects_non_integral_counts(self, la):
+        with pytest.raises(ValueError):
+            ArrivalState(la=la, m=1)
 
 
 class TestRelabel:

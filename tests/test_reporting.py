@@ -71,6 +71,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(modes=("analytic", "plot"))
 
+    def test_integral_case_becomes_ints(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "c.json", cases=[[2.0, 1, 1, 1]]))
+        assert cfg.cases == ((2, 1, 1, 1),)
+        assert all(type(x) is int for x in cfg.cases[0])
+
+    @pytest.mark.parametrize("case", [[1.5, 1, 1, 1], [True, 1, 1, 1], ["1", 1, 1, 1], [1, 1, 1]])
+    def test_rejects_non_integral_case_at_load(self, tmp_path, case):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            load_config(write_config(tmp_path / "c.json", cases=[case]))
+
 
 class TestRunExperiment:
     def test_all_modes_populated(self):
@@ -138,6 +148,18 @@ class TestEmit:
             assert r1.sim_mean == r0.sim_mean
             assert r1.det == r0.det
             assert r1.residual == r0.residual
+
+    @pytest.mark.parametrize("mode", ["analytic", "simulate", "deterministic"])
+    def test_integral_float_case_round_trip(self, tmp_path, mode):
+        path = tmp_path / "out.csv"
+        result = run_experiment(small_config(cases=((2.0, 1, 1, 1),), modes=(mode,),
+                                             output=str(path)))
+        assert result.rows[0].error is None
+        back = parse_report(str(path))
+        assert back[0].la == (2, 1, 1, 1)
+        assert back[0].error is None
+        ints = run_experiment(small_config(cases=((2, 1, 1, 1),), modes=(mode,))).rows[0]
+        assert (back[0].analytic, back[0].sim_mean, back[0].det) == (ints.analytic, ints.sim_mean, ints.det)
 
     def test_failed_row_round_trip(self, tmp_path):
         rows = [

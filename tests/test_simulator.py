@@ -1,4 +1,5 @@
 
+import numpy as np
 import pytest
 
 from tandempoll import simulator
@@ -50,6 +51,12 @@ class TestConditional:
         parallel = simulate_conditional(s, p, SimConfig(replications=96, seed=7), n_jobs=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_rejects_bad_n_jobs(self, n_jobs):
+        with pytest.raises(ValueError, match="n_jobs"):
+            simulate_conditional(ArrivalState(la=(1, 1, 1, 1), m=1), sym(2.86),
+                                 SimConfig(replications=2, seed=1), n_jobs=n_jobs)
+
     def test_tagged_class2_relabels(self):
         p = sym(2.86)
         a = simulate_conditional(ArrivalState(la=(1, 2, 3, 1), m=2, tagged_class=2), p,
@@ -57,6 +64,45 @@ class TestConditional:
         b = simulate_conditional(ArrivalState(la=(2, 1, 1, 3), m=3, tagged_class=1), p,
                                  SimConfig(replications=400, seed=5))
         assert a == b
+
+
+class TestReplayPinned:
+    """Results pinned for fixed seeds, so that a change to the draws, the
+    stream layout or the event order fails here, not only between two runs
+    of one version."""
+
+    def test_conditional(self):
+        a = simulate_conditional(ArrivalState(la=(2, 1, 1, 2), m=1), sym(2.86),
+                                 SimConfig(replications=100, seed=2024))
+        assert repr(a) == ("SimEstimate(mean=2.113478224284256, stderr=0.12073775760034593, "
+                           "n=100, seed=2024)")
+        # one replication here takes 329 draws and reaches the third draw block
+        b = simulate_conditional(ArrivalState(la=(20, 20, 20, 20), m=4, tagged_class=2), sym(2.22),
+                                 SimConfig(replications=100, seed=2025))
+        assert repr(b) == ("SimEstimate(mean=19.13093481947116, stderr=0.4269184751585436, "
+                           "n=100, seed=2025)")
+
+    def test_steady_state(self):
+        cfg = SimConfig(seed=5, warmup_departures=500, horizon_departures=20_000)
+        est = simulate_steady_state(sym(2.86), cfg, measured_class=2)
+        assert repr(est) == (
+            "SteadyStateEstimate(mean=2.338653443234456, stderr=0.08228611241174995, n=9987, "
+            "seed=5, time_avg_in_system=4.6271215865608495, "
+            "throughput_mean_system_time=4.6232793779403885)"
+        )
+
+    def test_deterministic(self):
+        p = validate_params(SystemParams(lam=(1.0, 0.5), mu=((2.86, 2.22), (3.0, 4.0))))
+        w = deterministic_wait(ArrivalState(la=(3, 2, 1, 2), m=3, tagged_class=2), p)
+        assert repr(w) == "1.7004504504504503"
+
+
+def test_exp_stream_matches_one_block():
+    # numpy fills exponentials one at a time from the bit stream, so the
+    # growing blocks must reproduce a single draw of the same length
+    stream = simulator._ExpStream(np.random.default_rng(123))
+    drawn = [stream.draw() for _ in range(20_000)]
+    assert drawn == np.random.default_rng(123).exponential(size=20_000).tolist()
 
 
 class TestStepBudget:
