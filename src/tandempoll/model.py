@@ -81,13 +81,31 @@ def _queue_lengths(la) -> tuple[int, int, int, int]:
     return counts
 
 
+def _scenario_index(m) -> int:
+    """``m`` as a Python int in 1..4, by the same rule as the counts."""
+    k = _count(m)
+    if k not in SCENARIO_SERVERS:
+        raise ValueError(f"scenario index m must be in 1..4, got {m!r}")
+    return k
+
+
+def _class_label(c) -> int:
+    """``c`` as the Python int 1 or 2, by the same rule as the counts."""
+    k = _count(c)
+    if k not in (1, 2):
+        raise ValueError(f"tagged_class must be 1 or 2, got {c!r}")
+    return k
+
+
 @dataclass(frozen=True)
 class ArrivalState:
     """Snapshot seen by the tagged customer at t = 0.
 
     ``la`` holds the queue lengths (L11, L21, L12, L22); ``m`` in {1..4}
     encodes which queue each server is busy with, and ``tagged_class`` is the
-    class of the arriving customer.
+    class of the arriving customer.  All are stored as Python ints: integral
+    numbers such as ``2.0`` are converted, and ``True``, ``1.5`` or ``"2"``
+    raise ``ValueError``.
     """
 
     la: tuple[int, int, int, int]
@@ -95,10 +113,8 @@ class ArrivalState:
     tagged_class: int = 1
 
     def __post_init__(self):
-        if self.m not in SCENARIO_SERVERS:
-            raise ValueError(f"scenario index m must be in 1..4, got {self.m}")
-        if self.tagged_class not in (1, 2):
-            raise ValueError(f"tagged_class must be 1 or 2, got {self.tagged_class}")
+        object.__setattr__(self, "m", _scenario_index(self.m))
+        object.__setattr__(self, "tagged_class", _class_label(self.tagged_class))
         object.__setattr__(self, "la", _queue_lengths(self.la))
 
     @property

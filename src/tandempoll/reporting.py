@@ -33,7 +33,15 @@ import sys
 from dataclasses import dataclass, field
 
 from .deterministic import deterministic_wait
-from .model import ArrivalState, SystemParams, TruncationConfig, _queue_lengths, validate_params
+from .model import (
+    ArrivalState,
+    SystemParams,
+    TruncationConfig,
+    _class_label,
+    _queue_lengths,
+    _scenario_index,
+    validate_params,
+)
 from .scenarios import analyze
 from .simulator import SimConfig, simulate_conditional
 
@@ -71,9 +79,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.cases:
             raise ValueError("config needs at least one case")
-        # the checks and conversion ArrivalState applies, so a bad count
-        # fails at load and reports print integral counts as ints
+        # the checks and conversion ArrivalState applies, so a bad count or
+        # index fails at load and reports print integral values as ints
         object.__setattr__(self, "cases", tuple(_queue_lengths(c) for c in self.cases))
+        object.__setattr__(self, "scenarios", tuple(_scenario_index(m) for m in self.scenarios))
+        if not self.scenarios:
+            raise ValueError("config needs at least one scenario")
+        object.__setattr__(self, "tagged_class", _class_label(self.tagged_class))
         if not self.modes:
             raise ValueError("config needs at least one mode")
         bad = set(self.modes) - set(_MODES)

@@ -227,13 +227,13 @@ class _Engine:
                 # Both feeder queues are empty in expectation: the class-2
                 # backlog simply drains (with any fresh arrivals routed
                 # through station 1), then the tagged customer is served.
-                t_drain = mfpt_to_empty(0, bg_r, self.lam2, self.mu21, self.mu22, 2, tr)
+                t_drain = mfpt_to_empty(0, bg_r, self.lam2, self.mu21, self.mu22, tr)
                 self._leaf(lbl + "G*", branch * p_fp, elapsed2 + t_drain + final_leg)
                 return
 
             _, p_g = absorption_probs(c_r, bg_r, self.lam2, self.mu21, self.mu22, tr)
             if p_g > 0.0:
-                phi = mfpt_to_empty(c_r, bg_r, self.lam2, self.mu21, self.mu22, 2, tr)
+                phi = mfpt_to_empty(c_r, bg_r, self.lam2, self.mu21, self.mu22, tr)
                 self._leaf(lbl + "G≺H", branch * p_fp * p_g, elapsed2 + phi + final_leg)
             p_gp = 1.0 - p_g
             branch *= p_fp * p_gp
@@ -337,7 +337,7 @@ class _Engine:
         if p_l > 0.0:
             # Station 2's class-2 backlog empties first; station 1 is still
             # working through its class-2 queue, which is the stage-J picture.
-            t_l = mfpt_to_empty(l21_r, l22_r, self.lam2, self.mu21, self.mu22, 2, tr)
+            t_l = mfpt_to_empty(l21_r, l22_r, self.lam2, self.mu21, self.mu22, tr)
             arr = self.lam2 * t_l
             v8 = _truncated_poisson_mean(self.mu21 * t_l, _nnint(l21 + arr) - 1)
             self._stage_j("L≺", p_l, int(l11), l12, max(0.0, l21 + arr - v8), 0.0, t_l)

@@ -86,6 +86,34 @@ def lattice_race_samples(u, w, lam, mu1, mu2, n, seed):
     return r2_first, t
 
 
+def drain_time_samples(w, lam, mu1, mu2, n, seed):
+    """Times until station 2 of the station-fed tandem first empties, from
+    station 1 empty and w customers at station 2.
+
+    Paths run on the raw dynamics (arrivals at lam, station-1 services at
+    mu1 while it is busy, station-2 services at mu2) and pass freely
+    through station 1 emptying; only station 2 emptying stops them.
+    """
+    rng = np.random.default_rng(seed)
+    i = np.zeros(n, dtype=np.int64)
+    j = np.full(n, w, dtype=np.int64)
+    t = np.zeros(n)
+    alive = j > 0
+    while alive.any():
+        idx = np.where(alive)[0]
+        busy1 = i[idx] > 0
+        rate = lam + mu2 + mu1 * busy1
+        t[idx] += rng.exponential(1.0, size=idx.size) / rate
+        x = rng.random(idx.size) * rate
+        arr = x < lam
+        srv1 = busy1 & ~arr & (x < lam + mu1)
+        srv2 = ~arr & ~srv1
+        i[idx] += arr.astype(np.int64) - srv1.astype(np.int64)
+        j[idx] += srv1.astype(np.int64) - srv2.astype(np.int64)
+        alive[idx] = j[idx] > 0
+    return t
+
+
 def lattice_race_prob(u, lam, mu1, w, mu2):
     """P(w rate-mu2 phases complete before an M/M/1 queue from u empties),
     by solving the absorbing chain on (queue level i, phases left r):

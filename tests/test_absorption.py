@@ -5,9 +5,8 @@ import pytest
 from tandempoll.absorption import absorption_probs, lattice_solution, mfpt_to_empty
 from tandempoll.errors import TruncationTooTight
 from tandempoll.model import TruncationConfig
-from tandempoll.primitives import hitting_mean
 
-from oracles import absorption_p2_value_iteration, lattice_race_samples
+from oracles import absorption_p2_value_iteration, drain_time_samples, lattice_race_samples
 
 RATES = [(1.0, 2.86, 2.86), (1.0, 2.22, 2.22), (1.0, 2.22, 2.86), (1.0, 2.86, 2.22)]
 
@@ -60,18 +59,37 @@ class TestAbsorptionProbs:
 
 class TestMfpt:
     def test_already_at_target(self):
-        assert mfpt_to_empty(3, 0, 1.0, 2.86, 2.22, target_station=2) == 0.0
-        assert mfpt_to_empty(0, 3, 1.0, 2.86, 2.22, target_station=1) == 0.0
+        assert mfpt_to_empty(3, 0, 1.0, 2.86, 2.22) == 0.0
 
     def test_pure_drain_without_arrivals(self):
         # station 1 empty and no arrivals: station 2 drains w jobs at mu2
-        v = mfpt_to_empty(0, 4, 1e-12, 2.86, 2.22, target_station=2)
+        v = mfpt_to_empty(0, 4, 1e-12, 2.86, 2.22)
         assert v == pytest.approx(4 / 2.22, rel=1e-6)
 
-    def test_station1_autonomous(self):
-        assert mfpt_to_empty(3, 0, 1.0, 2.86, 2.22, target_station=1) == pytest.approx(
-            hitting_mean(3, 1.0, 2.86)
-        )
+    @pytest.mark.parametrize("lam,mu1,mu2", [(1.0, 2.86, 2.22), (1.3, 1.6, 2.0)])
+    @pytest.mark.parametrize("w", [1, 3, 6])
+    def test_drain_matches_monte_carlo(self, lam, mu1, mu2, w):
+        t = drain_time_samples(w, lam, mu1, mu2, 100_000, seed=410 + w)
+        se = t.std(ddof=1) / math.sqrt(t.size)
+        assert abs(t.mean() - mfpt_to_empty(0, w, lam, mu1, mu2)) < 3 * se
+
+    def test_drain_start_overflow_guard(self):
+        # from (0, 10) a 20-box loses about 1e-3 of its mass through the
+        # top, as does the interior start next to it
+        trunc = TruncationConfig(n_max=20)
+        with pytest.raises(TruncationTooTight, match=r"overflow mass [0-9.]+e-0[34] from \(0, 10\)"):
+            mfpt_to_empty(0, 10, 1.3, 1.6, 2.0, trunc)
+        with pytest.raises(TruncationTooTight, match=r"overflow mass [0-9.]+e-0[34] from \(1, 10\)"):
+            mfpt_to_empty(1, 10, 1.3, 1.6, 2.0, trunc)
+
+    def test_drain_start_headroom_guard(self):
+        trunc = TruncationConfig(n_max=20)
+        with pytest.raises(TruncationTooTight) as drain:
+            mfpt_to_empty(0, 11, 1.0, 2.86, 2.22, trunc)
+        with pytest.raises(TruncationTooTight) as race:
+            mfpt_to_empty(1, 11, 1.0, 2.86, 2.22, trunc)
+        assert str(drain.value) == str(race.value).replace("(1, 11)", "(0, 11)")
+        assert "needs headroom beyond n_max = 20" in str(drain.value)
 
     @pytest.mark.parametrize("u,w", [(1, 1), (2, 2), (3, 1)])
     def test_matches_conditioned_monte_carlo(self, u, w):
@@ -79,25 +97,17 @@ class TestMfpt:
         r2, t = lattice_race_samples(u, w, lam, mu1, mu2, 200_000, seed=31 + u + 10 * w)
         cond = t[r2]
         se = cond.std(ddof=1) / math.sqrt(cond.size)
-        phi = mfpt_to_empty(u, w, lam, mu1, mu2, target_station=2)
-        assert abs(cond.mean() - phi) < 3 * se
-
-    def test_conditioned_monte_carlo_station1(self):
-        lam, mu1, mu2 = 1.0, 2.22, 2.86
-        r2, t = lattice_race_samples(2, 2, lam, mu1, mu2, 200_000, seed=77)
-        cond = t[~r2]
-        se = cond.std(ddof=1) / math.sqrt(cond.size)
-        phi = mfpt_to_empty(2, 2, lam, mu1, mu2, target_station=1)
+        phi = mfpt_to_empty(u, w, lam, mu1, mu2)
         assert abs(cond.mean() - phi) < 3 * se
 
     def test_truncation_convergence(self):
         for lam, mu1, mu2 in RATES:
-            a = mfpt_to_empty(3, 3, lam, mu1, mu2, 2, TruncationConfig(n_max=60))
-            b = mfpt_to_empty(3, 3, lam, mu1, mu2, 2, TruncationConfig(n_max=80))
+            a = mfpt_to_empty(3, 3, lam, mu1, mu2, TruncationConfig(n_max=60))
+            b = mfpt_to_empty(3, 3, lam, mu1, mu2, TruncationConfig(n_max=80))
             assert abs(a - b) < 1e-6
 
     def test_scale_covariance(self):
         c = 2.0
-        base = mfpt_to_empty(2, 2, 1.0, 2.86, 2.22, 2)
-        scaled = mfpt_to_empty(2, 2, c * 1.0, c * 2.86, c * 2.22, 2)
+        base = mfpt_to_empty(2, 2, 1.0, 2.86, 2.22)
+        scaled = mfpt_to_empty(2, 2, c * 1.0, c * 2.86, c * 2.22)
         assert scaled == pytest.approx(base / c, rel=1e-9)

@@ -185,8 +185,8 @@ def test_criterion_2_markov_suite():
                     problems.append(f"row mass ({u},{w}) rates {mu1},{mu2}: off by {gap:.2e}")
                 a60 = absorption_probs(u, w, lam, mu1, mu2, TruncationConfig(n_max=60))[1]
                 a80 = absorption_probs(u, w, lam, mu1, mu2, TruncationConfig(n_max=80))[1]
-                f60 = mfpt_to_empty(u, w, lam, mu1, mu2, 2, TruncationConfig(n_max=60))
-                f80 = mfpt_to_empty(u, w, lam, mu1, mu2, 2, TruncationConfig(n_max=80))
+                f60 = mfpt_to_empty(u, w, lam, mu1, mu2, TruncationConfig(n_max=60))
+                f80 = mfpt_to_empty(u, w, lam, mu1, mu2, TruncationConfig(n_max=80))
                 if abs(a60 - a80) > 1e-6 or abs(f60 - f80) > 1e-6:
                     problems.append(f"truncation drift at ({u},{w}) rates {mu1},{mu2}")
 
@@ -206,7 +206,7 @@ def test_criterion_2_markov_suite():
                 cond = t[r2]
                 phi_hat = cond.mean()
                 phi_se = cond.std(ddof=1) / math.sqrt(cond.size)
-                phi = mfpt_to_empty(u, w, lam, mu1, mu2, 2, trunc)
+                phi = mfpt_to_empty(u, w, lam, mu1, mu2, trunc)
                 if abs(phi_hat - phi) > 3 * phi_se:
                     problems.append(
                         f"mfpt ({u},{w}) rates ({mu1},{mu2}): mc {phi_hat:.5f} vs {phi:.5f}"
@@ -307,8 +307,8 @@ def test_criterion_7_property_suite():
     if abs(race_busy_period(2, c, c * 2.86, 2, c * 2.22)
            - race_busy_period(2, 1.0, 2.86, 2, 2.22)) > 1e-7:
         problems.append("race_busy_period scale")
-    if abs(mfpt_to_empty(2, 2, c, c * 2.86, c * 2.22, 2)
-           - mfpt_to_empty(2, 2, 1.0, 2.86, 2.22, 2) / c) > 1e-9:
+    if abs(mfpt_to_empty(2, 2, c, c * 2.86, c * 2.22)
+           - mfpt_to_empty(2, 2, 1.0, 2.86, 2.22) / c) > 1e-9:
         problems.append("mfpt scale")
     base = sym(2.86)
     scaled = validate_params(SystemParams(

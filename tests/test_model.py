@@ -80,6 +80,22 @@ class TestArrivalState:
         with pytest.raises(ValueError):
             ArrivalState(la=la, m=1)
 
+    @pytest.mark.parametrize("index", [2, 2.0, np.int64(2), np.float64(2.0)])
+    def test_integral_indices_become_ints(self, index):
+        s = ArrivalState(la=(1, 1, 1, 1), m=index, tagged_class=index)
+        assert (s.m, s.tagged_class) == (2, 2)
+        assert type(s.m) is int and type(s.tagged_class) is int
+
+    @pytest.mark.parametrize("index", [True, 1.5, "2"])
+    def test_rejects_non_integral_scenario(self, index):
+        with pytest.raises(ValueError, match="scenario index"):
+            ArrivalState(la=(1, 1, 1, 1), m=index)
+
+    @pytest.mark.parametrize("index", [True, 1.5, "2"])
+    def test_rejects_non_integral_tagged_class(self, index):
+        with pytest.raises(ValueError, match="tagged_class"):
+            ArrivalState(la=(1, 1, 1, 1), m=1, tagged_class=index)
+
 
 class TestRelabel:
     def test_swaps_queues_and_scenario(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -67,6 +68,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(cases=())
 
+    def test_rejects_empty_scenarios_at_load(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one scenario"):
+            load_config(write_config(tmp_path / "c.json", scenarios=[]))
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             small_config(modes=("analytic", "plot"))
@@ -80,6 +85,18 @@ class TestConfig:
     def test_rejects_non_integral_case_at_load(self, tmp_path, case):
         with pytest.raises(ValueError, match="non-negative integers"):
             load_config(write_config(tmp_path / "c.json", cases=[case]))
+
+    def test_integral_indices_become_ints(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "c.json", scenarios=[2.0, 1], tagged_class=2.0))
+        assert cfg.scenarios == (2, 1) and cfg.tagged_class == 2
+        assert all(type(m) is int for m in cfg.scenarios) and type(cfg.tagged_class) is int
+
+    @pytest.mark.parametrize("index", [True, 1.5, "2"])
+    def test_rejects_non_integral_indices_at_load(self, tmp_path, index):
+        with pytest.raises(ValueError, match="scenario index"):
+            load_config(write_config(tmp_path / "c.json", scenarios=[index]))
+        with pytest.raises(ValueError, match="tagged_class"):
+            load_config(write_config(tmp_path / "c.json", tagged_class=index))
 
 
 class TestRunExperiment:
@@ -160,6 +177,16 @@ class TestEmit:
         assert back[0].error is None
         ints = run_experiment(small_config(cases=((2, 1, 1, 1),), modes=(mode,))).rows[0]
         assert (back[0].analytic, back[0].sim_mean, back[0].det) == (ints.analytic, ints.sim_mean, ints.det)
+
+    def test_integral_float_scenario_round_trip(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "c.json", scenarios=[2.0]))
+        path = tmp_path / "out.csv"
+        run_experiment(dataclasses.replace(cfg, output=str(path)))
+        back = parse_report(str(path))
+        assert [r.m for r in back] == [2, 2]
+        assert [r.error for r in back] == [None, None]
+        ints = run_experiment(dataclasses.replace(cfg, scenarios=(2,))).rows
+        assert [(r.analytic, r.det) for r in back] == [(r.analytic, r.det) for r in ints]
 
     def test_failed_row_round_trip(self, tmp_path):
         rows = [

@@ -212,7 +212,7 @@ class TestFirstPrinciplesRecomputation:
             b_g = self._half_up(l22 - v3)
             c_g = self._half_up(l21 + lam * (elapsed + t_fp))
             p_g = absorption_probs(c_g, b_g, lam, mu, mu)[1]
-            phi = mfpt_to_empty(c_g, b_g, lam, mu, mu, 2)
+            phi = mfpt_to_empty(c_g, b_g, lam, mu, mu)
             w_h = elapsed + t_fp + phi + final
             acc["A′≺C′≺F′1≺G≺H"][0] += pk * p_cp * (1 - p_f) * p_g
             acc["A′≺C′≺F′1≺G≺H"][1] += pk * p_cp * (1 - p_f) * p_g * w_h
