@@ -6,10 +6,10 @@ rate ``lam``, serves at rate ``mu1`` and feeds station 2, which serves at
 rate ``mu2``.  Two questions are asked of it: which station empties first
 (the race), and how long station 2 takes to empty.
 
-Both are answered on one truncated lattice, the box 0 <= i <= n_max,
-1 <= j <= n_max, whose generator is assembled from numpy index arrays.
+Both are answered on one truncated lattice, the box 0 <= i <= n,
+1 <= j <= n, whose generator is assembled from numpy index arrays.
 Station 2 emptying (j = 0) absorbs; every other exit from the box (an
-arrival at i = n_max, a transfer at j = n_max) goes to one overflow vector.
+arrival at i = n, a transfer at j = n) goes to one overflow vector.
 
 * The drain chain is the whole box: ``drain2`` is the mean time for
   station 2 to empty from (0, w), with paths that continue through i = 0.
@@ -21,14 +21,22 @@ arrival at i = n_max, a transfer at j = n_max) goes to one overflow vector.
   that p1 + p2 + overflow = 1 can be checked; no conditional time is kept
   for station 1.
 
-Each chain is factorised once per parameter set, solved with stacked
-right-hand sides, and cached.  Every query, drain starts included, is
-checked for headroom and for the overflow mass of the chain it reads;
-either failing raises ``TruncationTooTight``.
+Each chain is factorised once per (rates, n), solved with stacked
+right-hand sides, and cached.  The size n follows the query: it starts at
+the smallest rung of the ladder 20, 40, 80, ... that gives the start (u, w)
+the headroom 2 max(u, w) <= n, and doubles while the overflow mass of the
+chain the query reads (drain starts included) exceeds ``series_tol``.
+``TruncationConfig.n_max`` caps the ladder and is its last rung; a start
+without headroom at the cap, or with too much overflow mass there, raises
+``TruncationTooTight``.  The walk always starts at the bottom, so the size,
+and with it the answer, depends on (rates, u, w, trunc) alone, never on
+what the caches hold.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,6 +50,8 @@ from .model import TruncationConfig
 __all__ = ["absorption_probs", "mfpt_to_empty", "lattice_solution"]
 
 _DEFAULT_TRUNC = TruncationConfig()
+_FIRST_RUNG = 20
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -91,6 +101,7 @@ def _box_generator(lam: float, mu1: float, mu2: float, n: int):
 
 @lru_cache(maxsize=8)
 def lattice_solution(lam: float, mu1: float, mu2: float, n_max: int) -> LatticeSolution:
+    t0 = time.perf_counter()
     n = n_max
     A, i, j, overflow = _box_generator(lam, mu1, mu2, n)
     i, j = i[n:], j[n:]  # the race chain's states, i >= 1
@@ -108,24 +119,44 @@ def lattice_solution(lam: float, mu1: float, mu2: float, n_max: int) -> LatticeS
         raise SingularSystem(str(exc)) from exc
     with np.errstate(divide="ignore", invalid="ignore"):
         phi2 = np.where(p2 > 0, psi2 / np.maximum(p2, 1e-300), 0.0)
-    return LatticeSolution(
+    sol = LatticeSolution(
         lam=lam, mu1=mu1, mu2=mu2, n_max=n,
         p1=p1, p2=p2, p_overflow=p_ovf, phi2=phi2,
         drain2=drain[:n], drain_overflow=drain_ovf[:n],  # row i = 0
     )
+    _log.debug("lattice build lam=%r mu1=%r mu2=%r n=%d in %.4f s",
+               lam, mu1, mu2, n, time.perf_counter() - t0)
+    return sol
 
 
-def _check_query(u: int, w: int, sol: LatticeSolution, series_tol: float) -> None:
-    if u > sol.n_max // 2 or w > sol.n_max // 2:
+@lru_cache(maxsize=1024)
+def _size_for(u: int, w: int, lam: float, mu1: float, mu2: float, cap: int, series_tol: float) -> int:
+    """The smallest ladder rung whose start (u, w) passes the overflow check.
+
+    Memoised, so that a warm query looks up one lattice, not every rung
+    below its own; the size depends on the arguments alone.
+    """
+    if 2 * max(u, w) > cap:
         raise TruncationTooTight(
-            f"start ({u}, {w}) needs headroom beyond n_max = {sol.n_max}; increase n_max"
+            f"start ({u}, {w}) needs headroom beyond n_max = {cap}; increase n_max"
         )
-    # the overflow mass of the chain the query reads
-    ovf = sol.drain_overflow[w - 1] if u == 0 else sol.p_overflow[sol._idx(u, w)]
-    if ovf > series_tol:
-        raise TruncationTooTight(
-            f"overflow mass {ovf:.3e} from ({u}, {w}) exceeds {series_tol:.1e}"
-        )
+    n = _FIRST_RUNG
+    while n < 2 * max(u, w):
+        n *= 2
+    while True:
+        n = min(n, cap)
+        # the module-global name, so that a wrapper installed on it sees every build
+        sol = lattice_solution(lam, mu1, mu2, n)
+        # the overflow mass of the chain the query reads
+        ovf = sol.drain_overflow[w - 1] if u == 0 else sol.p_overflow[sol._idx(u, w)]
+        if ovf <= series_tol:
+            return n
+        if n == cap:
+            raise TruncationTooTight(
+                f"overflow mass {ovf:.3e} from ({u}, {w}) exceeds {series_tol:.1e}"
+                f" at n_max = {cap}; increase n_max"
+            )
+        n *= 2
 
 
 def absorption_probs(
@@ -150,8 +181,8 @@ def absorption_probs(
         return 0.0, 1.0
     if u == 0:
         return 1.0, 0.0
-    sol = lattice_solution(lam, mu1, mu2, trunc.n_max)
-    _check_query(u, w, sol, trunc.series_tol)
+    n = _size_for(u, w, lam, mu1, mu2, trunc.n_max, trunc.series_tol)
+    sol = lattice_solution(lam, mu1, mu2, n)
     p2 = float(sol.p2[sol._idx(u, w)])
     return 1.0 - p2, p2
 
@@ -177,6 +208,6 @@ def mfpt_to_empty(
         raise ValueError(f"counts must be non-negative, got ({u}, {w})")
     if w == 0:
         return 0.0
-    sol = lattice_solution(lam, mu1, mu2, trunc.n_max)
-    _check_query(u, w, sol, trunc.series_tol)
+    n = _size_for(u, w, lam, mu1, mu2, trunc.n_max, trunc.series_tol)
+    sol = lattice_solution(lam, mu1, mu2, n)
     return float(sol.drain2[w - 1] if u == 0 else sol.phi2[sol._idx(u, w)])

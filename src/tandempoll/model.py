@@ -125,9 +125,19 @@ class ArrivalState:
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Numerical tolerances and truncation bounds for the analytic solvers."""
+    """Numerical tolerances and truncation bounds for the analytic solvers.
 
-    n_max: int = 80
+    ``n_max`` caps the absorbing-chain lattice.  Each query builds the
+    smallest box on the ladder 20, 40, 80, ... that has headroom for its
+    start and loses at most ``series_tol`` of its mass through the box's
+    edges; ``n_max`` is the last size tried.  The default, 256, answers
+    snapshots of about 60 customers per queue at load 0.7; a box of that
+    size takes about 1.5 s and 290 MB to build.  ``eps`` bounds the
+    unresolved probability mass of the scenario tree and ``max_depth`` its
+    repeating levels.
+    """
+
+    n_max: int = 256
     eps: float = 1e-3
     series_tol: float = 1e-10
     max_depth: int = 50

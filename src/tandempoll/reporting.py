@@ -15,7 +15,10 @@ An experiment is described by a JSON config (schema ``polling-wait/v1``):
       "output": "report.csv"
     }
 
-``rates.mu[i][j]`` is the service rate of class i+1 at station j+1.  Each
+``rates.mu[i][j]`` is the service rate of class i+1 at station j+1.
+``trunc`` holds ``TruncationConfig`` fields; its ``n_max`` caps the size of
+the absorbing-chain lattice, which otherwise follows each query (here 80
+in place of the default 256).  Each
 (case, scenario) pair becomes one row holding whichever of the analytic
 conditional wait, the simulation estimate and the deterministic wait were
 requested, plus the relative gap |sim - analytic| / sim.  A failing row is

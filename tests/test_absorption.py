@@ -1,7 +1,9 @@
+import logging
 import math
 
 import pytest
 
+from tandempoll import absorption
 from tandempoll.absorption import absorption_probs, lattice_solution, mfpt_to_empty
 from tandempoll.errors import TruncationTooTight
 from tandempoll.model import TruncationConfig
@@ -9,6 +11,18 @@ from tandempoll.model import TruncationConfig
 from oracles import absorption_p2_value_iteration, drain_time_samples, lattice_race_samples
 
 RATES = [(1.0, 2.86, 2.86), (1.0, 2.22, 2.22), (1.0, 2.22, 2.86), (1.0, 2.86, 2.22)]
+
+
+def doubled_rung(u, w, lam, mu1, mu2):
+    """The lattice at twice the size the ladder picks for the start (u, w)."""
+    trunc = TruncationConfig()
+    n = absorption._size_for(u, w, lam, mu1, mu2, trunc.n_max, trunc.series_tol)
+    return lattice_solution(lam, mu1, mu2, 2 * n)
+
+
+def clear_caches():
+    absorption._size_for.cache_clear()
+    lattice_solution.cache_clear()
 
 
 class TestAbsorptionProbs:
@@ -48,9 +62,9 @@ class TestAbsorptionProbs:
     def test_truncation_convergence(self):
         for lam, mu1, mu2 in RATES:
             for u, w in [(2, 2), (6, 6)]:
-                _, a = absorption_probs(u, w, lam, mu1, mu2, TruncationConfig(n_max=60))
-                _, b = absorption_probs(u, w, lam, mu1, mu2, TruncationConfig(n_max=80))
-                assert abs(a - b) < 1e-6
+                _, a = absorption_probs(u, w, lam, mu1, mu2)
+                big = doubled_rung(u, w, lam, mu1, mu2)
+                assert abs(a - big.p2[big._idx(u, w)]) < 1e-6
 
     def test_headroom_guard(self):
         with pytest.raises(TruncationTooTight):
@@ -102,12 +116,74 @@ class TestMfpt:
 
     def test_truncation_convergence(self):
         for lam, mu1, mu2 in RATES:
-            a = mfpt_to_empty(3, 3, lam, mu1, mu2, TruncationConfig(n_max=60))
-            b = mfpt_to_empty(3, 3, lam, mu1, mu2, TruncationConfig(n_max=80))
-            assert abs(a - b) < 1e-6
+            a = mfpt_to_empty(3, 3, lam, mu1, mu2)
+            big = doubled_rung(3, 3, lam, mu1, mu2)
+            assert abs(a - big.phi2[big._idx(3, 3)]) < 1e-6
 
     def test_scale_covariance(self):
         c = 2.0
         base = mfpt_to_empty(2, 2, 1.0, 2.86, 2.22)
         scaled = mfpt_to_empty(2, 2, c * 1.0, c * 2.86, c * 2.22)
         assert scaled == pytest.approx(base / c, rel=1e-9)
+
+
+class TestLadder:
+    RATES = (1.3, 1.6, 2.0)
+
+    def test_answer_independent_of_cache_order(self):
+        def ask(order):
+            clear_caches()
+            return {q: (absorption_probs(*q, *self.RATES), mfpt_to_empty(*q, *self.RATES))
+                    for q in order}
+
+        a, b = (2, 2), (1, 10)   # b needs a larger lattice than a
+        assert ask([a, b]) == ask([b, a])
+
+    def test_overflow_at_20_reads_40(self):
+        lam, mu1, mu2 = 1.0, 2.86, 2.86
+        tol = TruncationConfig().series_tol
+        small, big = lattice_solution(lam, mu1, mu2, 20), lattice_solution(lam, mu1, mu2, 40)
+        s = small._idx(3, 3)
+        assert small.p_overflow[s] > tol >= big.p_overflow[big._idx(3, 3)]
+        assert absorption_probs(3, 3, lam, mu1, mu2)[1] == big.p2[big._idx(3, 3)]
+        assert mfpt_to_empty(3, 3, lam, mu1, mu2) == big.phi2[big._idx(3, 3)]
+
+    def test_past_cap_headroom_raises_without_build(self):
+        clear_caches()
+        misses = lattice_solution.cache_info().misses
+        with pytest.raises(TruncationTooTight, match=r"needs headroom beyond n_max = 256"):
+            absorption_probs(129, 1, *self.RATES)
+        with pytest.raises(TruncationTooTight, match=r"needs headroom beyond n_max = 30"):
+            mfpt_to_empty(0, 16, *self.RATES, TruncationConfig(n_max=30))
+        assert lattice_solution.cache_info().misses == misses
+
+    @pytest.mark.parametrize("cap,sizes", [(30, [20, 30]), (60, [20, 40, 60])])
+    def test_off_ladder_cap_is_last_size(self, monkeypatch, cap, sizes):
+        # from (0, 10) the drain overflows every box below 60 (about 3e-8 at 40)
+        clear_caches()
+        tried = []
+
+        def spy(lam, mu1, mu2, n):
+            tried.append(n)
+            return lattice_solution(lam, mu1, mu2, n)
+
+        monkeypatch.setattr(absorption, "lattice_solution", spy)
+        trunc = TruncationConfig(n_max=cap)
+        if cap == 60:
+            assert mfpt_to_empty(0, 10, *self.RATES, trunc) == lattice_solution(*self.RATES, 60).drain2[9]
+        else:
+            with pytest.raises(TruncationTooTight, match=rf"from \(0, 10\) exceeds .* at n_max = {cap}"):
+                mfpt_to_empty(0, 10, *self.RATES, trunc)
+        assert list(dict.fromkeys(tried)) == sizes   # the answer reads the last size again
+
+    def test_build_logs_its_size(self, caplog):
+        clear_caches()
+        with caplog.at_level(logging.DEBUG, logger="tandempoll"):
+            mfpt_to_empty(1, 10, *self.RATES)
+            builds = [r for r in caplog.records if r.name.startswith("tandempoll")]
+            mfpt_to_empty(1, 10, *self.RATES)   # cached: no record
+            absorption_probs(1, 10, *self.RATES)
+        assert [r.args[:4] for r in builds] == [(*self.RATES, n) for n in (20, 40, 80)]
+        assert all(r.levelno == logging.DEBUG and r.args[4] > 0 for r in builds)
+        assert "n=80" in builds[-1].getMessage()
+        assert len([r for r in caplog.records if r.name.startswith("tandempoll")]) == 3

@@ -17,6 +17,7 @@ import math
 import pytest
 from scipy import integrate, stats
 
+from tandempoll import absorption
 from tandempoll.absorption import absorption_probs, lattice_solution, mfpt_to_empty
 from tandempoll.deterministic import deterministic_wait
 from tandempoll.model import ArrivalState, SystemParams, TruncationConfig, validate_params
@@ -176,18 +177,18 @@ def test_criterion_2_markov_suite():
     trunc = TruncationConfig()
 
     for lam, mu1, mu2 in LATTICE_RATES:
-        sol = lattice_solution(lam, mu1, mu2, trunc.n_max)
         for u in range(1, 7):
             for w in range(1, 7):
-                s = sol._idx(u, w)
+                # the lattice the ladder picks for this start, and one twice its size
+                n = absorption._size_for(u, w, lam, mu1, mu2, trunc.n_max, trunc.series_tol)
+                sol, big = lattice_solution(lam, mu1, mu2, n), lattice_solution(lam, mu1, mu2, 2 * n)
+                s, b = sol._idx(u, w), big._idx(u, w)
                 gap = abs(sol.p1[s] + sol.p2[s] + sol.p_overflow[s] - 1.0)
                 if gap > 1e-10:
                     problems.append(f"row mass ({u},{w}) rates {mu1},{mu2}: off by {gap:.2e}")
-                a60 = absorption_probs(u, w, lam, mu1, mu2, TruncationConfig(n_max=60))[1]
-                a80 = absorption_probs(u, w, lam, mu1, mu2, TruncationConfig(n_max=80))[1]
-                f60 = mfpt_to_empty(u, w, lam, mu1, mu2, TruncationConfig(n_max=60))
-                f80 = mfpt_to_empty(u, w, lam, mu1, mu2, TruncationConfig(n_max=80))
-                if abs(a60 - a80) > 1e-6 or abs(f60 - f80) > 1e-6:
+                a = absorption_probs(u, w, lam, mu1, mu2, trunc)[1]
+                f = mfpt_to_empty(u, w, lam, mu1, mu2, trunc)
+                if abs(a - big.p2[b]) > 1e-6 or abs(f - big.phi2[b]) > 1e-6:
                     problems.append(f"truncation drift at ({u},{w}) rates {mu1},{mu2}")
 
     seed = 5000

@@ -252,13 +252,16 @@ class TestMain:
         assert len(parse_report(str(out))) == 20
 
     def test_cli_failure_exit_code(self, tmp_path):
-        # a case beyond the truncation headroom fails its rows; the batch
-        # still completes and the exit code flags the failure
+        # a case beyond the headroom of the lattice cap fails its rows; the
+        # batch still completes and the exit code flags the failure
         cfg = write_config(
             tmp_path / "c.json",
-            cases=[[1, 1, 1, 1], [60, 60, 60, 60]],
+            cases=[[1, 1, 1, 1], [200, 200, 200, 200]],
             modes=["analytic"],
         )
         assert main([cfg, "-o", str(tmp_path / "r.csv")]) == 1
         rows = parse_report(str(tmp_path / "r.csv"))
         assert rows[0].analytic is not None
+        failed = [r for r in rows if r.la == (200, 200, 200, 200)]
+        assert failed and all(r.analytic is None for r in failed)
+        assert all("TruncationTooTight" in r.error and "n_max = 256" in r.error for r in failed)

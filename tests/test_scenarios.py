@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from tandempoll.deterministic import deterministic_wait
 from tandempoll.model import ArrivalState, SystemParams, TruncationConfig, validate_params
 from tandempoll.primitives import transfer_count_pmf
 from tandempoll.scenarios import analyze
@@ -54,6 +55,27 @@ class TestMassConservation:
                     rep = analyze(ArrivalState(la=la, m=m), p)
                     total = sum(o.prob for o in rep.outcomes) + rep.residual_prob
                     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+class TestLargeSnapshots:
+    """Snapshots whose starts need more than an 80-box; the lattice grows to fit."""
+
+    @pytest.mark.parametrize("la,m,p", [
+        ((60, 60, 60, 60), 1, sym(2.86)),
+        ((3, 45, 3, 45), 4, sym(2.86)),
+        # a class-asymmetric point at station loads 0.53 and 0.86
+        ((12, 12, 12, 12), 1, validate_params(SystemParams(lam=(0.72, 1.43), mu=((2.03, 1.67), (8.27, 3.30))))),
+    ])
+    def test_answers(self, la, m, p):
+        rep = analyze(ArrivalState(la=la, m=m), p)
+        assert math.isfinite(rep.cond_wait) and rep.cond_wait > 0
+        assert rep.residual_prob <= TruncationConfig().eps
+        assert sum(o.prob for o in rep.outcomes) + rep.residual_prob == pytest.approx(1.0, abs=1e-9)
+
+    def test_sixty_each_matches_timeline(self):
+        s, p = ArrivalState(la=(60, 60, 60, 60), m=1), sym(2.86)
+        assert analyze(s, p).cond_wait == pytest.approx(42.308, abs=5e-4)
+        assert deterministic_wait(s, p) == pytest.approx(42.308, abs=5e-4)
 
 
 class TestFirstCycleLeaf:
