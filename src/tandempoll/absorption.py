@@ -25,7 +25,8 @@ Each chain is factorised once per (rates, n), solved with stacked
 right-hand sides, and cached.  The size n follows the query: it starts at
 the smallest rung of the ladder 20, 40, 80, ... that gives the start (u, w)
 the headroom 2 max(u, w) <= n, and doubles while the overflow mass of the
-chain the query reads (drain starts included) exceeds ``series_tol``.
+chain the query reads (drain starts included) exceeds ``_OVERFLOW_TOL``,
+a fixed 1e-10.
 ``TruncationConfig.n_max`` caps the ladder and is its last rung; a start
 without headroom at the cap, or with too much overflow mass there, raises
 ``TruncationTooTight``.  The walk always starts at the bottom, so the size,
@@ -51,6 +52,8 @@ __all__ = ["absorption_probs", "mfpt_to_empty", "lattice_solution"]
 
 _DEFAULT_TRUNC = TruncationConfig()
 _FIRST_RUNG = 20
+# Largest overflow mass a query's start may lose through the box's edges.
+_OVERFLOW_TOL = 1e-10
 _log = logging.getLogger(__name__)
 
 
@@ -61,9 +64,6 @@ class LatticeSolution:
     The race arrays are indexed by ``_idx(u, w)``, the drain arrays by w - 1.
     """
 
-    lam: float
-    mu1: float
-    mu2: float
     n_max: int
     p1: np.ndarray              # independent solve, for consistency checks
     p2: np.ndarray
@@ -120,8 +120,7 @@ def lattice_solution(lam: float, mu1: float, mu2: float, n_max: int) -> LatticeS
     with np.errstate(divide="ignore", invalid="ignore"):
         phi2 = np.where(p2 > 0, psi2 / np.maximum(p2, 1e-300), 0.0)
     sol = LatticeSolution(
-        lam=lam, mu1=mu1, mu2=mu2, n_max=n,
-        p1=p1, p2=p2, p_overflow=p_ovf, phi2=phi2,
+        n_max=n, p1=p1, p2=p2, p_overflow=p_ovf, phi2=phi2,
         drain2=drain[:n], drain_overflow=drain_ovf[:n],  # row i = 0
     )
     _log.debug("lattice build lam=%r mu1=%r mu2=%r n=%d in %.4f s",
@@ -130,7 +129,7 @@ def lattice_solution(lam: float, mu1: float, mu2: float, n_max: int) -> LatticeS
 
 
 @lru_cache(maxsize=1024)
-def _size_for(u: int, w: int, lam: float, mu1: float, mu2: float, cap: int, series_tol: float) -> int:
+def _size_for(u: int, w: int, lam: float, mu1: float, mu2: float, cap: int) -> int:
     """The smallest ladder rung whose start (u, w) passes the overflow check.
 
     Memoised, so that a warm query looks up one lattice, not every rung
@@ -149,11 +148,11 @@ def _size_for(u: int, w: int, lam: float, mu1: float, mu2: float, cap: int, seri
         sol = lattice_solution(lam, mu1, mu2, n)
         # the overflow mass of the chain the query reads
         ovf = sol.drain_overflow[w - 1] if u == 0 else sol.p_overflow[sol._idx(u, w)]
-        if ovf <= series_tol:
+        if ovf <= _OVERFLOW_TOL:
             return n
         if n == cap:
             raise TruncationTooTight(
-                f"overflow mass {ovf:.3e} from ({u}, {w}) exceeds {series_tol:.1e}"
+                f"overflow mass {ovf:.3e} from ({u}, {w}) exceeds {_OVERFLOW_TOL:.1e}"
                 f" at n_max = {cap}; increase n_max"
             )
         n *= 2
@@ -181,7 +180,7 @@ def absorption_probs(
         return 0.0, 1.0
     if u == 0:
         return 1.0, 0.0
-    n = _size_for(u, w, lam, mu1, mu2, trunc.n_max, trunc.series_tol)
+    n = _size_for(u, w, lam, mu1, mu2, trunc.n_max)
     sol = lattice_solution(lam, mu1, mu2, n)
     p2 = float(sol.p2[sol._idx(u, w)])
     return 1.0 - p2, p2
@@ -208,6 +207,6 @@ def mfpt_to_empty(
         raise ValueError(f"counts must be non-negative, got ({u}, {w})")
     if w == 0:
         return 0.0
-    n = _size_for(u, w, lam, mu1, mu2, trunc.n_max, trunc.series_tol)
+    n = _size_for(u, w, lam, mu1, mu2, trunc.n_max)
     sol = lattice_solution(lam, mu1, mu2, n)
     return float(sol.drain2[w - 1] if u == 0 else sol.phi2[sol._idx(u, w)])

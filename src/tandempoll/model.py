@@ -25,7 +25,7 @@ _RELABELED_SCENARIO = {1: 4, 2: 3, 3: 2, 4: 1}
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Arrival and service rates, with derived service times and loads.
+    """Arrival and service rates.
 
     ``lam[i-1]`` is the arrival rate of class i at station 1 and
     ``mu[i-1][j-1]`` the service rate of class i at station j.
@@ -34,22 +34,9 @@ class SystemParams:
     lam: tuple[float, float]
     mu: tuple[tuple[float, float], tuple[float, float]]
 
-    @property
-    def tau(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """Mean service times, tau[i][j] = 1 / mu[i][j]."""
-        return tuple(tuple(1.0 / m for m in row) for row in self.mu)
-
-    def rho_class(self, i: int, j: int) -> float:
-        """Offered load of class i at station j."""
-        return self.lam[i - 1] / self.mu[i - 1][j - 1]
-
     def rho_station(self, j: int) -> float:
         """Total traffic intensity at station j."""
-        return self.rho_class(1, j) + self.rho_class(2, j)
-
-    @property
-    def rho(self) -> tuple[float, float]:
-        return (self.rho_station(1), self.rho_station(2))
+        return self.lam[0] / self.mu[0][j - 1] + self.lam[1] / self.mu[1][j - 1]
 
 
 def _is_real(x) -> bool:
@@ -125,30 +112,25 @@ class ArrivalState:
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Numerical tolerances and truncation bounds for the analytic solvers.
+    """The two settings of the analytic solvers, ``n_max`` and ``eps``.
 
     ``n_max`` caps the absorbing-chain lattice.  Each query builds the
     smallest box on the ladder 20, 40, 80, ... that has headroom for its
-    start and loses at most ``series_tol`` of its mass through the box's
-    edges; ``n_max`` is the last size tried.  The default, 256, answers
+    start and loses at most 1e-10 of its mass through the box's edges;
+    ``n_max`` is the last size tried.  The default, 256, answers
     snapshots of about 60 customers per queue at load 0.7; a box of that
     size takes about 1.5 s and 290 MB to build.  ``eps`` bounds the
-    unresolved probability mass of the scenario tree and ``max_depth`` its
-    repeating levels.
+    unresolved probability mass of the scenario tree.
     """
 
     n_max: int = 256
     eps: float = 1e-3
-    series_tol: float = 1e-10
-    max_depth: int = 50
 
     def __post_init__(self):
         if self.n_max < 10:
             raise ValueError("n_max must be >= 10")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        if not 0.0 < self.series_tol <= 1e-4:
-            raise ValueError("series_tol must lie in (0, 1e-4]")
 
 
 def validate_params(p: SystemParams) -> SystemParams:

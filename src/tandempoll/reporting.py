@@ -16,9 +16,10 @@ An experiment is described by a JSON config (schema ``polling-wait/v1``):
     }
 
 ``rates.mu[i][j]`` is the service rate of class i+1 at station j+1.
-``trunc`` holds ``TruncationConfig`` fields; its ``n_max`` caps the size of
-the absorbing-chain lattice, which otherwise follows each query (here 80
-in place of the default 256).  Each
+``trunc`` takes the two ``TruncationConfig`` fields, ``n_max`` and ``eps``;
+``n_max`` caps the size of the absorbing-chain lattice, which otherwise
+follows each query (here 80 in place of the default 256).  ``sim`` takes
+``SimConfig`` fields.  An unknown key in either is an error.  Each
 (case, scenario) pair becomes one row holding whichever of the analytic
 conditional wait, the simulation estimate and the deterministic wait were
 requested, plus the relative gap |sim - analytic| / sim.  A failing row is
@@ -115,7 +116,17 @@ class ExperimentResult:
     summary: dict = field(default_factory=dict)
 
 
+def _settings(cls, section: str, raw: dict):
+    """``cls(**raw)``, with an unknown key reported by name."""
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {section} keys: {', '.join(unknown)}")
+    return cls(**raw)
+
+
 def load_config(path: str) -> ExperimentConfig:
+    """Read a ``polling-wait/v1`` config.  A malformed or out-of-range
+    setting raises ``ValueError``; an unreadable file raises ``OSError``."""
     with open(path) as fh:
         raw = json.load(fh)
     if raw.get("schema") != SCHEMA:
@@ -127,9 +138,9 @@ def load_config(path: str) -> ExperimentConfig:
     )
     kwargs = {}
     if "trunc" in raw:
-        kwargs["trunc"] = TruncationConfig(**raw["trunc"])
+        kwargs["trunc"] = _settings(TruncationConfig, "trunc", raw["trunc"])
     if "sim" in raw:
-        kwargs["sim"] = SimConfig(**raw["sim"])
+        kwargs["sim"] = _settings(SimConfig, "sim", raw["sim"])
     return ExperimentConfig(
         params=validate_params(params),
         cases=tuple(tuple(case) for case in raw["cases"]),
@@ -265,7 +276,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="override the simulation seed")
     args = parser.parse_args(argv)
 
-    cfg = load_config(args.config)
+    try:
+        cfg = load_config(args.config)
+    except (ValueError, OSError) as exc:
+        print(f"polling-wait: {exc}", file=sys.stderr)
+        return 2
     if args.modes:
         cfg = dataclasses.replace(cfg, modes=tuple(args.modes))
     if args.seed is not None:

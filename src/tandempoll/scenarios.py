@@ -38,6 +38,8 @@ from .primitives import drain_wait, race_busy_period, race_erlang, transfer_coun
 __all__ = ["SubScenarioOutcome", "ScenarioReport", "analyze"]
 
 _DEFAULT_TRUNC = TruncationConfig()
+# Repeating levels of stage C expanded before ThresholdUnreached.
+_MAX_DEPTH = 50
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,13 @@ def _truncated_poisson_mean(mean: float, bound: int) -> float:
     return sum(k * pk for k, pk in enumerate(probs)) / z
 
 
+def _served(x: float, rate: float, t: float) -> float:
+    """Expected content of a queue holding ``x`` after service at ``rate``
+    for time ``t``: the Poisson departures are truncated so that at most
+    round(x) - 1 of its customers leave, which keeps the result >= 0."""
+    return x - _truncated_poisson_mean(rate * t, _nnint(x) - 1)
+
+
 class _Engine:
     def __init__(self, params: SystemParams, trunc: TruncationConfig):
         self.p = params
@@ -103,11 +112,6 @@ class _Engine:
         )
         cond = sum(o.prob * o.wait for o in outcomes)
         return ScenarioReport(m=m, outcomes=outcomes, residual_prob=self.residual, cond_wait=cond)
-
-    def _race_f(self, a: int, b: int) -> float:
-        """P(station 2 clears b class-2 customers before station 1's
-        class-1 queue, holding a and replenished by arrivals, empties)."""
-        return race_busy_period(a, self.lam1, self.mu11, b, self.mu22)
 
     # -- stage A: station 2 still on queue 1 --------------------------------
 
@@ -191,16 +195,16 @@ class _Engine:
         # beyond the initial backlog was served before the tagged transfer),
         # class-2 backlog net of services during the transfer window.
         a = self.lam1 * elapsed_cur
-        v2 = _truncated_poisson_mean(self.mu22 * t_cp, l22_r - 1)
-        b = l22 - v2
-        g_base = l22          # level-1 class-2 backlog is re-derived from here
-        g_base_r = l22_r
-        g_window = t_cp       # elapsed time already counted against g_base
+        b = _served(l22, self.mu22, t_cp)
+        # The class-2 backlog F′ serves from, and the time it has already
+        # been served: (l22, t_cp) at level 1, (b, 0) after each G′ step.
+        g_base, g_window = l22, t_cp
 
         level = 1
         while True:
-            a_r, b_r = _nnint(a), _nnint(b)
-            p_f = self._race_f(a_r, b_r)
+            # P(station 2 clears b class-2 customers before station 1's
+            # class-1 queue, holding a and replenished by arrivals, empties)
+            p_f = race_busy_period(_nnint(a), self.lam1, self.mu11, _nnint(b), self.mu22)
             self._leaf(
                 lbl + f"F{level}≺E{level + 1}",
                 branch * p_f,
@@ -213,12 +217,7 @@ class _Engine:
             elapsed2 = elapsed_cur + t_fp
             lbl = lbl + f"F′{level}≺"
 
-            if level == 1:
-                v3 = _truncated_poisson_mean(self.mu22 * (g_window + t_fp), g_base_r - 1)
-                b_g = g_base - v3
-            else:
-                v3 = _truncated_poisson_mean(self.mu22 * t_fp, b_r - 1)
-                b_g = b - v3
+            b_g = _served(g_base, self.mu22, g_window + t_fp)
             bg_r = _nnint(b_g)
             c = l21_base + self.lam2 * (elapsed2 - l21_anchor)
             c_r = _nnint(c)
@@ -243,8 +242,8 @@ class _Engine:
             # Station 1's class-2 queue empties first; both class queues at
             # station 1 restart from fresh arrivals over the emptying time.
             t_gp = c / (self.mu21 - self.lam2)
-            v4 = _truncated_poisson_mean(self.mu22 * t_gp, bg_r - 1)
-            b = b_g - v4
+            b = _served(b_g, self.mu22, t_gp)
+            g_base, g_window = b, 0.0
             a = self.lam1 * t_gp
             elapsed_cur = elapsed2 + t_gp
             l21_base, l21_anchor = 0.0, elapsed_cur
@@ -254,10 +253,10 @@ class _Engine:
             if branch < cutoff:
                 self.residual += branch
                 return
-            if level > tr.max_depth:
+            if level > _MAX_DEPTH:
                 raise ThresholdUnreached(
                     f"residual {branch:.3e} above eps*weight = {cutoff:.3e} "
-                    f"after {tr.max_depth} repeating levels"
+                    f"after {_MAX_DEPTH} repeating levels"
                 )
 
     # -- stage J: station 1 on queue 2, station 2 on queue 1 ----------------
@@ -282,12 +281,11 @@ class _Engine:
 
         if p_j > 0.0:
             t_j = l21 / (self.mu21 - self.lam2)
-            v5 = _truncated_poisson_mean(self.mu12 * t_j, l12_r - 1)
             self._stage_a(
                 prefix + "J≺",
                 weight * p_j,
                 ahead,
-                l12 - v5,
+                _served(l12, self.mu12, t_j),
                 l22 + l21 + self.lam2 * t_j,
                 0.0,
                 elapsed + t_j,
@@ -296,19 +294,16 @@ class _Engine:
 
         if p_jp > 0.0:
             t_jp = l12 * self.tau12
-            arr = self.lam2 * t_jp
-            v6 = _truncated_poisson_mean(self.mu21 * t_jp, _nnint(l21 + arr) - 1)
-            l21_k = max(0.0, l21 + arr - v6)
+            l21_k = _served(l21 + self.lam2 * t_jp, self.mu21, t_jp)
             t_k = l21_k / (self.mu21 - self.lam2)
             done = elapsed + t_jp + t_k
             total2 = l22 + l21 + self.lam2 * (t_jp + t_k)
-            v7 = _truncated_poisson_mean(self.mu22 * t_k, _nnint(total2) - 1)
             self._stage_c(
                 prefix + "J′≺K≺",
                 weight * p_jp,
                 ahead,
                 0.0,
-                total2 - v7,
+                _served(total2, self.mu22, t_k),
                 0.0,
                 done,
                 done,
@@ -338,17 +333,14 @@ class _Engine:
             # Station 2's class-2 backlog empties first; station 1 is still
             # working through its class-2 queue, which is the stage-J picture.
             t_l = mfpt_to_empty(l21_r, l22_r, self.lam2, self.mu21, self.mu22, tr)
-            arr = self.lam2 * t_l
-            v8 = _truncated_poisson_mean(self.mu21 * t_l, _nnint(l21 + arr) - 1)
-            self._stage_j("L≺", p_l, int(l11), l12, max(0.0, l21 + arr - v8), 0.0, t_l)
+            self._stage_j("L≺", p_l, int(l11), l12, _served(l21 + self.lam2 * t_l, self.mu21, t_l), 0.0, t_l)
 
         if p_lp > 0.0:
             # Station 1's class-2 queue empties first; its content has moved
             # behind station 2's class-2 backlog, which is the stage-C picture.
             t_lp = l21 / (self.mu21 - self.lam2)
             total2 = l22 + l21 + self.lam2 * t_lp
-            v9 = _truncated_poisson_mean(self.mu22 * t_lp, _nnint(total2) - 1)
-            self._stage_c("L′≺", p_lp, int(l11), l12, total2 - v9, 0.0, t_lp, t_lp)
+            self._stage_c("L′≺", p_lp, int(l11), l12, _served(total2, self.mu22, t_lp), 0.0, t_lp, t_lp)
 
 
 def analyze(s: ArrivalState, p: SystemParams, trunc: TruncationConfig = _DEFAULT_TRUNC) -> ScenarioReport:

@@ -147,8 +147,7 @@ class _Polling:
         # queues[j][c]: deque of (customer id, arrival time), j in {0,1} for
         # station 1/2 and c in {0,1} for class 1/2
         self.queues = [[deque(), deque()], [deque(), deque()]]
-        self.serving = [-1, -1]          # class index in service, -1 = idle
-        self.in_service = [None, None]   # (cid, arrival time)
+        self.in_service = [None, None]   # (cid, arrival time), None = idle
         self.end = [_INF, _INF]          # completion times
         self.position = [0, 0]           # queue the server is polled at
         self.next_arrival = [_INF, _INF]
@@ -167,7 +166,6 @@ class _Polling:
 
     def _start(self, j: int, c: int) -> None:
         cust = self.queues[j][c].popleft()
-        self.serving[j] = c
         self.in_service[j] = cust
         self.position[j] = c
         self.end[j] = self.t + self.draw() / self.mu[c][j]
@@ -183,21 +181,22 @@ class _Polling:
         elif self.queues[j][1 - pos]:
             self._start(j, 1 - pos)
         else:
-            self.serving[j] = -1
             self.in_service[j] = None
             self.end[j] = _INF
 
     def _emit(self, kind: str, station: int, c: int, cid: int) -> None:
         if self.trace is not None:
             q = self.queues
+            # class index in service at each station, -1 = idle
+            s1, s2 = (-1 if self.in_service[j] is None else self.position[j] for j in (0, 1))
             self.trace.append((
                 self.t, kind, station + 1, c + 1, cid,
-                len(q[0][0]) + (1 if self.serving[0] == 0 else 0),
-                len(q[0][1]) + (1 if self.serving[0] == 1 else 0),
-                len(q[1][0]) + (1 if self.serving[1] == 0 else 0),
-                len(q[1][1]) + (1 if self.serving[1] == 1 else 0),
-                self.serving[0] + 1,
-                self.serving[1] + 1,
+                len(q[0][0]) + (1 if s1 == 0 else 0),
+                len(q[0][1]) + (1 if s1 == 1 else 0),
+                len(q[1][0]) + (1 if s2 == 0 else 0),
+                len(q[1][1]) + (1 if s2 == 1 else 0),
+                s1 + 1,
+                s2 + 1,
             ))
 
     # -- initialisation ----------------------------------------------------
@@ -254,7 +253,7 @@ class _Polling:
         done2 = end[1] <= due
         if done2:
             cid, arr = self.in_service[1]
-            c = self.serving[1]
+            c = self.position[1]
             self.n_in_system -= 1
             out = cid, c, t - arr
             if rows is not None:
@@ -262,7 +261,7 @@ class _Polling:
         done1 = end[0] <= due
         if done1:
             cust = self.in_service[0]
-            c = self.serving[0]
+            c = self.position[0]
             self.queues[1][c].append(cust)
             if rows is not None:
                 rows.append(("transfer", 0, c, cust[0]))
@@ -274,9 +273,9 @@ class _Polling:
                 arrival[c] += self.draw() / self.lam[c]
                 if rows is not None:
                     rows.append(("arrival", 0, c, cid))
-        if done2 or self.serving[1] == -1:
+        if done2 or self.in_service[1] is None:
             self._pick_next(1)
-        if done1 or self.serving[0] == -1:
+        if done1 or self.in_service[0] is None:
             self._pick_next(0)
         if rows:
             for row in rows:

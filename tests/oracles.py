@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from first principles (plain Monte
 Carlo on the raw dynamics, exact rational enumeration, value iteration) and
-shares no code with the package internals it validates.
+shares no code with the package internals it validates.  The one exception,
+``exact_timeline_wait``, reuses the simulator's event rules on purpose: what
+it checks is the floating-point clock arithmetic, not the rules.
 """
 
 from fractions import Fraction
@@ -10,6 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_banded
+
+from tandempoll import simulator
+from tandempoll.model import relabel_for_class2
 
 
 def mm1_hitting_samples(L, lam, mu, n, seed):
@@ -192,3 +197,25 @@ def absorption_p2_value_iteration(u, w, lam, mu1, mu2, n_max, sweeps=60000, tol=
         if delta < tol:
             break
     return float(p[u, w])
+
+
+def exact_timeline_wait(s, p):
+    """The deterministic timeline in exact rational arithmetic.
+
+    ``p`` holds ``Fraction`` rates.  The simulator's event loop runs with
+    unit draws from a ``Fraction(0)`` clock, so every event time is exact
+    and two events tie only when their times are equal: no accumulated
+    rounding can move an event across the simulator's tie window.  (The
+    window itself is still added in floating point, ``t + 1e-12``, which
+    keeps equal times together while ``t`` stays far below 1e3.)  Returns
+    the tagged system time rounded once to a float.
+    """
+    s, p = relabel_for_class2(s, p)
+    net = simulator._Polling(p, lambda: 1)
+    net.t = Fraction(0)
+    tagged_id = net.seed_snapshot(s)
+    for _ in range(simulator._STEP_BUDGET):
+        out = net.step()
+        if out is not None and out[0] == tagged_id:
+            return float(out[2])
+    raise RuntimeError("tagged customer did not leave within the step budget")

@@ -15,8 +15,7 @@ RATES = [(1.0, 2.86, 2.86), (1.0, 2.22, 2.22), (1.0, 2.22, 2.86), (1.0, 2.86, 2.
 
 def doubled_rung(u, w, lam, mu1, mu2):
     """The lattice at twice the size the ladder picks for the start (u, w)."""
-    trunc = TruncationConfig()
-    n = absorption._size_for(u, w, lam, mu1, mu2, trunc.n_max, trunc.series_tol)
+    n = absorption._size_for(u, w, lam, mu1, mu2, TruncationConfig().n_max)
     return lattice_solution(lam, mu1, mu2, 2 * n)
 
 
@@ -141,7 +140,7 @@ class TestLadder:
 
     def test_overflow_at_20_reads_40(self):
         lam, mu1, mu2 = 1.0, 2.86, 2.86
-        tol = TruncationConfig().series_tol
+        tol = absorption._OVERFLOW_TOL
         small, big = lattice_solution(lam, mu1, mu2, 20), lattice_solution(lam, mu1, mu2, 40)
         s = small._idx(3, 3)
         assert small.p_overflow[s] > tol >= big.p_overflow[big._idx(3, 3)]

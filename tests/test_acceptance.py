@@ -180,7 +180,7 @@ def test_criterion_2_markov_suite():
         for u in range(1, 7):
             for w in range(1, 7):
                 # the lattice the ladder picks for this start, and one twice its size
-                n = absorption._size_for(u, w, lam, mu1, mu2, trunc.n_max, trunc.series_tol)
+                n = absorption._size_for(u, w, lam, mu1, mu2, trunc.n_max)
                 sol, big = lattice_solution(lam, mu1, mu2, n), lattice_solution(lam, mu1, mu2, 2 * n)
                 s, b = sol._idx(u, w), big._idx(u, w)
                 gap = abs(sol.p1[s] + sol.p2[s] + sol.p_overflow[s] - 1.0)

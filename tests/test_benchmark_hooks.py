@@ -1,8 +1,9 @@
 """The names the benchmark's tracer and workloads reach into must exist.
 
 ``perfbench/tracer.py`` swaps wrappers in by (module, attribute) at run
-time, so a renamed or moved function would only fail a traced benchmark
-run.  These checks read the tracer's tables without changing anything.
+time, and ``perfbench/workloads.py`` builds configs and calls the package
+by name, so a renamed function or a removed config field would only fail a
+benchmark run.  These checks load both files without changing anything.
 """
 
 import importlib
@@ -16,12 +17,11 @@ import pytest
 import tandempoll
 from tandempoll import reporting, simulator
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave perfbench/ untouched
     try:
@@ -29,6 +29,11 @@ def tracer():
     finally:
         sys.dont_write_bytecode = saved
     return mod
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    return _load("tracer")
 
 
 def test_hooked_attributes_resolve(tracer):
@@ -47,3 +52,11 @@ def test_cache_probes_expose_cache_info(tracer):
 def test_simulate_conditional_takes_benchmark_keywords(fn):
     params = inspect.signature(fn).parameters
     assert "n_jobs" in params and "trace" in params
+
+
+WORKLOADS = _load("workloads").WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_builds_an_input(name, tmp_path):
+    WORKLOADS[name](1, str(tmp_path)).next_input()

@@ -1,8 +1,12 @@
+from fractions import Fraction as F
+
 import pytest
 
 from tandempoll.deterministic import deterministic_wait
 from tandempoll.model import ArrivalState, SystemParams
 from tandempoll.scenarios import analyze
+
+from oracles import exact_timeline_wait
 
 # The reference constant-rate comparison uses tau in {0.35, 0.45}; the
 # service rates are printed as their 2-decimal reciprocals (2.86, 2.22).
@@ -76,3 +80,32 @@ class TestProperties:
         avg = sum(rel) / len(rel)
         assert 0.11 <= avg <= 0.31
         assert sum(1 for r in rel if r > 0) > len(rel) / 2
+
+
+class TestExactTimeline:
+    """Long constant-clock timelines against exact rational event times.
+
+    The float timeline schedules each arrival and service end by repeated
+    addition and applies events within 1e-12 of each other together, so
+    accumulated rounding could in principle move an event across that tie
+    window and change the event order.  These rate sets put exact ties on
+    the timeline (mu = 20/7 and 20/9 are tau = 0.35 and 0.45), and the
+    snapshots need hundreds of events before the tagged customer leaves.
+    """
+
+    RATES = [
+        ((F(1), F(1)), ((F(20, 7), F(20, 7)), (F(20, 7), F(20, 7)))),
+        ((F(1), F(1)), ((F(20, 9), F(20, 9)), (F(20, 9), F(20, 9)))),
+        ((F(1), F(1, 2)), ((F(3), F(5, 2)), (F(4), F(7, 2)))),
+        ((F(3, 4), F(5, 4)), ((F(5, 2), F(20, 9)), (F(10, 3), F(20, 7)))),
+    ]
+
+    @pytest.mark.parametrize("lam,mu", RATES)
+    def test_float_timeline_matches_exact(self, lam, mu):
+        exact = SystemParams(lam=lam, mu=mu)
+        p = SystemParams(lam=tuple(map(float, lam)), mu=tuple(tuple(map(float, row)) for row in mu))
+        for la in [(60, 60, 60, 60), (100, 3, 100, 3), (30, 5, 30, 5)]:
+            for m in (1, 2, 3, 4):
+                for c in (1, 2):
+                    s = ArrivalState(la=la, m=m, tagged_class=c)
+                    assert deterministic_wait(s, p) == pytest.approx(exact_timeline_wait(s, exact), rel=1e-9), s

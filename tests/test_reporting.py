@@ -251,6 +251,23 @@ class TestMain:
         assert proc.stderr == ""
         assert len(parse_report(str(out))) == 20
 
+    @pytest.mark.parametrize("over,named", [
+        ({"trunc": {"series_tol": 1e-10}}, "unknown trunc keys: series_tol"),
+        ({"sim": {"bogus": 1}}, "unknown sim keys: bogus"),
+        (None, "No such file or directory"),
+    ])
+    def test_config_error_is_one_line(self, tmp_path, over, named):
+        path = write_config(tmp_path / "c.json", **over) if over else str(tmp_path / "missing.json")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tandempoll", path],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("polling-wait: ") and proc.stderr.count("\n") == 1
+        assert named in proc.stderr and "Traceback" not in proc.stderr
+
     def test_cli_failure_exit_code(self, tmp_path):
         # a case beyond the headroom of the lattice cap fails its rows; the
         # batch still completes and the exit code flags the failure

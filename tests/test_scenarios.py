@@ -78,6 +78,28 @@ class TestLargeSnapshots:
         assert deterministic_wait(s, p) == pytest.approx(42.308, abs=5e-4)
 
 
+class TestAnalyzePinned:
+    """Results pinned as literals, so that a change to any step of the tree
+    (a bound, a window, the order of a sum) fails here, not only against an
+    oracle's tolerance."""
+
+    @pytest.mark.parametrize("la,m,c,p,cond_wait,residual,leaves", [
+        # stage C runs two repeating levels in each of these four
+        ((6, 6, 6, 6), 1, 1, sym(2.22), "6.428152359668232", "2.56497125254653e-09", 6),
+        ((6, 6, 6, 6), 2, 1, sym(2.22), "9.410175548854216", "5.106162535423134e-07", 5),
+        ((6, 6, 6, 6), 3, 1, sym(2.22), "14.398370492191402", "5.85848525780264e-06", 11),
+        ((6, 6, 6, 6), 4, 1, sym(2.22), "13.842468718160017", "0.0006001904089916067", 12),
+        ((3, 6, 3, 6), 2, 2, sym(2.22), "10.018722133855922", "2.1669160104891605e-06", 11),
+        ((0, 0, 0, 0), 4, 1, sym(2.86), "0.6993006993006994", "0.0", 1),
+        ((12, 12, 12, 12), 1, 1,
+         validate_params(SystemParams(lam=(0.72, 1.43), mu=((2.03, 1.67), (8.27, 3.30)))),
+         "15.020467552346298", "1.85030011211929e-06", 6),
+    ])
+    def test_analyze(self, la, m, c, p, cond_wait, residual, leaves):
+        rep = analyze(ArrivalState(la=la, m=m, tagged_class=c), p)
+        assert (repr(rep.cond_wait), repr(rep.residual_prob), len(rep.outcomes)) == (cond_wait, residual, leaves)
+
+
 class TestFirstCycleLeaf:
     def test_prob_is_transfer_tail(self):
         p = sym(2.86)
@@ -158,12 +180,13 @@ class TestProperties:
         w3 = analyze(ArrivalState(la=(1, 1, 6, 6), m=1), p).cond_wait
         assert w1 < w2 < w3
 
-    def test_depth_limit_raises(self):
+    def test_depth_limit_raises(self, monkeypatch):
+        from tandempoll import scenarios
         from tandempoll.errors import ThresholdUnreached
 
-        tight = TruncationConfig(eps=1e-12, max_depth=1)
+        monkeypatch.setattr(scenarios, "_MAX_DEPTH", 1)
         with pytest.raises(ThresholdUnreached):
-            analyze(ArrivalState(la=(6, 6, 6, 6), m=1), sym(2.22), tight)
+            analyze(ArrivalState(la=(6, 6, 6, 6), m=1), sym(2.22), TruncationConfig(eps=1e-12))
 
 
 class TestFirstPrinciplesRecomputation:
