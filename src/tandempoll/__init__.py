@@ -10,7 +10,6 @@ Three routes to the same quantity, for cross-validation:
 """
 
 from .absorption import absorption_probs, lattice_solution, mfpt_to_empty
-from .deterministic import deterministic_wait
 from .errors import (
     InvalidSupport,
     NonPositiveRate,
@@ -53,6 +52,7 @@ from .simulator import (
     SimConfig,
     SimEstimate,
     SteadyStateEstimate,
+    deterministic_wait,
     simulate_conditional,
     simulate_steady_state,
     write_trace,

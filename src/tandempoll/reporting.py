@@ -36,7 +36,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .deterministic import deterministic_wait
+from .errors import TandemPollError
 from .model import (
     ArrivalState,
     SystemParams,
@@ -47,7 +47,7 @@ from .model import (
     validate_params,
 )
 from .scenarios import analyze
-from .simulator import SimConfig, simulate_conditional
+from .simulator import SimConfig, deterministic_wait, simulate_conditional
 
 __all__ = [
     "SCHEMA",
@@ -116,9 +116,19 @@ class ExperimentResult:
     summary: dict = field(default_factory=dict)
 
 
-def _settings(cls, section: str, raw: dict):
+def _object(raw, where: str, *required: str) -> dict:
+    """``raw`` if it is a JSON object holding every ``required`` key."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(raw).__name__}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise ValueError(f"{where} lacks {', '.join(missing)}")
+    return raw
+
+
+def _settings(cls, section: str, raw):
     """``cls(**raw)``, with an unknown key reported by name."""
-    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+    unknown = sorted(set(_object(raw, section)) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValueError(f"unknown {section} keys: {', '.join(unknown)}")
     return cls(**raw)
@@ -126,12 +136,14 @@ def _settings(cls, section: str, raw: dict):
 
 def load_config(path: str) -> ExperimentConfig:
     """Read a ``polling-wait/v1`` config.  A malformed or out-of-range
-    setting raises ``ValueError``; an unreadable file raises ``OSError``."""
+    setting raises ``ValueError``, bad rates ``NonPositiveRate`` or
+    ``UnstableSystem``, and an unreadable file ``OSError``."""
     with open(path) as fh:
-        raw = json.load(fh)
+        raw = _object(json.load(fh), "config")
     if raw.get("schema") != SCHEMA:
         raise ValueError(f"expected schema {SCHEMA!r}, got {raw.get('schema')!r}")
-    rates = raw["rates"]
+    _object(raw, "config", "rates", "cases")
+    rates = _object(raw["rates"], "rates", "lambda", "mu")
     params = SystemParams(
         lam=tuple(rates["lambda"]),
         mu=tuple(tuple(row) for row in rates["mu"]),
@@ -278,14 +290,16 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-    except (ValueError, OSError) as exc:
+        if args.modes:
+            cfg = dataclasses.replace(cfg, modes=tuple(args.modes))
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seed=args.seed))
+        out = args.output or cfg.output
+        if out:
+            open(out, "a").close()  # an unwritable report path fails before the batch
+    except (TandemPollError, ValueError, OSError) as exc:
         print(f"polling-wait: {exc}", file=sys.stderr)
         return 2
-    if args.modes:
-        cfg = dataclasses.replace(cfg, modes=tuple(args.modes))
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seed=args.seed))
-    out = args.output or cfg.output
     cfg = dataclasses.replace(cfg, output=None)  # emission is handled here
 
     result = run_experiment(cfg)

@@ -9,8 +9,8 @@ routes share its event loop:
 * ``simulate_steady_state`` runs one long run and estimates the long-run
   mean system time (waiting inclusive of service) of a class via batch
   means, discarding a warm-up prefix;
-* ``deterministic.deterministic_wait`` runs the tagged customer once with
-  constant clocks, every duration equal to its mean.
+* ``deterministic_wait`` runs the tagged customer once with constant
+  clocks, every duration equal to its mean.
 
 Events at the same instant: a step advances to the earliest clock and
 applies every event due within ``_TIE`` of it, in the order station-2
@@ -35,17 +35,18 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import NonTermination
-from .model import ArrivalState, SystemParams, relabel_for_class2, validate_params
+from .model import ArrivalState, SystemParams, _count, relabel_for_class2, validate_params
 
 __all__ = [
     "SimConfig",
     "SimEstimate",
     "SteadyStateEstimate",
+    "deterministic_wait",
     "simulate_conditional",
     "simulate_steady_state",
     "write_trace",
@@ -66,7 +67,9 @@ class SimConfig:
 
     Steady-state warm-up and horizon are counted in departures (system
     exits), not clock time: the loads of interest need long runs and a
-    departure count is the natural unit for batch means.
+    departure count is the natural unit for batch means.  Every field is a
+    count, kept as a Python int by the rule ``ArrivalState`` applies to queue
+    lengths: ``800.0`` becomes 800; ``True``, ``1.5``, ``"8"`` or -1 raise.
     """
 
     replications: int = 800
@@ -76,12 +79,16 @@ class SimConfig:
     batches: int = 20
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            k = _count(value)
+            if k < 0:
+                raise ValueError(f"{f.name} must be a non-negative integer, got {value!r}")
+            object.__setattr__(self, f.name, k)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.batches < 2:
             raise ValueError("batches must be >= 2")
-        if self.warmup_departures < 0:
-            raise ValueError("warmup_departures must be >= 0")
         if self.horizon_departures < self.batches:
             raise ValueError("horizon_departures must be >= batches")
 
@@ -135,6 +142,14 @@ class _ExpStream:
 class _Polling:
     """One realisation of the two-station exhaustive polling network.
 
+    The state is ``n[j][c]``, the number of class-c customers at station j
+    (indices from 0) counting the one in service, and one FIFO of (customer
+    id, arrival time) per class.  Both stations serve a class first come,
+    first served, so station 2's class-c customers are always the oldest
+    ``n[1][c]`` of the class: a hand-off moves one count, and the customer
+    leaving station 2 is the head of its class's FIFO.  A server is idle
+    exactly when its completion time ``end[j]`` is infinite.
+
     Each duration is ``draw()`` divided by its rate: a unit exponential
     (``_ExpStream.draw``) for simulation, or 1.0 for the constant-rate
     timeline.
@@ -144,12 +159,10 @@ class _Polling:
         self.lam = p.lam
         self.mu = p.mu
         self.draw = draw
-        # queues[j][c]: deque of (customer id, arrival time), j in {0,1} for
-        # station 1/2 and c in {0,1} for class 1/2
-        self.queues = [[deque(), deque()], [deque(), deque()]]
-        self.in_service = [None, None]   # (cid, arrival time), None = idle
-        self.end = [_INF, _INF]          # completion times
-        self.position = [0, 0]           # queue the server is polled at
+        self.n = [[0, 0], [0, 0]]
+        self.fifo = (deque(), deque())
+        self.end = [_INF, _INF]          # completion times, _INF = idle
+        self.position = [0, 0]           # class the server is polled at
         self.next_arrival = [_INF, _INF]
         self.t = 0.0
         self.next_cid = 0
@@ -158,85 +171,67 @@ class _Polling:
         self.n_in_system = 0
         self.area = 0.0
 
-    # -- helpers -----------------------------------------------------------
-
-    def _new_cid(self) -> int:
-        self.next_cid += 1
-        return self.next_cid
-
-    def _start(self, j: int, c: int) -> None:
-        cust = self.queues[j][c].popleft()
-        self.in_service[j] = cust
-        self.position[j] = c
+    def _pick(self, j: int) -> bool:
+        """Exhaustive polling: stay on the current class while station j has
+        work of it, otherwise switch (zero switchover); idle at the
+        last-served class.  Returns whether a service started."""
+        n = self.n[j]
+        c = self.position[j]
+        if not n[c]:
+            c = 1 - c
+            if not n[c]:
+                self.end[j] = _INF
+                return False
+            self.position[j] = c
         self.end[j] = self.t + self.draw() / self.mu[c][j]
-        if self.trace is not None:
-            self._emit("start", j, c, cust[0])
+        return True
 
-    def _pick_next(self, j: int) -> None:
-        """Exhaustive polling: stay on the current queue while it has work,
-        otherwise switch (zero switchover); idle at the last-served queue."""
-        pos = self.position[j]
-        if self.queues[j][pos]:
-            self._start(j, pos)
-        elif self.queues[j][1 - pos]:
-            self._start(j, 1 - pos)
-        else:
-            self.in_service[j] = None
-            self.end[j] = _INF
+    def _in_service(self, j: int) -> int:
+        """Id of the customer in service at busy station j."""
+        c = self.position[j]
+        return self.fifo[c][self.n[1][c] if j == 0 else 0][0]
 
-    def _emit(self, kind: str, station: int, c: int, cid: int) -> None:
-        if self.trace is not None:
-            q = self.queues
-            # class index in service at each station, -1 = idle
-            s1, s2 = (-1 if self.in_service[j] is None else self.position[j] for j in (0, 1))
-            self.trace.append((
-                self.t, kind, station + 1, c + 1, cid,
-                len(q[0][0]) + (1 if s1 == 0 else 0),
-                len(q[0][1]) + (1 if s1 == 1 else 0),
-                len(q[1][0]) + (1 if s2 == 0 else 0),
-                len(q[1][1]) + (1 if s2 == 1 else 0),
-                s1 + 1,
-                s2 + 1,
-            ))
-
-    # -- initialisation ----------------------------------------------------
+    def _write(self, rows) -> None:
+        """Append trace rows (kind, station, class, id), each carrying the
+        network's snapshot at the current time; S = 0 marks an idle server."""
+        (l11, l21), (l12, l22) = self.n
+        s1, s2 = (0 if e == _INF else c + 1 for e, c in zip(self.end, self.position))
+        for kind, j, c, cid in rows:
+            self.trace.append((self.t, kind, j + 1, c + 1, cid, l11, l21, l12, l22, s1, s2))
 
     def seed_snapshot(self, s: ArrivalState) -> int:
-        """Populate queues per the snapshot, with the tagged customer at the
-        tail of the class-1 queue at station 1; returns the tagged id.
+        """Populate the network per the snapshot, with the tagged customer
+        last among the class-1 customers at station 1; returns the tagged id.
 
-        Customers present at t = 0 carry arrival time 0.  Whoever is at the
-        head of the queue indicated by the scenario starts a full fresh
-        service (exponential services carry no age).
+        Customers present at t = 0 carry arrival time 0.  Whoever heads the
+        class each server is polled at starts a full fresh service
+        (exponential services carry no age).
         """
         l11, l21, l12, l22 = s.la
-        for j, c, n in ((1, 0, l12), (1, 1, l22), (0, 0, l11), (0, 1, l21)):
-            for _ in range(n):
-                self.queues[j][c].append((self._new_cid(), 0.0))
-        tagged_id = self._new_cid()
-        self.queues[0][0].append((tagged_id, 0.0))
+        for c, k in ((0, l12), (1, l22), (0, l11), (1, l21), (0, 1)):
+            for _ in range(k):
+                self.next_cid += 1
+                self.fifo[c].append((self.next_cid, 0.0))
+        self.n = [[l11 + 1, l21], [l12, l22]]
         self.n_in_system = l11 + l21 + l12 + l22 + 1
         s1, s2 = s.servers
         self.position = [s1 - 1, s2 - 1]
-        trace, self.trace = self.trace, None
-        for j in (1, 0):
-            self._pick_next(j)
-        self.trace = trace
+        self._pick(1)
+        self._pick(0)
         self.schedule_arrivals()
-        self._emit("init", 0, 0, tagged_id)
-        return tagged_id
+        if self.trace is not None:
+            self._write([("init", 0, 0, self.next_cid)])
+        return self.next_cid
 
     def schedule_arrivals(self) -> None:
         for c in (0, 1):
             self.next_arrival[c] = self.t + self.draw() / self.lam[c]
 
-    # -- event loop --------------------------------------------------------
-
     def step(self):
         """Apply the events at the earliest clock (see the module docstring);
         returns (cid, class index, system time) when a customer leaves
-        station 2, else None.  Trace rows are emitted after the picks, so
-        each row is a consistent post-step snapshot."""
+        station 2, else None.  Trace rows are written once, after both
+        picks, so every row of a step shows the same post-step snapshot."""
         end, arrival = self.end, self.next_arrival
         t = end[1]  # explicit compares: several times cheaper than min()
         if end[0] < t:
@@ -248,38 +243,42 @@ class _Polling:
         self.area += self.n_in_system * (t - self.t)
         self.t = t
         due = t + _TIE
+        n, pos = self.n, self.position
         rows = None if self.trace is None else []
         out = None
         done2 = end[1] <= due
         if done2:
-            cid, arr = self.in_service[1]
-            c = self.position[1]
+            c = pos[1]
+            cid, arr = self.fifo[c].popleft()
+            n[1][c] -= 1
             self.n_in_system -= 1
             out = cid, c, t - arr
             if rows is not None:
                 rows.append(("depart", 1, c, cid))
         done1 = end[0] <= due
         if done1:
-            cust = self.in_service[0]
-            c = self.position[0]
-            self.queues[1][c].append(cust)
+            c = pos[0]
             if rows is not None:
-                rows.append(("transfer", 0, c, cust[0]))
+                rows.append(("transfer", 0, c, self._in_service(0)))
+            n[0][c] -= 1
+            n[1][c] += 1
         for c in (0, 1):
             if arrival[c] <= due:
-                cid = self._new_cid()
-                self.queues[0][c].append((cid, t))
+                self.next_cid += 1
+                self.fifo[c].append((self.next_cid, t))
+                n[0][c] += 1
                 self.n_in_system += 1
                 arrival[c] += self.draw() / self.lam[c]
                 if rows is not None:
-                    rows.append(("arrival", 0, c, cid))
-        if done2 or self.in_service[1] is None:
-            self._pick_next(1)
-        if done1 or self.in_service[0] is None:
-            self._pick_next(0)
-        if rows:
-            for row in rows:
-                self._emit(*row)
+                    rows.append(("arrival", 0, c, self.next_cid))
+        started2 = (done2 or end[1] == _INF) and self._pick(1)
+        started1 = (done1 or end[0] == _INF) and self._pick(0)
+        if rows is not None:
+            if started2:
+                rows.append(("start", 1, pos[1], self._in_service(1)))
+            if started1:
+                rows.append(("start", 0, pos[0], self._in_service(0)))
+            self._write(rows)
         return out
 
 
@@ -293,6 +292,16 @@ def _tagged_sojourn(s: ArrivalState, p: SystemParams, draw, trace=None) -> float
         if out is not None and out[0] == tagged_id:
             return out[2]
     raise NonTermination(f"tagged customer still in system after {_STEP_BUDGET} steps")
+
+
+def deterministic_wait(s: ArrivalState, p: SystemParams) -> float:
+    """Exact system time of the tagged customer when every class-i
+    interarrival time is 1/lam_i (the first arrival at 1/lam_i) and every
+    class-i service at station j takes 1/mu_ij, a full one for a customer in
+    service at t = 0.  Raises ``NonTermination`` past the step budget."""
+    p = validate_params(p)
+    s, p = relabel_for_class2(s, p)
+    return _tagged_sojourn(s, p, lambda: 1.0)
 
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
@@ -324,19 +333,14 @@ def simulate_conditional(
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs!r}")
     p = validate_params(p)
     s, p = relabel_for_class2(s, p)
-    waits = np.empty(c.replications)
-    first = 0
-    if trace is not None:
-        waits[0] = _one_conditional((s, p, c.seed, 0), trace)
-        first = 1
-    jobs = [(s, p, c.seed, rep) for rep in range(first, c.replications)]
+    waits = [_one_conditional((s, p, c.seed, 0), trace)]
+    jobs = [(s, p, c.seed, rep) for rep in range(1, c.replications)]
     if n_jobs > 1 and jobs:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            for (rep, w) in zip(range(first, c.replications), pool.map(_one_conditional, jobs, chunksize=64)):
-                waits[rep] = w
+            waits.extend(pool.map(_one_conditional, jobs, chunksize=64))
     else:
-        for rep, job in zip(range(first, c.replications), jobs):
-            waits[rep] = _one_conditional(job)
+        waits.extend(map(_one_conditional, jobs))
+    waits = np.asarray(waits)
     mean = float(waits.mean())
     stderr = float(waits.std(ddof=1) / math.sqrt(c.replications)) if c.replications > 1 else 0.0
     return SimEstimate(mean=mean, stderr=stderr, n=c.replications, seed=c.seed)
@@ -363,7 +367,6 @@ def simulate_steady_state(
     measured = measured_class - 1
     kept = []
     pooled_sum = 0.0
-    pooled_n = 0
     departures = 0
     target = c.warmup_departures + c.horizon_departures
     area0 = time0 = 0.0
@@ -376,7 +379,6 @@ def simulate_steady_state(
             area0, time0 = net.area, net.t
         if departures > c.warmup_departures:
             pooled_sum += out[2]
-            pooled_n += 1
             if out[1] == measured:
                 kept.append(out[2])
     kept_arr = np.asarray(kept)
@@ -385,26 +387,20 @@ def simulate_steady_state(
     batches = kept_arr[:usable].reshape(nb, -1).mean(axis=1)
     mean = float(kept_arr.mean())
     stderr = float(batches.std(ddof=1) / math.sqrt(nb))
-    window = net.t - time0
-    time_avg_n = (net.area - area0) / window if window > 0 else float("nan")
-    lam_total = p.lam[0] + p.lam[1]
     return SteadyStateEstimate(
         mean=mean,
         stderr=stderr,
         n=kept_arr.shape[0],
         seed=c.seed,
-        time_avg_in_system=time_avg_n,
-        throughput_mean_system_time=lam_total * (pooled_sum / pooled_n if pooled_n else float("nan")),
+        time_avg_in_system=(net.area - area0) / (net.t - time0),
+        throughput_mean_system_time=(p.lam[0] + p.lam[1]) * (pooled_sum / c.horizon_departures),
     )
-
-
-_TRACE_HEADER = "time|kind|station|class|cid|L11|L21|L12|L22|S1|S2"
 
 
 def write_trace(rows, path) -> None:
     """Write trace rows collected by ``simulate_conditional`` as pipe-
-    delimited text, one event per line."""
+    delimited text, one event per line (see the README's "Traces")."""
     with open(path, "w") as fh:
-        fh.write(_TRACE_HEADER + "\n")
+        fh.write("time|kind|station|class|cid|L11|L21|L12|L22|S1|S2\n")
         for r in rows:
             fh.write("|".join(str(x) for x in r) + "\n")

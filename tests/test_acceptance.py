@@ -19,7 +19,7 @@ from scipy import integrate, stats
 
 from tandempoll import absorption
 from tandempoll.absorption import absorption_probs, lattice_solution, mfpt_to_empty
-from tandempoll.deterministic import deterministic_wait
+from tandempoll.simulator import deterministic_wait
 from tandempoll.model import ArrivalState, SystemParams, TruncationConfig, validate_params
 from tandempoll.primitives import (
     drain_wait,

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tandempoll.deterministic import deterministic_wait
+from tandempoll.simulator import deterministic_wait
 from tandempoll.model import ArrivalState, SystemParams
 from tandempoll.scenarios import analyze
 

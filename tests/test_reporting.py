@@ -37,17 +37,18 @@ def small_config(**over):
     return ExperimentConfig(**base)
 
 
+CONFIG = {
+    "schema": SCHEMA,
+    "rates": {"lambda": [1.0, 1.0], "mu": [[2.86, 2.86], [2.86, 2.86]]},
+    "cases": [[1, 1, 1, 1], [3, 3, 1, 1]],
+    "scenarios": [1, 2],
+    "modes": ["analytic", "deterministic"],
+    "sim": {"replications": 100, "seed": 11},
+}
+
+
 def write_config(path, **over):
-    raw = {
-        "schema": SCHEMA,
-        "rates": {"lambda": [1.0, 1.0], "mu": [[2.86, 2.86], [2.86, 2.86]]},
-        "cases": [[1, 1, 1, 1], [3, 3, 1, 1]],
-        "scenarios": [1, 2],
-        "modes": ["analytic", "deterministic"],
-        "sim": {"replications": 100, "seed": 11},
-    }
-    raw.update(over)
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps({**CONFIG, **over}))
     return str(path)
 
 
@@ -251,22 +252,42 @@ class TestMain:
         assert proc.stderr == ""
         assert len(parse_report(str(out))) == 20
 
+    # over: the JSON document written as the config file; None writes no file
     @pytest.mark.parametrize("over,named", [
-        ({"trunc": {"series_tol": 1e-10}}, "unknown trunc keys: series_tol"),
-        ({"sim": {"bogus": 1}}, "unknown sim keys: bogus"),
+        ({**CONFIG, "trunc": {"series_tol": 1e-10}}, "unknown trunc keys: series_tol"),
+        ({**CONFIG, "sim": {"bogus": 1}}, "unknown sim keys: bogus"),
         (None, "No such file or directory"),
+        ({**CONFIG, "rates": {"lambda": [1.0, 1.0], "mu": [[1.5, 1.5], [1.5, 1.5]]}},
+         "station 1 is unstable"),
+        ({**CONFIG, "rates": {"lambda": [1.0, -1.0], "mu": [[2.86, 2.86], [2.86, 2.86]]}},
+         "rates must be positive"),
+        ({k: v for k, v in CONFIG.items() if k != "cases"}, "config lacks cases"),
+        ({**CONFIG, "trunc": 5}, "trunc must be a JSON object, got int"),
+        ([CONFIG], "config must be a JSON object, got list"),
+        ({**CONFIG, "sim": {"replications": "800"}},
+         "replications must be a non-negative integer, got '800'"),
+        ({**CONFIG, "output": "no_such_dir/r.csv"}, "No such file or directory"),
     ])
     def test_config_error_is_one_line(self, tmp_path, over, named):
-        path = write_config(tmp_path / "c.json", **over) if over else str(tmp_path / "missing.json")
+        path = tmp_path / "c.json"
+        if over is not None:
+            path.write_text(json.dumps(over))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "tandempoll", path],
+            [sys.executable, "-m", "tandempoll", str(path)],
             capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("polling-wait: ") and proc.stderr.count("\n") == 1
         assert named in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_unwritable_report_fails_before_the_batch(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(reporting, "run_experiment", lambda cfg: pytest.fail("batch ran"))
+        out = tmp_path / "no_such_dir" / "r.csv"
+        assert main([write_config(tmp_path / "c.json"), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("polling-wait: ") and "No such file or directory" in err
 
     def test_cli_failure_exit_code(self, tmp_path):
         # a case beyond the headroom of the lattice cap fails its rows; the

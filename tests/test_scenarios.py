@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from tandempoll.deterministic import deterministic_wait
+from tandempoll.simulator import deterministic_wait
 from tandempoll.model import ArrivalState, SystemParams, TruncationConfig, validate_params
 from tandempoll.primitives import transfer_count_pmf
 from tandempoll.scenarios import analyze

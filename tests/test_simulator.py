@@ -1,13 +1,15 @@
 
+import itertools
+
 import numpy as np
 import pytest
 
 from tandempoll import simulator
-from tandempoll.deterministic import deterministic_wait
 from tandempoll.errors import NonTermination
 from tandempoll.model import ArrivalState, SystemParams, validate_params
 from tandempoll.simulator import (
     SimConfig,
+    deterministic_wait,
     simulate_conditional,
     simulate_steady_state,
     write_trace,
@@ -120,7 +122,7 @@ class TestStepBudget:
                                  SimConfig(replications=2, seed=1))
 
 
-@pytest.fixture(scope="module", params=[((3, 2, 1, 2), 3, 12), ((6, 6, 6, 6), 4, 99)])
+@pytest.fixture(scope="module", params=[((3, 2, 1, 2), 3, 12), ((6, 6, 6, 6), 4, 99), ((1, 1, 1, 1), 2, 5)])
 def rows(request):
     la, m, seed = request.param
     p = sym(2.22)
@@ -158,6 +160,19 @@ class TestTraceInvariants:
                 lengths = {(1, 1): l11, (1, 2): l21, (2, 1): l12, (2, 2): l22}
                 assert lengths[(station, prev)] == 0, f"switched away from backlog at t={t}"
             last_class[station] = cls
+
+    def test_one_snapshot_per_step(self, rows):
+        # every row of a step shows the network after the step, so from one
+        # step to the next the head count moves by arrivals minus departures
+        before = None
+        for t, group in itertools.groupby(rows, key=lambda r: r[0]):
+            step = list(group)
+            assert len({r[5:] for r in step}) == 1, f"two snapshots at t={t}"
+            heads = sum(step[0][5:9])
+            if before is not None:
+                kinds = [r[1] for r in step]
+                assert heads - before == kinds.count("arrival") - kinds.count("depart"), f"t={t}"
+            before = heads
 
     def test_fcfs_departures(self, rows):
         seen = {1: -1, 2: -1}
@@ -212,10 +227,20 @@ class TestSettingsRejected:
         dict(warmup_departures=-1),
         dict(horizon_departures=10, warmup_departures=10),
         dict(horizon_departures=0),
+        dict(replications=True),
+        dict(replications=1.5),
+        dict(replications="8"),
+        dict(batches=2.5),
+        dict(seed=-1),
     ])
     def test_config(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    def test_integral_counts_become_ints(self):
+        cfg = SimConfig(replications=800.0, seed=np.int64(3))
+        assert (cfg.replications, cfg.seed) == (800, 3)
+        assert type(cfg.replications) is int and type(cfg.seed) is int
 
     @pytest.mark.parametrize("measured_class", [0, 3])
     def test_measured_class(self, measured_class):
