@@ -1,15 +1,15 @@
 """Drive a batch experiment through the config/report interface.
 
 Writes a small polling-wait/v1 config, runs it through the same code path
-as the ``polling-wait`` command-line tool, and prints the emitted CSV.
+as the ``polling-wait`` command-line tool, writes the CSV report and prints
+it.
 """
 
-import dataclasses
 import json
 import tempfile
 from pathlib import Path
 
-from tandempoll import load_config, run_experiment
+from tandempoll import emit_report, load_config, run_experiment
 
 config = {
     "schema": "polling-wait/v1",
@@ -25,9 +25,8 @@ with tempfile.TemporaryDirectory() as tmp:
     cfg_path.write_text(json.dumps(config, indent=2))
     out_path = Path(tmp) / "report.csv"
 
-    cfg = load_config(str(cfg_path))
-    cfg = dataclasses.replace(cfg, output=str(out_path))
-    result = run_experiment(cfg)
+    result = run_experiment(load_config(str(cfg_path)))
+    emit_report(result.rows, str(out_path), "csv")
 
     print(out_path.read_text())
     s = result.summary

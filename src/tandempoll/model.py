@@ -120,17 +120,21 @@ class TruncationConfig:
     ``n_max`` is the last size tried.  The default, 256, answers
     snapshots of about 60 customers per queue at load 0.7; a box of that
     size takes about 1.5 s and 290 MB to build.  ``eps`` bounds the
-    unresolved probability mass of the scenario tree.
+    unresolved probability mass of the scenario tree.  ``n_max`` follows
+    ``ArrivalState``'s count rule (``150.0`` becomes 150; ``"80"``, ``True``
+    or ``150.5`` raise), and ``eps`` must be a real number.
     """
 
     n_max: int = 256
     eps: float = 1e-3
 
     def __post_init__(self):
-        if self.n_max < 10:
-            raise ValueError("n_max must be >= 10")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("eps must lie in (0, 1)")
+        n_max = _count(self.n_max)
+        if n_max < 10:
+            raise ValueError(f"n_max must be an integer >= 10, got {self.n_max!r}")
+        object.__setattr__(self, "n_max", n_max)
+        if not (_is_real(self.eps) and 0.0 < self.eps < 1.0):
+            raise ValueError(f"eps must be a real number in (0, 1), got {self.eps!r}")
 
 
 def validate_params(p: SystemParams) -> SystemParams:

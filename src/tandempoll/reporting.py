@@ -19,12 +19,15 @@ An experiment is described by a JSON config (schema ``polling-wait/v1``):
 ``trunc`` takes the two ``TruncationConfig`` fields, ``n_max`` and ``eps``;
 ``n_max`` caps the size of the absorbing-chain lattice, which otherwise
 follows each query (here 80 in place of the default 256).  ``sim`` takes
-``SimConfig`` fields.  An unknown key in either is an error.  Each
-(case, scenario) pair becomes one row holding whichever of the analytic
-conditional wait, the simulation estimate and the deterministic wait were
-requested, plus the relative gap |sim - analytic| / sim.  A failing row is
-recorded, with its error message in the report's ``error`` column, and the
-batch continues.
+``SimConfig`` fields.  An unknown key, at the top level or in either
+section, is an error.  Each (case, scenario) pair becomes one row holding
+whichever of the analytic conditional wait, the simulation estimate and the
+deterministic wait were requested, plus the relative gap
+|sim - analytic| / sim.  A failing row is recorded, with its error message
+in the report's ``error`` column, and the batch continues.
+``run_experiment`` returns the rows and writes nothing: only ``main``, the
+``polling-wait`` command, writes a report, to ``-o`` or else the config's
+``output``, with one column per ``ComparisonRow`` field.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ __all__ = [
 
 SCHEMA = "polling-wait/v1"
 _MODES = ("analytic", "simulate", "deterministic")
-_CSV_HEADER = ["la", "m", "analytic", "sim_mean", "sim_stderr", "det", "error_pct", "residual", "error"]
 # A cell counts as accurate when |sim - analytic| / sim is below this, in percent.
 ACCURATE_PCT = 10.0
 
@@ -78,7 +80,7 @@ class ExperimentConfig:
     modes: tuple[str, ...] = _MODES
     trunc: TruncationConfig = TruncationConfig()
     sim: SimConfig = SimConfig()
-    output: str | None = None
+    output: str | None = None  # the config's report path, read only by main
 
     def __post_init__(self):
         if not self.cases:
@@ -92,13 +94,15 @@ class ExperimentConfig:
         object.__setattr__(self, "tagged_class", _class_label(self.tagged_class))
         if not self.modes:
             raise ValueError("config needs at least one mode")
-        bad = set(self.modes) - set(_MODES)
+        bad = [mode for mode in self.modes if mode not in _MODES]
         if bad:
-            raise ValueError(f"unknown modes: {sorted(bad)}")
+            raise ValueError(f"unknown modes: {bad}")
 
 
 @dataclass
 class ComparisonRow:
+    """One (case, scenario) row; the field order is the report's column order."""
+
     la: tuple[int, int, int, int]
     m: int
     analytic: float | None = None
@@ -110,28 +114,45 @@ class ComparisonRow:
     error: str | None = None
 
 
+# Per report column: its text-table width and format, and its CSV cell's reader.
+_COLUMNS = {
+    "la": (12, "", lambda cell: tuple(int(x) for x in cell.split())),
+    "m": (3, "", int),
+    "analytic": (9, ".2f", float),
+    "sim_mean": (9, ".2f", float),
+    "sim_stderr": (10, ".3f", float),
+    "det": (9, ".2f", float),
+    "error_pct": (10, ".2f", float),
+    "residual": (10, ".2e", float),
+    "error": (0, "", str),
+}
+
+
 @dataclass
 class ExperimentResult:
     rows: list[ComparisonRow]
     summary: dict = field(default_factory=dict)
 
 
-def _object(raw, where: str, *required: str) -> dict:
-    """``raw`` if it is a JSON object holding every ``required`` key."""
+def _object(raw, where: str, required=(), known=None) -> dict:
+    """``raw`` if it is a JSON object holding every ``required`` key and,
+    when ``known`` is given, no key outside it."""
     if not isinstance(raw, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(raw).__name__}")
     missing = [key for key in required if key not in raw]
     if missing:
         raise ValueError(f"{where} lacks {', '.join(missing)}")
+    unknown = [] if known is None else sorted(set(raw) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
     return raw
 
 
-def _settings(cls, section: str, raw):
-    """``cls(**raw)``, with an unknown key reported by name."""
-    unknown = sorted(set(_object(raw, section)) - {f.name for f in dataclasses.fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {section} keys: {', '.join(unknown)}")
-    return cls(**raw)
+def _list(raw, where: str) -> tuple:
+    """``raw`` as a tuple if it is a JSON list."""
+    if not isinstance(raw, list):
+        raise ValueError(f"{where} must be a JSON list, got {type(raw).__name__}")
+    return tuple(raw)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -142,24 +163,28 @@ def load_config(path: str) -> ExperimentConfig:
         raw = _object(json.load(fh), "config")
     if raw.get("schema") != SCHEMA:
         raise ValueError(f"expected schema {SCHEMA!r}, got {raw.get('schema')!r}")
-    _object(raw, "config", "rates", "cases")
-    rates = _object(raw["rates"], "rates", "lambda", "mu")
+    # the config's keys are ExperimentConfig's fields, with rates for params
+    known = {"schema", "rates"} | {f.name for f in dataclasses.fields(ExperimentConfig)} - {"params"}
+    _object(raw, "config", ("rates", "cases"), known)
+    rates = _object(raw["rates"], "rates", ("lambda", "mu"))
     params = SystemParams(
-        lam=tuple(rates["lambda"]),
-        mu=tuple(tuple(row) for row in rates["mu"]),
+        lam=_list(rates["lambda"], "rates.lambda"),
+        mu=tuple(_list(row, "rates.mu row") for row in _list(rates["mu"], "rates.mu")),
     )
-    kwargs = {}
-    if "trunc" in raw:
-        kwargs["trunc"] = _settings(TruncationConfig, "trunc", raw["trunc"])
-    if "sim" in raw:
-        kwargs["sim"] = _settings(SimConfig, "sim", raw["sim"])
+    output = raw.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ValueError(f"output must be a string, got {type(output).__name__}")
+    kwargs = {  # the trunc and sim sections, each a dataclass's fields
+        key: cls(**_object(raw[key], key, known=[f.name for f in dataclasses.fields(cls)]))
+        for key, cls in (("trunc", TruncationConfig), ("sim", SimConfig)) if key in raw
+    }
     return ExperimentConfig(
         params=validate_params(params),
-        cases=tuple(tuple(case) for case in raw["cases"]),
-        scenarios=tuple(raw.get("scenarios", (1, 2, 3, 4))),
+        cases=_list(raw["cases"], "cases"),
+        scenarios=_list(raw.get("scenarios", [1, 2, 3, 4]), "scenarios"),
         tagged_class=raw.get("tagged_class", 1),
-        modes=tuple(raw.get("modes", _MODES)),
-        output=raw.get("output"),
+        modes=_list(raw.get("modes", list(_MODES)), "modes"),
+        output=output,
         **kwargs,
     )
 
@@ -168,8 +193,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Evaluate every (case, scenario) pair in the requested modes.
 
     Rows are produced in config order; a row that raises is marked failed
-    and the batch continues.  If ``cfg.output`` is set the report is also
-    written there as CSV.
+    and the batch continues.  Nothing is written: ``emit_report`` writes the
+    rows, and ``cfg.output`` is read only by ``main``.
     """
     rows: list[ComparisonRow] = []
     for la in cfg.cases:
@@ -201,78 +226,52 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             sum(1 for e in errors if e < ACCURATE_PCT) / len(errors) if errors else None
         ),
     }
-    result = ExperimentResult(rows=rows, summary=summary)
-    if cfg.output:
-        emit_report(rows, cfg.output, "csv")
-    return result
+    return ExperimentResult(rows=rows, summary=summary)
 
 
-def _fmt(x, nd=2):
-    return "" if x is None else f"{x:.{nd}f}"
+def _cell(x, spec: str = "") -> str:
+    """A report cell: blank for None, a case as its counts, else ``x``
+    formatted by ``spec`` (a float's shortest round-trip form when empty)."""
+    if x is None:
+        return ""
+    if isinstance(x, tuple):
+        return " ".join(str(k) for k in x)
+    return format(x, spec)
 
 
 def emit_report(rows, path: str, fmt: str = "csv") -> None:
     """Write rows as CSV (full precision) or an aligned text table (2
-    decimals, matching the precision the reference tables are printed at).
+    decimals, matching the precision the reference tables are printed at),
+    one column per ``ComparisonRow`` field in field order.
     """
     if not rows:
         raise ValueError("no rows to emit")
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
+    if fmt not in ("csv", "table"):
+        raise ValueError(f"unknown format {fmt!r}")
+    names = [f.name for f in dataclasses.fields(ComparisonRow)]
+    with open(path, "w", newline="" if fmt == "csv" else None) as fh:
+        if fmt == "csv":
             writer = csv.writer(fh)
-            writer.writerow(_CSV_HEADER)
-            for r in rows:
-                writer.writerow([
-                    " ".join(str(x) for x in r.la),
-                    r.m,
-                    "" if r.analytic is None else repr(r.analytic),
-                    "" if r.sim_mean is None else repr(r.sim_mean),
-                    "" if r.sim_stderr is None else repr(r.sim_stderr),
-                    "" if r.det is None else repr(r.det),
-                    "" if r.error_pct is None else repr(r.error_pct),
-                    "" if r.residual is None else repr(r.residual),
-                    r.error or "",
-                ])
-        return
-    if fmt == "table":
-        widths = [12, 3, 9, 9, 10, 9, 10, 10, 0]
-        with open(path, "w") as fh:
-            fh.write("".join(h.ljust(w + 1) for h, w in zip(_CSV_HEADER, widths)) + "\n")
-            for r in rows:
-                cells = [
-                    " ".join(str(x) for x in r.la),
-                    str(r.m),
-                    _fmt(r.analytic),
-                    _fmt(r.sim_mean),
-                    _fmt(r.sim_stderr, 3),
-                    _fmt(r.det),
-                    _fmt(r.error_pct),
-                    "" if r.residual is None else f"{r.residual:.2e}",
-                    r.error or "",
-                ]
-                fh.write("".join(c.ljust(w + 1) for c, w in zip(cells, widths)) + "\n")
-        return
-    raise ValueError(f"unknown format {fmt!r}")
+            writer.writerow(names)
+            writer.writerows([_cell(getattr(r, n)) for n in names] for r in rows)
+        else:
+            lines = [names] + [[_cell(getattr(r, n), _COLUMNS[n][1]) for n in names] for r in rows]
+            for cells in lines:
+                fh.write("".join(c.ljust(_COLUMNS[n][0] + 1) for c, n in zip(cells, names)) + "\n")
 
 
 def parse_report(path: str) -> list[ComparisonRow]:
-    """Read back a CSV report at full precision."""
-    rows = []
+    """Read back a CSV report at full precision.  A blank or absent cell of a
+    column that defaults to None (older reports lack ``error``) reads as None."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(ComparisonRow(
-                la=tuple(int(x) for x in rec["la"].split()),
-                m=int(rec["m"]),
-                analytic=float(rec["analytic"]) if rec["analytic"] else None,
-                sim_mean=float(rec["sim_mean"]) if rec["sim_mean"] else None,
-                sim_stderr=float(rec["sim_stderr"]) if rec["sim_stderr"] else None,
-                det=float(rec["det"]) if rec["det"] else None,
-                error_pct=float(rec["error_pct"]) if rec["error_pct"] else None,
-                residual=float(rec["residual"]) if rec["residual"] else None,
-                error=rec.get("error") or None,  # absent from older reports
-            ))
-    return rows
+        return [
+            ComparisonRow(**{
+                f.name: _COLUMNS[f.name][2](rec[f.name])
+                if rec.get(f.name) or f.default is not None else None
+                for f in dataclasses.fields(ComparisonRow)
+            })
+            for rec in csv.DictReader(fh)
+        ]
 
 
 def main(argv=None) -> int:
@@ -300,7 +299,6 @@ def main(argv=None) -> int:
     except (TandemPollError, ValueError, OSError) as exc:
         print(f"polling-wait: {exc}", file=sys.stderr)
         return 2
-    cfg = dataclasses.replace(cfg, output=None)  # emission is handled here
 
     result = run_experiment(cfg)
     if out:

@@ -148,7 +148,9 @@ class _Polling:
     first served, so station 2's class-c customers are always the oldest
     ``n[1][c]`` of the class: a hand-off moves one count, and the customer
     leaving station 2 is the head of its class's FIFO.  A server is idle
-    exactly when its completion time ``end[j]`` is infinite.
+    exactly when its completion time ``end[j]`` is infinite.  The head count
+    is ``len(fifo[0]) + len(fifo[1])``; the engine keeps no time averages,
+    which ``simulate_steady_state`` accumulates itself.
 
     Each duration is ``draw()`` divided by its rate: a unit exponential
     (``_ExpStream.draw``) for simulation, or 1.0 for the constant-rate
@@ -167,9 +169,6 @@ class _Polling:
         self.t = 0.0
         self.next_cid = 0
         self.trace = trace
-        # Little's-law accounting
-        self.n_in_system = 0
-        self.area = 0.0
 
     def _pick(self, j: int) -> bool:
         """Exhaustive polling: stay on the current class while station j has
@@ -213,7 +212,6 @@ class _Polling:
                 self.next_cid += 1
                 self.fifo[c].append((self.next_cid, 0.0))
         self.n = [[l11 + 1, l21], [l12, l22]]
-        self.n_in_system = l11 + l21 + l12 + l22 + 1
         s1, s2 = s.servers
         self.position = [s1 - 1, s2 - 1]
         self._pick(1)
@@ -240,7 +238,6 @@ class _Polling:
             t = arrival[0]
         if arrival[1] < t:
             t = arrival[1]
-        self.area += self.n_in_system * (t - self.t)
         self.t = t
         due = t + _TIE
         n, pos = self.n, self.position
@@ -251,7 +248,6 @@ class _Polling:
             c = pos[1]
             cid, arr = self.fifo[c].popleft()
             n[1][c] -= 1
-            self.n_in_system -= 1
             out = cid, c, t - arr
             if rows is not None:
                 rows.append(("depart", 1, c, cid))
@@ -267,7 +263,6 @@ class _Polling:
                 self.next_cid += 1
                 self.fifo[c].append((self.next_cid, t))
                 n[0][c] += 1
-                self.n_in_system += 1
                 arrival[c] += self.draw() / self.lam[c]
                 if rows is not None:
                     rows.append(("arrival", 0, c, self.next_cid))
@@ -369,14 +364,17 @@ def simulate_steady_state(
     pooled_sum = 0.0
     departures = 0
     target = c.warmup_departures + c.horizon_departures
-    area0 = time0 = 0.0
+    fifo0, fifo1 = net.fifo
+    area = area0 = time0 = 0.0  # time integral of the head count
     while departures < target:
+        t, in_system = net.t, len(fifo0) + len(fifo1)
         out = net.step()
+        area += in_system * (net.t - t)
         if out is None:
             continue
         departures += 1
         if departures == c.warmup_departures:
-            area0, time0 = net.area, net.t
+            area0, time0 = area, net.t
         if departures > c.warmup_departures:
             pooled_sum += out[2]
             if out[1] == measured:
@@ -392,7 +390,7 @@ def simulate_steady_state(
         stderr=stderr,
         n=kept_arr.shape[0],
         seed=c.seed,
-        time_avg_in_system=(net.area - area0) / (net.t - time0),
+        time_avg_in_system=(area - area0) / (net.t - time0),
         throughput_mean_system_time=(p.lam[0] + p.lam[1]) * (pooled_sum / c.horizon_departures),
     )
 

@@ -131,7 +131,13 @@ class TestTruncationConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"n_max": 5}, {"eps": 0.0}, {"eps": 1.0},
+        {"n_max": "80"}, {"n_max": True}, {"n_max": 150.5}, {"eps": "0.1"}, {"eps": None},
     ])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
             TruncationConfig(**kwargs)
+
+    @pytest.mark.parametrize("n_max", [150.0, np.int64(150)])
+    def test_integral_n_max_becomes_int(self, n_max):
+        assert TruncationConfig(n_max=n_max) == TruncationConfig(n_max=150)
+        assert type(TruncationConfig(n_max=n_max).n_max) is int

@@ -147,6 +147,11 @@ class TestRunExperiment:
         assert result.rows[0].error_pct == pytest.approx(9.5)
         assert result.summary["share_error_below_10pct"] == 1.0
 
+    def test_writes_no_report(self, tmp_path):
+        out = tmp_path / "r.csv"
+        result = run_experiment(small_config(modes=("deterministic",), output=str(out)))
+        assert result.rows[0].det is not None and not out.exists()
+
     def test_deterministic_given_seed(self):
         a = run_experiment(small_config())
         b = run_experiment(small_config())
@@ -170,9 +175,9 @@ class TestEmit:
     @pytest.mark.parametrize("mode", ["analytic", "simulate", "deterministic"])
     def test_integral_float_case_round_trip(self, tmp_path, mode):
         path = tmp_path / "out.csv"
-        result = run_experiment(small_config(cases=((2.0, 1, 1, 1),), modes=(mode,),
-                                             output=str(path)))
+        result = run_experiment(small_config(cases=((2.0, 1, 1, 1),), modes=(mode,)))
         assert result.rows[0].error is None
+        emit_report(result.rows, str(path))
         back = parse_report(str(path))
         assert back[0].la == (2, 1, 1, 1)
         assert back[0].error is None
@@ -182,7 +187,7 @@ class TestEmit:
     def test_integral_float_scenario_round_trip(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.json", scenarios=[2.0]))
         path = tmp_path / "out.csv"
-        run_experiment(dataclasses.replace(cfg, output=str(path)))
+        emit_report(run_experiment(cfg).rows, str(path))
         back = parse_report(str(path))
         assert [r.m for r in back] == [2, 2]
         assert [r.error for r in back] == [None, None]
@@ -218,6 +223,51 @@ class TestEmit:
         assert text.startswith("la")
         assert f"{result.rows[0].det:.2f}" in text
 
+    GOLDEN_ROWS = [
+        ComparisonRow(la=(1, 1, 1, 1), m=1, analytic=1.6012345678901234, sim_mean=1.4812,
+                      sim_stderr=0.01234, det=1.25, error_pct=8.100, residual=3.25e-12),
+        ComparisonRow(la=(12, 0, 3, 10), m=4, det=12.5),
+        ComparisonRow(la=(60, 60, 60, 60), m=2,
+                      error="TruncationTooTight: start (121, 2), n_max = 256"),
+    ]
+    GOLDEN = {
+        "csv": (
+            "la,m,analytic,sim_mean,sim_stderr,det,error_pct,residual,error\r\n"
+            "1 1 1 1,1,1.6012345678901234,1.4812,0.01234,1.25,8.1,3.25e-12,\r\n"
+            "12 0 3 10,4,,,,12.5,,,\r\n"
+            '60 60 60 60,2,,,,,,,"TruncationTooTight: start (121, 2), n_max = 256"\r\n'
+        ),
+        "table": (
+            "la           m   analytic  sim_mean  sim_stderr det       error_pct  residual   error\n"
+            "1 1 1 1      1   1.60      1.48      0.012      1.25      8.10       3.25e-12    \n"
+            "12 0 3 10    4                                  12.50                            \n"
+            "60 60 60 60  2                                                                  "
+            "TruncationTooTight: start (121, 2), n_max = 256\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_golden_bytes(self, tmp_path, fmt):
+        path = tmp_path / f"out.{fmt}"
+        emit_report(self.GOLDEN_ROWS, str(path), fmt)
+        assert path.read_bytes() == self.GOLDEN[fmt].encode()
+
+    def test_golden_csv_reads_back(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(self.GOLDEN["csv"].encode())
+        assert parse_report(str(path)) == self.GOLDEN_ROWS
+
+    def test_older_report_without_error_column(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text(
+            "la,m,analytic,sim_mean,sim_stderr,det,error_pct,residual\n"
+            "1 1 1 1,1,1.6012345678901234,1.4812,0.01234,1.25,8.1,3.25e-12\n"
+            "12 0 3 10,4,,,,12.5,,\n"
+        )
+        assert parse_report(str(path)) == [
+            dataclasses.replace(self.GOLDEN_ROWS[0], error=None), self.GOLDEN_ROWS[1]
+        ]
+
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report([], str(tmp_path / "x.csv"))
@@ -231,6 +281,11 @@ class TestMain:
         assert code == 0
         assert out.exists()
         assert "failed: 0" in capsys.readouterr().out
+
+    def test_cli_writes_config_output(self, tmp_path):
+        out = tmp_path / "r.txt"
+        assert main([write_config(tmp_path / "c.json", output=str(out)), "--format", "table"]) == 0
+        assert len(out.read_text().splitlines()) == 5
 
     def test_cli_mode_override_and_seed(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", modes=["deterministic"])
@@ -267,6 +322,19 @@ class TestMain:
         ({**CONFIG, "sim": {"replications": "800"}},
          "replications must be a non-negative integer, got '800'"),
         ({**CONFIG, "output": "no_such_dir/r.csv"}, "No such file or directory"),
+        ({**CONFIG, "cases": 5}, "cases must be a JSON list, got int"),
+        ({**CONFIG, "scenarios": 5}, "scenarios must be a JSON list, got int"),
+        ({**CONFIG, "modes": "analytic"}, "modes must be a JSON list, got str"),
+        ({**CONFIG, "modes": [["analytic"]]}, "unknown modes: [['analytic']]"),
+        ({**CONFIG, "rates": {"lambda": 1.0, "mu": [[2.86, 2.86], [2.86, 2.86]]}},
+         "rates.lambda must be a JSON list, got float"),
+        ({**CONFIG, "rates": {"lambda": [1.0, 1.0], "mu": 2.86}}, "rates.mu must be a JSON list"),
+        ({**CONFIG, "rates": {"lambda": [1.0, 1.0], "mu": [2.86, 2.86]}},
+         "rates.mu row must be a JSON list, got float"),
+        ({**CONFIG, "trunc": {"n_max": "80"}}, "n_max must be an integer >= 10, got '80'"),
+        ({**CONFIG, "trunc": {"eps": "0.1"}}, "eps must be a real number in (0, 1), got '0.1'"),
+        ({**CONFIG, "output": True}, "output must be a string, got bool"),
+        ({**CONFIG, "scenario": [1]}, "unknown config keys: scenario"),
     ])
     def test_config_error_is_one_line(self, tmp_path, over, named):
         path = tmp_path / "c.json"
