@@ -256,8 +256,12 @@ def emit_report(rows, path: str, fmt: str = "csv") -> None:
             writer.writerows([_cell(getattr(r, n)) for n in names] for r in rows)
         else:
             lines = [names] + [[_cell(getattr(r, n), _COLUMNS[n][1]) for n in names] for r in rows]
+            widths = [_COLUMNS[n][0] for n in names]
             for cells in lines:
-                fh.write("".join(c.ljust(_COLUMNS[n][0] + 1) for c, n in zip(cells, names)) + "\n")
+                # a space after each column, even past its width, but the
+                # last, whose one-space pad shows only when the cell is empty
+                head = "".join(c.ljust(w) + " " for c, w in zip(cells, widths[:-1]))
+                fh.write(head + cells[-1].ljust(1) + "\n")
 
 
 def parse_report(path: str) -> list[ComparisonRow]:

@@ -1,16 +1,20 @@
 """Discrete-event simulation of the tandem polling network.
 
-``_Polling`` is the package's one implementation of the network, and three
-routes share its event loop:
+``_Polling`` is the package's scalar implementation of the network.  Three
+routes use its rules:
 
 * ``simulate_conditional`` starts from the snapshot a tagged customer sees
   (queue lengths plus server positions), runs until the tagged customer
-  leaves station 2, and averages the tagged system time over replications;
-* ``simulate_steady_state`` runs one long run and estimates the long-run
-  mean system time (waiting inclusive of service) of a class via batch
-  means, discarding a warm-up prefix;
-* ``deterministic_wait`` runs the tagged customer once with constant
-  clocks, every duration equal to its mean.
+  leaves station 2, and averages the tagged system time over replications.
+  Its replications run as one lockstep numpy batch (``_conditional_batch``)
+  that applies the same rules in the same order to the same streams, so
+  each replication's wait equals ``_Polling``'s bit for bit; a requested
+  trace replays replication 0 through ``_Polling``;
+* ``simulate_steady_state`` runs one long ``_Polling`` run and estimates the
+  long-run mean system time (waiting inclusive of service) of a class via
+  batch means, discarding a warm-up prefix;
+* ``deterministic_wait`` runs the tagged customer once through ``_Polling``
+  with constant clocks, every duration equal to its mean.
 
 Events at the same instant: a step advances to the earliest clock and
 applies every event due within ``_TIE`` of it, in the order station-2
@@ -24,10 +28,10 @@ applies one event, drawing in the order of a one-event-per-step loop.
 
 Each replication draws from its own stream derived from (seed, replication
 index) through numpy's SeedSequence spawning, so results do not depend on
-execution order and parallel runs reproduce serial ones bit for bit.  A
-stream fetches its draws in blocks that grow from 64 to 8,192, so a
-replication that uses tens of draws pays for no more; the block size cannot
-change a result (see ``_ExpStream``).
+execution order or batching, and parallel runs reproduce serial ones bit for
+bit.  ``_ExpStream`` fetches a scalar run's draws in blocks that grow from
+64 to 8,192, and the batch refills a 128-draw buffer row per replication;
+neither block size can change a result (see ``_ExpStream``).
 """
 
 from __future__ import annotations
@@ -59,6 +63,10 @@ _STEP_BUDGET = 1_000_000
 # Unit-exponential draws in _ExpStream's first block and its largest block.
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 8192
+# Replications one lockstep batch runs at most, which bounds its memory, and
+# the unit-exponential draws it buffers per replication.
+_BATCH_ROWS = 8192
+_BATCH_DRAWS = 128
 
 
 @dataclass(frozen=True)
@@ -308,6 +316,103 @@ def _one_conditional(job, trace=None) -> float:
     return _tagged_sojourn(s, p, _ExpStream(_rep_rng(seed, rep)).draw, trace)
 
 
+def _conditional_batch(job) -> np.ndarray:
+    """Tagged system times of replications ``lo .. hi - 1``, run in lockstep
+    on numpy arrays; entry r equals ``_one_conditional((s, p, seed, lo + r))``
+    bit for bit.
+
+    Each array holds one quantity of ``_Polling`` across the live rows
+    (``n``, ``end``, ``next_arrival`` as ``arrival``, and ``position`` as a
+    flag "polled at class 2"), and a step applies the same events, picks and IEEE operations as
+    ``_Polling.step``.  Every row keeps its own stream: a ``_BATCH_DRAWS``-wide
+    buffer row filled from its own Generator, read in the scalar order
+    (arrival class 1, arrival class 2, station-2 start, station-1 start).
+    Finished rows leave the arrays; the buffer stays indexed by batch row.
+    """
+    s, p, seed, lo, hi = job
+    width = _BATCH_DRAWS
+    rngs = [_rep_rng(seed, rep) for rep in range(lo, hi)]
+    draws = np.empty((len(rngs), width))
+    for rng, buf in zip(rngs, draws):
+        rng.standard_exponential(out=buf)
+    flat = draws.reshape(-1)
+    # Every row starts from the same snapshot, so the scalar seeding, run
+    # once on unit draws, says which servers start and at which class;
+    # its draws come in the order station 2, station 1, arrivals.
+    net = _Polling(p, lambda: 1.0)
+    net.seed_snapshot(s)
+    end = [np.full(len(rngs), _INF), np.full(len(rngs), _INF)]
+    k = 0
+    for j in (1, 0):
+        if net.end[j] != _INF:
+            end[j] = draws[:, k] / p.mu[net.position[j]][j]
+            k += 1
+    arrival = [draws[:, k + c] / p.lam[c] for c in (0, 1)]
+    n = [[np.full(len(rngs), x) for x in nj] for nj in net.n]
+    position = [np.full(len(rngs), c == 1) for c in net.position]
+    rows = np.arange(len(rngs))
+    nxt = rows * width + (k + 2)        # flat index of each row's next draw
+    last = rows * width + (width - 4)   # past it, a step could run off the row
+    # Class-1 customers leave station 2 in arrival order, so the tagged one
+    # (behind l12 + l11 others) leaves at this many class-1 departures.
+    ahead = np.full(len(rngs), s.la[2] + s.la[0] + 1)
+    waits = np.empty(len(rngs))
+    for _ in range(_STEP_BUDGET):
+        for r in np.flatnonzero(nxt > last):
+            i = rows[r]
+            buf = draws[i]
+            used = nxt[r] - i * width
+            buf[: width - used] = buf[used:]
+            rngs[i].standard_exponential(out=buf[width - used:])
+            nxt[r] = i * width
+        t = np.minimum(np.minimum(end[1], end[0]), np.minimum(arrival[0], arrival[1]))
+        due = t + _TIE
+        done = [end[0] <= due, end[1] <= due]
+        came = [arrival[0] <= due, arrival[1] <= due]
+        # station-2 departures, then hand-offs, then arrivals
+        for j in (1, 0):
+            cls2 = done[j] & position[j]
+            cls1 = done[j] ^ cls2
+            n[j][1] -= cls2
+            n[j][0] -= cls1
+            if j:
+                ahead -= cls1
+            else:
+                n[1][1] += cls2
+                n[1][0] += cls1
+        n[0][0] += came[0]
+        n[0][1] += came[1]
+        # exhaustive picks, station 2 first: a free server stays at its
+        # class while that class has work, else switches, else idles; so
+        # it moves only when exactly one class has work, not its own
+        started = []
+        for j in (1, 0):
+            free = done[j] | (end[j] == _INF)
+            has1, has2 = n[j][0] > 0, n[j][1] > 0
+            position[j] ^= free & (has1 ^ has2) & (has2 ^ position[j])
+            started.append(free & (has1 | has2))
+            np.putmask(end[j], free, _INF)
+        at = nxt
+        for c in (0, 1):
+            np.putmask(arrival[c], came[c], arrival[c] + flat[at] / p.lam[c])
+            at = at + came[c]
+        for j, go in zip((1, 0), started):
+            rate = np.where(position[j], p.mu[1][j], p.mu[0][j])
+            np.putmask(end[j], go, t + flat[at] / rate)
+            at = at + go
+        nxt = at
+        out = ahead == 0
+        if out.any():
+            waits[rows[out]] = t[out]  # the scalar's t - 0.0, the same float
+            live = ~out
+            if not live.any():
+                return waits
+            rows, nxt, last, ahead = rows[live], nxt[live], last[live], ahead[live]
+            n = [[x[live] for x in nj] for nj in n]
+            position, end, arrival = ([x[live] for x in v] for v in (position, end, arrival))
+    raise NonTermination(f"tagged customer still in system after {_STEP_BUDGET} steps")
+
+
 def simulate_conditional(
     s: ArrivalState,
     p: SystemParams,
@@ -319,26 +424,30 @@ def simulate_conditional(
 
     Each replication re-creates the snapshot, injects the tagged customer at
     the tail of its class queue at station 1, and runs until that customer
-    departs station 2.  ``n_jobs`` is the number of worker processes; at 1
-    the replications run in this process, and any count gives the same
-    result bit for bit.  ``trace``, if a list is supplied, collects event
-    rows from replication 0 (see ``write_trace``).
+    departs station 2.  The replications run in lockstep batches of at most
+    ``_BATCH_ROWS``.  ``n_jobs`` is the number of worker processes; above 1,
+    each takes a contiguous range of replications, and any count gives the
+    same result bit for bit.  ``trace``, if a list is supplied, collects the
+    event rows of replication 0, run once more through ``_Polling`` (see
+    ``write_trace``).
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs!r}")
     p = validate_params(p)
     s, p = relabel_for_class2(s, p)
-    waits = [_one_conditional((s, p, c.seed, 0), trace)]
-    jobs = [(s, p, c.seed, rep) for rep in range(1, c.replications)]
-    if n_jobs > 1 and jobs:
+    if trace is not None:
+        _one_conditional((s, p, c.seed, 0), trace)
+    reps = c.replications
+    size = min(_BATCH_ROWS, -(-reps // n_jobs))
+    jobs = [(s, p, c.seed, lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+    if len(jobs) > 1 and n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            waits.extend(pool.map(_one_conditional, jobs, chunksize=64))
+            waits = np.concatenate(list(pool.map(_conditional_batch, jobs)))
     else:
-        waits.extend(map(_one_conditional, jobs))
-    waits = np.asarray(waits)
+        waits = np.concatenate([_conditional_batch(job) for job in jobs])
     mean = float(waits.mean())
-    stderr = float(waits.std(ddof=1) / math.sqrt(c.replications)) if c.replications > 1 else 0.0
-    return SimEstimate(mean=mean, stderr=stderr, n=c.replications, seed=c.seed)
+    stderr = float(waits.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    return SimEstimate(mean=mean, stderr=stderr, n=reps, seed=c.seed)
 
 
 def simulate_steady_state(
@@ -381,6 +490,11 @@ def simulate_steady_state(
                 kept.append(out[2])
     kept_arr = np.asarray(kept)
     nb = c.batches
+    if kept_arr.shape[0] < nb:
+        raise ValueError(
+            f"class {measured_class} kept {kept_arr.shape[0]} departures, fewer than "
+            f"batches = {nb}; raise horizon_departures"
+        )
     usable = (kept_arr.shape[0] // nb) * nb
     batches = kept_arr[:usable].reshape(nb, -1).mean(axis=1)
     mean = float(kept_arr.mean())

@@ -252,6 +252,11 @@ class TestEmit:
         emit_report(self.GOLDEN_ROWS, str(path), fmt)
         assert path.read_bytes() == self.GOLDEN[fmt].encode()
 
+    def test_wide_cell_keeps_a_space(self, tmp_path):
+        path = tmp_path / "out.txt"
+        emit_report([ComparisonRow(la=(200, 200, 200, 200), m=2, det=1.5)], str(path), "table")
+        assert path.read_text().splitlines()[1].split() == ["200", "200", "200", "200", "2", "1.50"]
+
     def test_golden_csv_reads_back(self, tmp_path):
         path = tmp_path / "out.csv"
         path.write_bytes(self.GOLDEN["csv"].encode())
@@ -336,19 +341,16 @@ class TestMain:
         ({**CONFIG, "output": True}, "output must be a string, got bool"),
         ({**CONFIG, "scenario": [1]}, "unknown config keys: scenario"),
     ])
-    def test_config_error_is_one_line(self, tmp_path, over, named):
+    def test_config_error_is_one_line(self, tmp_path, monkeypatch, capsys, over, named):
+        # in process: an exception escaping main fails the test as a traceback would
         path = tmp_path / "c.json"
         if over is not None:
             path.write_text(json.dumps(over))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "tandempoll", str(path)],
-            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("polling-wait: ") and proc.stderr.count("\n") == 1
-        assert named in proc.stderr and "Traceback" not in proc.stderr
+        monkeypatch.chdir(tmp_path)
+        assert reporting.main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("polling-wait: ") and err.count("\n") == 1
+        assert named in err and "Traceback" not in err
 
     def test_unwritable_report_fails_before_the_batch(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(reporting, "run_experiment", lambda cfg: pytest.fail("batch ran"))

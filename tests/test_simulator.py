@@ -1,12 +1,13 @@
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from tandempoll import simulator
-from tandempoll.errors import NonTermination
-from tandempoll.model import ArrivalState, SystemParams, validate_params
+from tandempoll.errors import NonTermination, UnstableSystem
+from tandempoll.model import ArrivalState, SystemParams, relabel_for_class2, validate_params
 from tandempoll.simulator import (
     SimConfig,
     deterministic_wait,
@@ -105,6 +106,77 @@ def test_exp_stream_matches_one_block():
     stream = simulator._ExpStream(np.random.default_rng(123))
     drawn = [stream.draw() for _ in range(20_000)]
     assert drawn == np.random.default_rng(123).exponential(size=20_000).tolist()
+    # the lockstep batch fills its buffer rows in place, in pieces
+    rng = np.random.default_rng(123)
+    out = np.empty(20_000)
+    rng.standard_exponential(out=out[:128])
+    rng.standard_exponential(out=out[128:])
+    assert out.tolist() == drawn
+
+
+def generated_cells(count, seed):
+    """Stable random rates with random snapshots: counts 0-9, m 1-4, and
+    the tagged class alternating between 1 and 2."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    while len(cells) < count:
+        p = SystemParams(lam=tuple(rng.uniform(0.2, 1.5, 2)),
+                         mu=tuple(tuple(rng.uniform(1.0, 4.0, 2)) for _ in range(2)))
+        try:
+            p = validate_params(p)
+        except UnstableSystem:
+            continue
+        la = tuple(int(x) for x in rng.integers(0, 10, 4))
+        cells.append((ArrivalState(la=la, m=int(rng.integers(1, 5)), tagged_class=1 + len(cells) % 2), p))
+    return cells
+
+
+class TestBatchMatchesScalar:
+    """``simulate_conditional`` runs its replications as a lockstep batch, a
+    second copy of ``_Polling``'s rules; each replication must give the
+    scalar engine's wait bit for bit."""
+
+    @staticmethod
+    def scalar(s, p, seed, reps):
+        s, p = relabel_for_class2(s, validate_params(p))
+        return np.array([simulator._one_conditional((s, p, seed, rep)) for rep in reps])
+
+    @staticmethod
+    def batch(s, p, seed, lo, hi):
+        s, p = relabel_for_class2(s, validate_params(p))
+        return simulator._conditional_batch((s, p, seed, lo, hi))
+
+    @staticmethod
+    def draws_taken(s, p, seed, rep):
+        s, p = relabel_for_class2(s, validate_params(p))
+        stream = simulator._ExpStream(simulator._rep_rng(seed, rep))
+        count = 0
+
+        def draw():
+            nonlocal count
+            count += 1
+            return stream.draw()
+
+        simulator._tagged_sojourn(s, p, draw)
+        return count
+
+    @pytest.mark.parametrize("s,p", generated_cells(16, seed=2024))
+    def test_generated_cells(self, s, p):
+        assert np.array_equal(self.batch(s, p, 9, 0, 60), self.scalar(s, p, 9, range(60)))
+
+    def test_rows_refill_their_draws(self):
+        s, p = ArrivalState(la=(20, 20, 20, 20), m=4, tagged_class=2), sym(2.22)
+        used = max(self.draws_taken(s, p, 2025, rep) for rep in range(10, 30))
+        assert used > 2 * simulator._BATCH_DRAWS  # so some row refills twice
+        assert np.array_equal(self.batch(s, p, 2025, 10, 30), self.scalar(s, p, 2025, range(10, 30)))
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_replications_cross_blocks(self, monkeypatch, n_jobs):
+        monkeypatch.setattr(simulator, "_BATCH_ROWS", 7)
+        s, p = ArrivalState(la=(2, 3, 1, 2), m=3, tagged_class=2), sym(2.22)
+        est = simulate_conditional(s, p, SimConfig(replications=30, seed=11), n_jobs=n_jobs)
+        waits = self.scalar(s, p, 11, range(30))
+        assert (est.mean, est.stderr) == (float(waits.mean()), float(waits.std(ddof=1) / math.sqrt(30)))
 
 
 class TestStepBudget:
@@ -241,6 +313,13 @@ class TestSettingsRejected:
         cfg = SimConfig(replications=800.0, seed=np.int64(3))
         assert (cfg.replications, cfg.seed) == (800, 3)
         assert type(cfg.replications) is int and type(cfg.seed) is int
+
+    def test_too_few_kept_departures(self):
+        # 40 departures of both classes leave class 1 only 17 for 20 batches
+        p = validate_params(SystemParams(lam=(1.0, 1.0), mu=((2.22, 2.22), (2.22, 2.5))))
+        cfg = SimConfig(warmup_departures=3, horizon_departures=40, seed=7)
+        with pytest.raises(ValueError, match="class 1 kept 17 departures, fewer than batches = 20"):
+            simulate_steady_state(p, cfg, measured_class=1)
 
     @pytest.mark.parametrize("measured_class", [0, 3])
     def test_measured_class(self, measured_class):
