@@ -87,7 +87,6 @@ def _served(x: float, rate: float, t: float) -> float:
 
 class _Engine:
     def __init__(self, params: SystemParams, trunc: TruncationConfig):
-        self.p = params
         self.trunc = trunc
         self.lam1, self.lam2 = params.lam
         (self.mu11, self.mu12), (self.mu21, self.mu22) = params.mu
@@ -123,7 +122,6 @@ class _Engine:
         w12: float,
         l22: float,
         l21_base: float,
-        l21_anchor: float,
         elapsed: float,
     ) -> None:
         """Split on K, the transfer count during station 2's first cycle.
@@ -147,7 +145,7 @@ class _Engine:
             t_a = (w12 + k) * self.tau12
             self._stage_c(
                 prefix + "A′≺", weight * pk, ahead - k, 0.0,
-                l22, l21_base, l21_anchor, elapsed + t_a,
+                l22, l21_base, elapsed, elapsed + t_a,
             )
 
     # -- stage C: station 2 on queue 2, tagged still at station 1 -----------
@@ -289,7 +287,6 @@ class _Engine:
                 l22 + l21 + self.lam2 * t_j,
                 0.0,
                 elapsed + t_j,
-                elapsed + t_j,
             )
 
         if p_jp > 0.0:
@@ -313,7 +310,7 @@ class _Engine:
 
     def run_m1(self, s: ArrivalState) -> None:
         l11, l21, l12, l22 = (float(x) for x in s.la)
-        self._stage_a("", 1.0, int(l11), l12, l22, l21, 0.0, 0.0)
+        self._stage_a("", 1.0, int(l11), l12, l22, l21, 0.0)
 
     def run_m2(self, s: ArrivalState) -> None:
         l11, l21, l12, l22 = (float(x) for x in s.la)

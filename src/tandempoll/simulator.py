@@ -29,9 +29,9 @@ applies one event, drawing in the order of a one-event-per-step loop.
 Each replication draws from its own stream derived from (seed, replication
 index) through numpy's SeedSequence spawning, so results do not depend on
 execution order or batching, and parallel runs reproduce serial ones bit for
-bit.  ``_ExpStream`` fetches a scalar run's draws in blocks that grow from
-64 to 8,192, and the batch refills a 128-draw buffer row per replication;
-neither block size can change a result (see ``_ExpStream``).
+bit.  Both engines fetch draws ``_DRAW_BLOCK`` at a time: ``_unit_draws``
+for a scalar run, and one buffer row per replication in the batch.  The
+block size cannot change a result (see ``_unit_draws``).
 """
 
 from __future__ import annotations
@@ -60,13 +60,10 @@ _INF = math.inf
 _TIE = 1e-12
 # Steps a tagged-customer run may take before it raises NonTermination.
 _STEP_BUDGET = 1_000_000
-# Unit-exponential draws in _ExpStream's first block and its largest block.
-_FIRST_BLOCK = 64
-_MAX_BLOCK = 8192
-# Replications one lockstep batch runs at most, which bounds its memory, and
-# the unit-exponential draws it buffers per replication.
+# Unit-exponential draws fetched from a Generator at once.
+_DRAW_BLOCK = 128
+# Replications one lockstep batch runs at most, which bounds its memory.
 _BATCH_ROWS = 8192
-_BATCH_DRAWS = 128
 
 
 @dataclass(frozen=True)
@@ -120,31 +117,16 @@ class SteadyStateEstimate:
     throughput_mean_system_time: float
 
 
-class _ExpStream:
-    """Unit-exponential draws from one Generator, fetched in Python-list
-    blocks of ``_FIRST_BLOCK`` draws, doubling at each refill up to
-    ``_MAX_BLOCK``.
+def _unit_draws(rng: np.random.Generator):
+    """Unit-exponential draws from one Generator, fetched ``_DRAW_BLOCK`` at
+    a time.
 
-    The block size cannot change a result: ``Generator.exponential`` fills
-    an array one value at a time from the bit stream, so 64 draws and then
-    128 give the same numbers as 192 at once.
+    The block size cannot change a result: numpy fills an array one value at
+    a time from the bit stream, so two blocks of 128 give the same numbers
+    as 256 at once.
     """
-
-    __slots__ = ("rng", "buf", "i")
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.buf = rng.exponential(size=_FIRST_BLOCK).tolist()
-        self.i = 0
-
-    def draw(self) -> float:
-        i = self.i
-        buf = self.buf
-        if i == len(buf):
-            buf = self.buf = self.rng.exponential(size=min(2 * i, _MAX_BLOCK)).tolist()
-            i = 0
-        self.i = i + 1
-        return buf[i]
+    while True:
+        yield from rng.standard_exponential(_DRAW_BLOCK).tolist()
 
 
 class _Polling:
@@ -161,8 +143,8 @@ class _Polling:
     which ``simulate_steady_state`` accumulates itself.
 
     Each duration is ``draw()`` divided by its rate: a unit exponential
-    (``_ExpStream.draw``) for simulation, or 1.0 for the constant-rate
-    timeline.
+    (the ``__next__`` of ``_unit_draws``) for simulation, or 1.0 for the
+    constant-rate timeline.
     """
 
     def __init__(self, p: SystemParams, draw, trace=None):
@@ -311,26 +293,28 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
-def _one_conditional(job, trace=None) -> float:
-    s, p, seed, rep = job
-    return _tagged_sojourn(s, p, _ExpStream(_rep_rng(seed, rep)).draw, trace)
+def _as_class2(row):
+    """A trace row of the relabelled class-1 problem in the caller's class-2
+    labels: classes, queue lengths and server classes swap; S = 0 stays."""
+    t, kind, j, c, cid, l11, l21, l12, l22, s1, s2 = row
+    return (t, kind, j, 3 - c, cid, l21, l11, l22, l12, s1 and 3 - s1, s2 and 3 - s2)
 
 
 def _conditional_batch(job) -> np.ndarray:
     """Tagged system times of replications ``lo .. hi - 1``, run in lockstep
-    on numpy arrays; entry r equals ``_one_conditional((s, p, seed, lo + r))``
-    bit for bit.
+    on numpy arrays; entry r equals ``_tagged_sojourn`` on the stream
+    ``_unit_draws(_rep_rng(seed, lo + r))`` bit for bit.
 
     Each array holds one quantity of ``_Polling`` across the live rows
     (``n``, ``end``, ``next_arrival`` as ``arrival``, and ``position`` as a
     flag "polled at class 2"), and a step applies the same events, picks and IEEE operations as
-    ``_Polling.step``.  Every row keeps its own stream: a ``_BATCH_DRAWS``-wide
+    ``_Polling.step``.  Every row keeps its own stream: a ``_DRAW_BLOCK``-wide
     buffer row filled from its own Generator, read in the scalar order
     (arrival class 1, arrival class 2, station-2 start, station-1 start).
     Finished rows leave the arrays; the buffer stays indexed by batch row.
     """
     s, p, seed, lo, hi = job
-    width = _BATCH_DRAWS
+    width = _DRAW_BLOCK
     rngs = [_rep_rng(seed, rep) for rep in range(lo, hi)]
     draws = np.empty((len(rngs), width))
     for rng, buf in zip(rngs, draws):
@@ -428,20 +412,25 @@ def simulate_conditional(
     ``_BATCH_ROWS``.  ``n_jobs`` is the number of worker processes; above 1,
     each takes a contiguous range of replications, and any count gives the
     same result bit for bit.  ``trace``, if a list is supplied, collects the
-    event rows of replication 0, run once more through ``_Polling`` (see
-    ``write_trace``).
+    event rows of replication 0, run once more through ``_Polling``, in the
+    caller's class labels (see ``write_trace``).
     """
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs!r}")
+    workers = _count(n_jobs)
+    if workers < 1:
+        raise ValueError(f"n_jobs must be a positive integer, got {n_jobs!r}")
     p = validate_params(p)
+    tagged_class = s.tagged_class
     s, p = relabel_for_class2(s, p)
     if trace is not None:
-        _one_conditional((s, p, c.seed, 0), trace)
+        start = len(trace)
+        _tagged_sojourn(s, p, _unit_draws(_rep_rng(c.seed, 0)).__next__, trace)
+        if tagged_class == 2:
+            trace[start:] = map(_as_class2, trace[start:])
     reps = c.replications
-    size = min(_BATCH_ROWS, -(-reps // n_jobs))
+    size = min(_BATCH_ROWS, -(-reps // workers))
     jobs = [(s, p, c.seed, lo, min(lo + size, reps)) for lo in range(0, reps, size)]
-    if len(jobs) > 1 and n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    if len(jobs) > 1 and workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             waits = np.concatenate(list(pool.map(_conditional_batch, jobs)))
     else:
         waits = np.concatenate([_conditional_batch(job) for job in jobs])
@@ -463,12 +452,12 @@ def simulate_steady_state(
     error.  Little's-law quantities are accumulated over the kept window
     across both classes.
     """
-    if measured_class not in (1, 2):
+    measured = _count(measured_class) - 1
+    if measured not in (0, 1):
         raise ValueError(f"measured_class must be 1 or 2, got {measured_class!r}")
     p = validate_params(p)
-    net = _Polling(p, _ExpStream(_rep_rng(c.seed, 0)).draw)
+    net = _Polling(p, _unit_draws(_rep_rng(c.seed, 0)).__next__)
     net.schedule_arrivals()
-    measured = measured_class - 1
     kept = []
     pooled_sum = 0.0
     departures = 0
@@ -492,7 +481,7 @@ def simulate_steady_state(
     nb = c.batches
     if kept_arr.shape[0] < nb:
         raise ValueError(
-            f"class {measured_class} kept {kept_arr.shape[0]} departures, fewer than "
+            f"class {measured + 1} kept {kept_arr.shape[0]} departures, fewer than "
             f"batches = {nb}; raise horizon_departures"
         )
     usable = (kept_arr.shape[0] // nb) * nb

@@ -18,19 +18,26 @@ from tandempoll.model import relabel_for_class2
 
 
 def mm1_hitting_samples(L, lam, mu, n, seed):
-    """Hitting times to 0 of an M/M/1 queue started at L, by direct walk."""
+    """Hitting times to 0 of an M/M/1 queue started at L, by direct walk.
+
+    It steps only the live paths, in their original order, and drops each
+    path as it finishes, as the race and drain-time samplers below do.
+    """
     rng = np.random.default_rng(seed)
-    level = np.full(n, L, dtype=np.int64)
-    t = np.zeros(n)
     total = lam + mu
     p_up = lam / total
-    alive = level > 0
-    while alive.any():
-        k = int(alive.sum())
-        t[alive] += rng.exponential(1.0 / total, size=k)
-        step = np.where(rng.random(k) < p_up, 1, -1)
-        level[alive] += step
-        alive = level > 0
+    t = np.zeros(n)
+    live = np.arange(n if L > 0 else 0)
+    level = np.full(live.size, L, dtype=np.int64)
+    clock = np.zeros(live.size)
+    while live.size:
+        k = live.size
+        clock += rng.exponential(1.0 / total, size=k)
+        level += np.where(rng.random(k) < p_up, 1, -1)
+        done = level == 0
+        t[live[done]] = clock[done]
+        keep = ~done
+        live, level, clock = live[keep], level[keep], clock[keep]
     return t
 
 
@@ -41,23 +48,20 @@ def tandem_drain_samples(u, w, mu1, mu2, n, seed):
     tagged customer leaves at station 2's (w + u + 1)-th completion.
     """
     rng = np.random.default_rng(seed)
-    r1 = np.full(n, u + 1, dtype=np.int64)       # station-1 services left
+    r1 = np.full(n, u + 1, dtype=np.int64)         # station-1 services left
     left2 = np.full(n, w + u + 1, dtype=np.int64)  # station-2 services left
     t = np.zeros(n)
-    active = np.ones(n, dtype=bool)
-    while active.any():
-        k = int(active.sum())
-        r1a = r1[active]
-        l2a = left2[active]
-        q2 = l2a - r1a  # station-2 queue: everyone not yet served there minus those still upstream
-        s1 = (r1a > 0).astype(float)
+    # every step completes one of the 2u + w + 2 services, so all paths
+    # finish together
+    for _ in range(2 * u + w + 2):
+        q2 = left2 - r1  # station-2 queue: everyone not yet served there minus those still upstream
+        s1 = (r1 > 0).astype(float)
         s2 = (q2 > 0).astype(float)
         rate = mu1 * s1 + mu2 * s2
-        t[active] += rng.exponential(1.0, size=k) / rate
-        first1 = rng.random(k) * rate < mu1 * s1
-        r1[active] = r1a - first1.astype(np.int64)
-        left2[active] = l2a - (~first1).astype(np.int64)
-        active[active] = left2[active] > 0
+        t += rng.exponential(1.0, size=n) / rate
+        first1 = rng.random(n) * rate < mu1 * s1
+        r1 -= first1.astype(np.int64)
+        left2 -= (~first1).astype(np.int64)
     return t
 
 
@@ -67,27 +71,26 @@ def lattice_race_samples(u, w, lam, mu1, mu2, n, seed):
     Returns (station2_emptied_first: bool array, absorption times).
     """
     rng = np.random.default_rng(seed)
-    i = np.full(n, u, dtype=np.int64)
-    j = np.full(n, w, dtype=np.int64)
+    rate = lam + mu1 + mu2
     t = np.zeros(n)
-    r2_first = np.zeros(n, dtype=bool)
-    alive = (i > 0) & (j > 0)
-    r2_first[~alive] = j[~alive] == 0
-    while alive.any():
-        k = int(alive.sum())
-        rate = lam + mu1 + mu2
-        t[alive] += rng.exponential(1.0 / rate, size=k)
+    r2_first = np.full(n, w == 0)
+    live = np.arange(n if u > 0 and w > 0 else 0)
+    i = np.full(live.size, u, dtype=np.int64)
+    j = np.full(live.size, w, dtype=np.int64)
+    clock = np.zeros(live.size)
+    while live.size:
+        k = live.size
+        clock += rng.exponential(1.0 / rate, size=k)
         x = rng.random(k) * rate
         arr = x < lam
         srv1 = (~arr) & (x < lam + mu1)
-        di = arr.astype(np.int64) - srv1.astype(np.int64)
-        dj = srv1.astype(np.int64) - ((~arr) & (~srv1)).astype(np.int64)
-        i[alive] += di
-        j[alive] += dj
-        idx = np.where(alive)[0]
-        done = (i[idx] == 0) | (j[idx] == 0)
-        r2_first[idx[done]] = j[idx[done]] == 0
-        alive[idx[done]] = False
+        i += arr.astype(np.int64) - srv1.astype(np.int64)
+        j += srv1.astype(np.int64) - ((~arr) & (~srv1)).astype(np.int64)
+        done = (i == 0) | (j == 0)
+        r2_first[live[done]] = j[done] == 0
+        t[live[done]] = clock[done]
+        keep = ~done
+        live, i, j, clock = live[keep], i[keep], j[keep], clock[keep]
     return r2_first, t
 
 
@@ -100,22 +103,25 @@ def drain_time_samples(w, lam, mu1, mu2, n, seed):
     through station 1 emptying; only station 2 emptying stops them.
     """
     rng = np.random.default_rng(seed)
-    i = np.zeros(n, dtype=np.int64)
-    j = np.full(n, w, dtype=np.int64)
     t = np.zeros(n)
-    alive = j > 0
-    while alive.any():
-        idx = np.where(alive)[0]
-        busy1 = i[idx] > 0
+    live = np.arange(n if w > 0 else 0)
+    i = np.zeros(live.size, dtype=np.int64)
+    j = np.full(live.size, w, dtype=np.int64)
+    clock = np.zeros(live.size)
+    while live.size:
+        busy1 = i > 0
         rate = lam + mu2 + mu1 * busy1
-        t[idx] += rng.exponential(1.0, size=idx.size) / rate
-        x = rng.random(idx.size) * rate
+        clock += rng.exponential(1.0, size=live.size) / rate
+        x = rng.random(live.size) * rate
         arr = x < lam
         srv1 = busy1 & ~arr & (x < lam + mu1)
         srv2 = ~arr & ~srv1
-        i[idx] += arr.astype(np.int64) - srv1.astype(np.int64)
-        j[idx] += srv1.astype(np.int64) - srv2.astype(np.int64)
-        alive[idx] = j[idx] > 0
+        i += arr.astype(np.int64) - srv1.astype(np.int64)
+        j += srv1.astype(np.int64) - srv2.astype(np.int64)
+        done = j == 0
+        t[live[done]] = clock[done]
+        keep = ~done
+        live, i, j, clock = live[keep], i[keep], j[keep], clock[keep]
     return t
 
 

@@ -60,3 +60,19 @@ WORKLOADS = _load("workloads").WORKLOADS
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_builds_an_input(name, tmp_path):
     WORKLOADS[name](1, str(tmp_path)).next_input()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_call_passes_its_checks(name, tmp_path):
+    # one call in the order perfbench/run.py makes it, so a change that
+    # breaks a workload's output check fails here, not only in a benchmark run
+    wl = WORKLOADS[name](1, str(tmp_path))
+    wl.setup()
+    inp = wl.next_input()
+    result, _ = wl.call(inp)
+    wl.n_calls += 1
+    wl.check(result)
+    wl.finish()
+    assert wl.attempted >= 1
+    assert wl.problems == []
+    assert wl.failed == 0

@@ -54,11 +54,16 @@ class TestConditional:
         parallel = simulate_conditional(s, p, SimConfig(replications=96, seed=7), n_jobs=2)
         assert serial == parallel
 
-    @pytest.mark.parametrize("n_jobs", [0, -3])
+    @pytest.mark.parametrize("n_jobs", [0, -3, True, 1.5, "2"])
     def test_rejects_bad_n_jobs(self, n_jobs):
         with pytest.raises(ValueError, match="n_jobs"):
             simulate_conditional(ArrivalState(la=(1, 1, 1, 1), m=1), sym(2.86),
                                  SimConfig(replications=2, seed=1), n_jobs=n_jobs)
+
+    def test_integral_n_jobs(self):
+        s, cfg = ArrivalState(la=(1, 2, 2, 1), m=2), SimConfig(replications=96, seed=7)
+        assert (simulate_conditional(s, sym(2.22), cfg, n_jobs=2.0)
+                == simulate_conditional(s, sym(2.22), cfg, n_jobs=2))
 
     def test_tagged_class2_relabels(self):
         p = sym(2.86)
@@ -102,9 +107,8 @@ class TestReplayPinned:
 
 def test_exp_stream_matches_one_block():
     # numpy fills exponentials one at a time from the bit stream, so the
-    # growing blocks must reproduce a single draw of the same length
-    stream = simulator._ExpStream(np.random.default_rng(123))
-    drawn = [stream.draw() for _ in range(20_000)]
+    # fixed blocks must reproduce a single draw of the same length
+    drawn = list(itertools.islice(simulator._unit_draws(np.random.default_rng(123)), 20_000))
     assert drawn == np.random.default_rng(123).exponential(size=20_000).tolist()
     # the lockstep batch fills its buffer rows in place, in pieces
     rng = np.random.default_rng(123)
@@ -139,7 +143,10 @@ class TestBatchMatchesScalar:
     @staticmethod
     def scalar(s, p, seed, reps):
         s, p = relabel_for_class2(s, validate_params(p))
-        return np.array([simulator._one_conditional((s, p, seed, rep)) for rep in reps])
+        return np.array([
+            simulator._tagged_sojourn(s, p, simulator._unit_draws(simulator._rep_rng(seed, rep)).__next__)
+            for rep in reps
+        ])
 
     @staticmethod
     def batch(s, p, seed, lo, hi):
@@ -149,13 +156,13 @@ class TestBatchMatchesScalar:
     @staticmethod
     def draws_taken(s, p, seed, rep):
         s, p = relabel_for_class2(s, validate_params(p))
-        stream = simulator._ExpStream(simulator._rep_rng(seed, rep))
+        stream = simulator._unit_draws(simulator._rep_rng(seed, rep))
         count = 0
 
         def draw():
             nonlocal count
             count += 1
-            return stream.draw()
+            return next(stream)
 
         simulator._tagged_sojourn(s, p, draw)
         return count
@@ -167,7 +174,7 @@ class TestBatchMatchesScalar:
     def test_rows_refill_their_draws(self):
         s, p = ArrivalState(la=(20, 20, 20, 20), m=4, tagged_class=2), sym(2.22)
         used = max(self.draws_taken(s, p, 2025, rep) for rep in range(10, 30))
-        assert used > 2 * simulator._BATCH_DRAWS  # so some row refills twice
+        assert used > 2 * simulator._DRAW_BLOCK  # so some row refills twice
         assert np.array_equal(self.batch(s, p, 2025, 10, 30), self.scalar(s, p, 2025, range(10, 30)))
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
@@ -254,6 +261,22 @@ class TestTraceInvariants:
                 assert cid > seen[cls]
                 seen[cls] = cid
 
+    def test_class2_rows_use_caller_labels(self):
+        # a class-2 trace is its class-1 twin's with the labels swapped back
+        def swapped(r):
+            t, kind, station, cls, cid, l11, l21, l12, l22, s1, s2 = r
+            other = {0: 0, 1: 2, 2: 1}
+            return (t, kind, station, 3 - cls, cid, l21, l11, l22, l12, other[s1], other[s2])
+
+        cfg = SimConfig(replications=5, seed=3)
+        out = [("earlier row",)]
+        simulate_conditional(ArrivalState(la=(1, 2, 0, 1), m=2, tagged_class=2), sym(2.86), cfg, trace=out)
+        assert out[:2] == [("earlier row",), (0.0, "init", 1, 2, 5, 1, 3, 0, 1, 1, 2)]
+        twin = []
+        simulate_conditional(ArrivalState(la=(2, 1, 1, 0), m=3), sym(2.86), cfg, trace=twin)
+        assert len(twin) > 10
+        assert out[1:] == [swapped(r) for r in twin]
+
     def test_write_trace(self, rows, tmp_path):
         path = tmp_path / "trace.txt"
         write_trace(rows, path)
@@ -321,8 +344,13 @@ class TestSettingsRejected:
         with pytest.raises(ValueError, match="class 1 kept 17 departures, fewer than batches = 20"):
             simulate_steady_state(p, cfg, measured_class=1)
 
-    @pytest.mark.parametrize("measured_class", [0, 3])
+    def test_integral_measured_class(self):
+        cfg = SimConfig(seed=1, warmup_departures=10, horizon_departures=100)
+        assert (simulate_steady_state(sym(2.86), cfg, measured_class=2.0)
+                == simulate_steady_state(sym(2.86), cfg, measured_class=2))
+
+    @pytest.mark.parametrize("measured_class", [0, 3, True, 1.5, "2"])
     def test_measured_class(self, measured_class):
         cfg = SimConfig(seed=1, warmup_departures=10, horizon_departures=100)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="measured_class"):
             simulate_steady_state(sym(2.86), cfg, measured_class=measured_class)
