@@ -9,7 +9,9 @@ Three routes to the same quantity, for cross-validation:
 * ``deterministic_wait`` - exact timeline with constant rates.
 """
 
-from .absorption import absorption_probs, lattice_solution, mfpt_to_empty
+# lattice_solution, drain_wait and race_busy_period are here only for the
+# benchmark's tracer, which reads their cache statistics from the root
+from .absorption import lattice_solution
 from .errors import (
     InvalidSupport,
     NonPositiveRate,
@@ -26,18 +28,9 @@ from .model import (
     ArrivalState,
     SystemParams,
     TruncationConfig,
-    relabel_for_class2,
-    swap_class_labels,
     validate_params,
 )
-from .primitives import (
-    drain_wait,
-    hitting_mean,
-    hitting_pdf,
-    race_busy_period,
-    race_erlang,
-    transfer_count_pmf,
-)
+from .primitives import drain_wait, race_busy_period
 from .reporting import (
     ComparisonRow,
     ExperimentConfig,

@@ -102,6 +102,7 @@ def _box_generator(lam: float, mu1: float, mu2: float, n: int):
 @lru_cache(maxsize=8)
 def lattice_solution(lam: float, mu1: float, mu2: float, n_max: int) -> LatticeSolution:
     t0 = time.perf_counter()
+    lam, mu1, mu2 = float(lam), float(mu1), float(mu2)  # a cached value depends on values alone
     n = n_max
     A, i, j, overflow = _box_generator(lam, mu1, mu2, n)
     i, j = i[n:], j[n:]  # the race chain's states, i >= 1

@@ -19,9 +19,6 @@ from .errors import NonPositiveRate, UnstableSystem
 # Scenario index -> (queue in service at station 1, queue in service at station 2)
 SCENARIO_SERVERS = {1: (1, 1), 2: (1, 2), 3: (2, 1), 4: (2, 2)}
 
-# Relabeling classes 1<->2 flips both server positions.
-_RELABELED_SCENARIO = {1: 4, 2: 3, 3: 2, 4: 1}
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -68,19 +65,12 @@ def _queue_lengths(la) -> tuple[int, int, int, int]:
     return counts
 
 
-def _scenario_index(m) -> int:
-    """``m`` as a Python int in 1..4, by the same rule as the counts."""
-    k = _count(m)
-    if k not in SCENARIO_SERVERS:
-        raise ValueError(f"scenario index m must be in 1..4, got {m!r}")
-    return k
-
-
-def _class_label(c) -> int:
-    """``c`` as the Python int 1 or 2, by the same rule as the counts."""
-    k = _count(c)
-    if k not in (1, 2):
-        raise ValueError(f"tagged_class must be 1 or 2, got {c!r}")
+def _member(x, name: str, allowed) -> int:
+    """``x`` as a Python int in ``allowed``, by the same rule as the counts;
+    otherwise ``ValueError`` naming the argument and its allowed values."""
+    k = _count(x)
+    if k not in allowed:
+        raise ValueError(f"{name} must be one of {', '.join(map(str, allowed))}, got {x!r}")
     return k
 
 
@@ -100,8 +90,8 @@ class ArrivalState:
     tagged_class: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _scenario_index(self.m))
-        object.__setattr__(self, "tagged_class", _class_label(self.tagged_class))
+        object.__setattr__(self, "m", _member(self.m, "scenario index m", SCENARIO_SERVERS))
+        object.__setattr__(self, "tagged_class", _member(self.tagged_class, "tagged_class", (1, 2)))
         object.__setattr__(self, "la", _queue_lengths(self.la))
 
     @property
@@ -122,7 +112,8 @@ class TruncationConfig:
     size takes about 1.5 s and 290 MB to build.  ``eps`` bounds the
     unresolved probability mass of the scenario tree.  ``n_max`` follows
     ``ArrivalState``'s count rule (``150.0`` becomes 150; ``"80"``, ``True``
-    or ``150.5`` raise), and ``eps`` must be a real number.
+    or ``150.5`` raise), and ``eps`` must be a real number, stored as a
+    Python float.
     """
 
     n_max: int = 256
@@ -135,22 +126,28 @@ class TruncationConfig:
         object.__setattr__(self, "n_max", n_max)
         if not (_is_real(self.eps) and 0.0 < self.eps < 1.0):
             raise ValueError(f"eps must be a real number in (0, 1), got {self.eps!r}")
+        object.__setattr__(self, "eps", float(self.eps))
 
 
 def validate_params(p: SystemParams) -> SystemParams:
-    """Check positivity and stability of a parameter set.
+    """Check the shape, positivity and stability of a parameter set.
 
-    Returns the parameter object unchanged (derived quantities are computed
-    on demand, so validation is idempotent).  A rate may be any real number
-    type, numpy's included, except ``bool``.  Raises ``NonPositiveRate`` for
-    bad rates and ``UnstableSystem`` when rho_j >= 1 at either station.
+    A rate may be any real number type except ``bool``; every route
+    computes with the Python floats returned here (``p`` itself if its
+    rates already are).  Raises ``ValueError`` for a wrong shape,
+    ``NonPositiveRate`` for bad rates and ``UnstableSystem`` when
+    rho_j >= 1 at either station.
     """
-    rates = list(p.lam) + [m for row in p.mu for m in row]
-    if len(p.lam) != 2 or len(p.mu) != 2 or any(len(row) != 2 for row in p.mu):
-        raise ValueError("expected 2 arrival rates and a 2x2 service rate matrix")
+    try:
+        (l1, l2), ((m11, m12), (m21, m22)) = p.lam, p.mu
+    except (TypeError, ValueError):
+        raise ValueError("expected 2 arrival rates and a 2x2 service rate matrix") from None
+    rates = (l1, l2, m11, m12, m21, m22)
     for r in rates:
         if not (_is_real(r) and math.isfinite(r) and r > 0):
             raise NonPositiveRate(f"all rates must be positive and finite numbers, got {r!r}")
+    if any(type(r) is not float for r in rates):
+        p = replace(p, lam=(float(l1), float(l2)), mu=((float(m11), float(m12)), (float(m21), float(m22))))
     for j in (1, 2):
         if p.rho_station(j) >= 1.0:
             raise UnstableSystem(
@@ -169,7 +166,7 @@ def swap_class_labels(s: ArrivalState, p: SystemParams) -> tuple[ArrivalState, S
     l11, l21, l12, l22 = s.la
     swapped = ArrivalState(
         la=(l21, l11, l22, l12),
-        m=_RELABELED_SCENARIO[s.m],
+        m=5 - s.m,  # both server positions flip
         tagged_class=3 - s.tagged_class,
     )
     swapped_params = replace(

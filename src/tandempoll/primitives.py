@@ -168,6 +168,7 @@ def drain_wait(u: int, w: int, mu1: float, mu2: float) -> float:
     """
     if u < 0 or w < 0:
         raise InvalidSupport(f"counts must be non-negative, got ({u}, {w})")
+    mu1, mu2 = float(mu1), float(mu2)  # a cached value depends on values alone
     p = mu1 / (mu1 + mu2)
     q = 1.0 - p
     t1 = 1.0 / mu1
@@ -253,6 +254,7 @@ def race_busy_period(u: int, lam1: float, mu1: float, w: int, mu2: float) -> flo
         return 1.0
     if u == 0:
         return 0.0
+    lam1, mu1, mu2 = float(lam1), float(mu1), float(mu2)  # a cached value depends on values alone
     hitting_mean(u, lam1, mu1)  # raises UnstableQueue unless lam1 < mu1
     s = lam1 + mu1 + mu2
     r = math.sqrt(s * s - 4.0 * lam1 * mu1)

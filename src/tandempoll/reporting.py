@@ -41,12 +41,12 @@ from dataclasses import dataclass, field
 
 from .errors import TandemPollError
 from .model import (
+    SCENARIO_SERVERS,
     ArrivalState,
     SystemParams,
     TruncationConfig,
-    _class_label,
+    _member,
     _queue_lengths,
-    _scenario_index,
     validate_params,
 )
 from .scenarios import analyze
@@ -83,20 +83,20 @@ class ExperimentConfig:
     output: str | None = None  # the config's report path, read only by main
 
     def __post_init__(self):
-        if not self.cases:
-            raise ValueError("config needs at least one case")
         # the checks and conversion ArrivalState applies, so a bad count or
         # index fails at load and reports print integral values as ints
         object.__setattr__(self, "cases", tuple(_queue_lengths(c) for c in self.cases))
-        object.__setattr__(self, "scenarios", tuple(_scenario_index(m) for m in self.scenarios))
-        if not self.scenarios:
-            raise ValueError("config needs at least one scenario")
-        object.__setattr__(self, "tagged_class", _class_label(self.tagged_class))
-        if not self.modes:
-            raise ValueError("config needs at least one mode")
+        scenarios = tuple(_member(m, "scenario index m", SCENARIO_SERVERS) for m in self.scenarios)
+        object.__setattr__(self, "scenarios", scenarios)
+        object.__setattr__(self, "tagged_class", _member(self.tagged_class, "tagged_class", (1, 2)))
+        for name in ("cases", "scenarios", "modes"):
+            if not getattr(self, name):
+                raise ValueError(f"config needs at least one {name[:-1]}")
         bad = [mode for mode in self.modes if mode not in _MODES]
         if bad:
             raise ValueError(f"unknown modes: {bad}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ValueError(f"output must be a string, got {type(self.output).__name__}")
 
 
 @dataclass
@@ -171,22 +171,16 @@ def load_config(path: str) -> ExperimentConfig:
         lam=_list(rates["lambda"], "rates.lambda"),
         mu=tuple(_list(row, "rates.mu row") for row in _list(rates["mu"], "rates.mu")),
     )
-    output = raw.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ValueError(f"output must be a string, got {type(output).__name__}")
-    kwargs = {  # the trunc and sim sections, each a dataclass's fields
-        key: cls(**_object(raw[key], key, known=[f.name for f in dataclasses.fields(cls)]))
-        for key, cls in (("trunc", TruncationConfig), ("sim", SimConfig)) if key in raw
-    }
-    return ExperimentConfig(
-        params=validate_params(params),
-        cases=_list(raw["cases"], "cases"),
-        scenarios=_list(raw.get("scenarios", [1, 2, 3, 4]), "scenarios"),
-        tagged_class=raw.get("tagged_class", 1),
-        modes=_list(raw.get("modes", list(_MODES)), "modes"),
-        output=output,
-        **kwargs,
-    )
+    kwargs = {}  # the keys the file holds; ExperimentConfig holds the defaults
+    for key, value in raw.items():
+        if key in ("cases", "scenarios", "modes"):
+            kwargs[key] = _list(value, key)
+        elif key in ("trunc", "sim"):  # each a dataclass's fields
+            cls = {"trunc": TruncationConfig, "sim": SimConfig}[key]
+            kwargs[key] = cls(**_object(value, key, known=[f.name for f in dataclasses.fields(cls)]))
+        elif key not in ("schema", "rates"):
+            kwargs[key] = value
+    return ExperimentConfig(params=validate_params(params), **kwargs)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

@@ -91,7 +91,7 @@ class _Engine:
         self.lam1, self.lam2 = params.lam
         (self.mu11, self.mu12), (self.mu21, self.mu22) = params.mu
         self.tau11, self.tau12 = 1.0 / self.mu11, 1.0 / self.mu12
-        self.tau21, self.tau22 = 1.0 / self.mu21, 1.0 / self.mu22
+        self.tau22 = 1.0 / self.mu22
         self._leaves: dict[str, list[float]] = {}
         self.residual = 0.0
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NonTermination
-from .model import ArrivalState, SystemParams, _count, relabel_for_class2, validate_params
+from .model import ArrivalState, SystemParams, _count, _member, relabel_for_class2, validate_params
 
 __all__ = [
     "SimConfig",
@@ -64,6 +64,8 @@ _STEP_BUDGET = 1_000_000
 _DRAW_BLOCK = 128
 # Replications one lockstep batch runs at most, which bounds its memory.
 _BATCH_ROWS = 8192
+# Batch means behind a steady-state standard error.
+_BATCHES = 20
 
 
 @dataclass(frozen=True)
@@ -72,16 +74,16 @@ class SimConfig:
 
     Steady-state warm-up and horizon are counted in departures (system
     exits), not clock time: the loads of interest need long runs and a
-    departure count is the natural unit for batch means.  Every field is a
-    count, kept as a Python int by the rule ``ArrivalState`` applies to queue
-    lengths: ``800.0`` becomes 800; ``True``, ``1.5``, ``"8"`` or -1 raise.
+    departure count is the natural unit for the ``_BATCHES`` (20) batch
+    means.  Every field is a count, kept as a Python int by the rule
+    ``ArrivalState`` applies to queue lengths: ``800.0`` becomes 800;
+    ``True``, ``1.5``, ``"8"`` or -1 raise.
     """
 
     replications: int = 800
     seed: int = 20240811
     warmup_departures: int = 10_000
     horizon_departures: int = 1_000_000
-    batches: int = 20
 
     def __post_init__(self):
         for f in fields(self):
@@ -92,10 +94,8 @@ class SimConfig:
             object.__setattr__(self, f.name, k)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.batches < 2:
-            raise ValueError("batches must be >= 2")
-        if self.horizon_departures < self.batches:
-            raise ValueError("horizon_departures must be >= batches")
+        if self.horizon_departures < _BATCHES:
+            raise ValueError(f"horizon_departures must be >= {_BATCHES}, the number of batches")
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,7 @@ class SimEstimate:
 
 
 @dataclass(frozen=True)
-class SteadyStateEstimate:
-    mean: float
-    stderr: float
-    n: int
-    seed: int
+class SteadyStateEstimate(SimEstimate):
     # Little's-law diagnostics over the measurement window (all classes).
     time_avg_in_system: float
     throughput_mean_system_time: float
@@ -448,13 +444,11 @@ def simulate_steady_state(
 
     One long replication started empty: the first ``warmup_departures``
     system exits are discarded, the next ``horizon_departures`` are kept,
-    and the kept ones are split into ``batches`` batches for the standard
-    error.  Little's-law quantities are accumulated over the kept window
-    across both classes.
+    and the kept ones are split into ``_BATCHES`` (20) batches for the
+    standard error.  Little's-law quantities are accumulated over the kept
+    window across both classes.
     """
-    measured = _count(measured_class) - 1
-    if measured not in (0, 1):
-        raise ValueError(f"measured_class must be 1 or 2, got {measured_class!r}")
+    measured = _member(measured_class, "measured_class", (1, 2)) - 1
     p = validate_params(p)
     net = _Polling(p, _unit_draws(_rep_rng(c.seed, 0)).__next__)
     net.schedule_arrivals()
@@ -478,16 +472,15 @@ def simulate_steady_state(
             if out[1] == measured:
                 kept.append(out[2])
     kept_arr = np.asarray(kept)
-    nb = c.batches
-    if kept_arr.shape[0] < nb:
+    if kept_arr.shape[0] < _BATCHES:
         raise ValueError(
             f"class {measured + 1} kept {kept_arr.shape[0]} departures, fewer than "
-            f"batches = {nb}; raise horizon_departures"
+            f"batches = {_BATCHES}; raise horizon_departures"
         )
-    usable = (kept_arr.shape[0] // nb) * nb
-    batches = kept_arr[:usable].reshape(nb, -1).mean(axis=1)
+    usable = (kept_arr.shape[0] // _BATCHES) * _BATCHES
+    batches = kept_arr[:usable].reshape(_BATCHES, -1).mean(axis=1)
     mean = float(kept_arr.mean())
-    stderr = float(batches.std(ddof=1) / math.sqrt(nb))
+    stderr = float(batches.std(ddof=1) / math.sqrt(_BATCHES))
     return SteadyStateEstimate(
         mean=mean,
         stderr=stderr,

@@ -223,5 +223,6 @@ def exact_timeline_wait(s, p):
     for _ in range(simulator._STEP_BUDGET):
         out = net.step()
         if out is not None and out[0] == tagged_id:
+            assert type(net.t) is Fraction, "the timeline left its exact clock"
             return float(out[2])
     raise RuntimeError("tagged customer did not leave within the step budget")

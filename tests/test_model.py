@@ -10,6 +10,8 @@ from tandempoll.model import (
     swap_class_labels,
     validate_params,
 )
+from tandempoll.scenarios import analyze
+from tandempoll.simulator import SimConfig, deterministic_wait, simulate_conditional
 
 
 def sym(mu):
@@ -48,6 +50,46 @@ class TestValidate:
     def test_rejects_bool_rate(self):
         with pytest.raises(NonPositiveRate):
             validate_params(SystemParams(lam=(True, 1.0), mu=((3.0, 3.0), (3.0, 3.0))))
+
+    @pytest.mark.parametrize("lam,mu", [
+        ((1.0, 1.0), (2.0, 2.0)),
+        ((1.0, 1.0), None),
+        ((1.0, 1.0), ((3.0, 3.0),)),
+        ((1.0, 1.0), ((3.0, 3.0, 3.0), (3.0, 3.0))),
+        ((1.0,), ((3.0, 3.0), (3.0, 3.0))),
+        (1.0, ((3.0, 3.0), (3.0, 3.0))),
+    ])
+    def test_rejects_wrong_shape(self, lam, mu):
+        with pytest.raises(ValueError, match="expected 2 arrival rates and a 2x2 service rate matrix"):
+            validate_params(SystemParams(lam=lam, mu=mu))
+
+    def test_rates_become_python_floats(self):
+        p = validate_params(SystemParams(lam=(np.float32(1.0), 1), mu=((3.0, np.float64(3.0)), (3, 3.0))))
+        assert p == sym(3.0)
+        assert all(type(r) is float for r in (*p.lam, *p.mu[0], *p.mu[1]))
+
+    def test_float_rates_pass_through(self):
+        p = sym(2.86)
+        assert validate_params(p) is p
+
+
+class TestRateTypes:
+    # lam = 1 and mu = 2.86 everywhere, held in a numpy type, against the
+    # Python floats of the same values
+    @pytest.mark.parametrize("kind", [np.float32, np.float16])
+    def test_routes_answer_as_the_floats_do(self, kind):
+        s = ArrivalState(la=(3, 3, 3, 3), m=1)
+        typed = SystemParams(lam=(kind(1.0), kind(1.0)), mu=((kind(2.86), kind(2.86)),) * 2)
+        floats = sym(float(kind(2.86)))
+        cfg = SimConfig(replications=50, seed=3)
+        for route in (
+            lambda p: analyze(s, p).cond_wait,
+            lambda p: deterministic_wait(s, p),
+            lambda p: simulate_conditional(s, p, cfg).mean,
+        ):
+            got = route(typed)
+            assert type(got) is float
+            assert got == route(floats)
 
 
 class TestArrivalState:

@@ -156,6 +156,16 @@ class TestDrainWait:
                 assert drain_wait(u + 1, w, 2.0, 3.0) > drain_wait(u, w, 2.0, 3.0)
                 assert drain_wait(u, w + 1, 2.0, 3.0) > drain_wait(u, w, 2.0, 3.0)
 
+    def test_cache_entry_depends_on_values_alone(self):
+        # float32 rates and their floats are one cache key, so the entry a
+        # float32 call leaves must be the float computation
+        mu1, mu2 = np.float32(2.86), np.float32(2.22)
+        drain_wait.cache_clear()
+        drain_wait(3, 2, mu1, mu2)
+        got = drain_wait(3, 2, float(mu1), float(mu2))
+        assert type(got) is float
+        assert got == drain_wait.__wrapped__(3, 2, float(mu1), float(mu2))
+
 
 # ---------------------------------------------------------------------------
 # Erlang race (Result-6 style)

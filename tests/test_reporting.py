@@ -340,6 +340,7 @@ class TestMain:
         ({**CONFIG, "trunc": {"eps": "0.1"}}, "eps must be a real number in (0, 1), got '0.1'"),
         ({**CONFIG, "output": True}, "output must be a string, got bool"),
         ({**CONFIG, "scenario": [1]}, "unknown config keys: scenario"),
+        ({**CONFIG, "sim": {"batches": 20}}, "unknown sim keys: batches"),
     ])
     def test_config_error_is_one_line(self, tmp_path, monkeypatch, capsys, over, named):
         # in process: an exception escaping main fails the test as a traceback would

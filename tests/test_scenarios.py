@@ -1,8 +1,12 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tandempoll.simulator import deterministic_wait
+from tandempoll.errors import TandemPollError
+from tandempoll.simulator import SimConfig, deterministic_wait, simulate_conditional
 from tandempoll.model import ArrivalState, SystemParams, TruncationConfig, validate_params
 from tandempoll.primitives import transfer_count_pmf
 from tandempoll.scenarios import analyze
@@ -321,3 +325,43 @@ class TestRandomizedSweep:
             assert rep.residual_prob < TruncationConfig().eps
             assert all(o.wait > 0 and 0 <= o.prob <= 1 for o in rep.outcomes)
             assert rep.cond_wait > 0
+
+    @staticmethod
+    def _answer(route, p):
+        """``route(p)``, checked to be a finite positive Python float, or the
+        name of the ``TandemPollError`` it raised."""
+        try:
+            x = route(p)
+        except TandemPollError as exc:
+            return type(exc).__name__
+        assert type(x) is float and math.isfinite(x) and x > 0, x
+        return x
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        lam=st.tuples(st.floats(0.2, 1.5), st.floats(0.2, 1.5)),
+        loads=st.tuples(st.floats(0.3, 0.9), st.floats(0.3, 0.9)),
+        shares=st.tuples(st.floats(0.2, 0.8), st.floats(0.2, 0.8)),
+        kind=st.sampled_from([float, np.float64, np.float32]),
+        la=st.tuples(*[st.integers(0, 12)] * 4),
+        m=st.integers(1, 4),
+        tagged_class=st.sampled_from([1, 2]),
+    )
+    def test_generated_inputs(self, lam, loads, shares, kind, la, m, tagged_class):
+        # station j carries load loads[j], a share shares[j] of it class 1's,
+        # so every draw is stable; the rates come in the drawn type
+        mu = [[lam[0] / (sh * rho), lam[1] / ((1.0 - sh) * rho)] for rho, sh in zip(loads, shares)]
+        typed = SystemParams(lam=tuple(map(kind, lam)), mu=tuple(tuple(map(kind, col)) for col in zip(*mu)))
+        floats = SystemParams(lam=tuple(map(float, typed.lam)), mu=tuple(tuple(map(float, r)) for r in typed.mu))
+        s = ArrivalState(la=la, m=m, tagged_class=tagged_class)
+        eps = TruncationConfig().eps
+
+        def analytic(p):
+            rep = analyze(s, p)
+            assert rep.residual_prob <= eps
+            assert sum(o.prob for o in rep.outcomes) + rep.residual_prob == pytest.approx(1.0, abs=1e-9)
+            return rep.cond_wait
+
+        cfg = SimConfig(replications=16, seed=1)
+        for route in (analytic, lambda p: deterministic_wait(s, p), lambda p: simulate_conditional(s, p, cfg).mean):
+            assert self._answer(route, typed) == self._answer(route, floats)

@@ -318,14 +318,14 @@ class TestSteadyState:
 
 class TestSettingsRejected:
     @pytest.mark.parametrize("kwargs", [
-        dict(batches=1),
+        dict(replications=0),
         dict(warmup_departures=-1),
         dict(horizon_departures=10, warmup_departures=10),
         dict(horizon_departures=0),
         dict(replications=True),
         dict(replications=1.5),
         dict(replications="8"),
-        dict(batches=2.5),
+        dict(horizon_departures=19),  # fewer departures than the 20 batch means
         dict(seed=-1),
     ])
     def test_config(self, kwargs):
