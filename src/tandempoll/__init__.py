@@ -16,7 +16,6 @@ from .errors import (
     InvalidSupport,
     NonPositiveRate,
     NonTermination,
-    SeriesOverflow,
     SingularSystem,
     TandemPollError,
     ThresholdUnreached,

@@ -21,10 +21,6 @@ class InvalidSupport(TandemPollError):
     """An argument lies outside the support a formula is derived for."""
 
 
-class SeriesOverflow(TandemPollError):
-    """A series evaluation could not be completed even in the log domain."""
-
-
 class SingularSystem(TandemPollError):
     """A linear system arising from an absorbing chain could not be solved."""
 

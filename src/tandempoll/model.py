@@ -144,7 +144,11 @@ def validate_params(p: SystemParams) -> SystemParams:
         raise ValueError("expected 2 arrival rates and a 2x2 service rate matrix") from None
     rates = (l1, l2, m11, m12, m21, m22)
     for r in rates:
-        if not (_is_real(r) and math.isfinite(r) and r > 0):
+        try:
+            ok = _is_real(r) and 0.0 < float(r) < math.inf
+        except OverflowError:  # an int or Fraction beyond the float range
+            ok = False
+        if not ok:
             raise NonPositiveRate(f"all rates must be positive and finite numbers, got {r!r}")
     if any(type(r) is not float for r in rates):
         p = replace(p, lam=(float(l1), float(l2)), mu=((float(m11), float(m12)), (float(m21), float(m22))))

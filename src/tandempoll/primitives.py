@@ -2,7 +2,8 @@
 
 These are the building blocks the scenario analysis is assembled from:
 
-* the M/M/1 hitting time to zero (mean and Bessel-series density),
+* the M/M/1 hitting time to zero (mean, and a density on scipy's scaled
+  Bessel function),
 * the number of upstream services completed before a downstream queue with
   replenishment first empties (a ballot-type pmf),
 * the tagged-customer drain time through two stations with no external
@@ -21,9 +22,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
-from .errors import InvalidSupport, SeriesOverflow, UnstableQueue
+from .errors import InvalidSupport, UnstableQueue
 
 __all__ = [
     "hitting_mean",
@@ -52,46 +52,18 @@ def hitting_mean(L: int, lam: float, mu: float) -> float:
     return L / (mu - lam)
 
 
-def _log_bessel_i(order: int, x: np.ndarray, series_tol: float) -> np.ndarray:
-    """log I_order(x) by direct summation of the ascending series.
-
-    Terms are accumulated in the log domain, so the sum stays finite for
-    arguments far beyond the overflow point of the plain series.  The series
-    has positive terms with a single peak near k ~ x/2, so summing to a fixed
-    horizon past the peak bounds the relative tail below ``series_tol``.
-    """
-    x = np.asarray(x, dtype=float)
-    xmax = float(np.max(x, initial=0.0))
-    half = xmax / 2.0
-    # Horizon: past the peak the term ratio is half^2 / ((k+1)(k+order+1)); a
-    # generous buffer of sqrt terms drives the tail below any practical tol.
-    k_peak = int(math.sqrt(half * half + 1.0))
-    buffer = int(60 + 12 * math.sqrt(k_peak + order + 1) - 2.0 * math.log10(series_tol))
-    kmax = k_peak + buffer
-    k = np.arange(kmax + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        logx2 = np.log(x / 2.0)
-    # shape (kmax+1, nt)
-    log_terms = (
-        (2.0 * k[:, None] + order) * logx2[None, :]
-        - special.gammaln(k + 1.0)[:, None]
-        - special.gammaln(k + order + 1.0)[:, None]
-    )
-    m = np.max(log_terms, axis=0)
-    out = m + np.log(np.sum(np.exp(log_terms - m[None, :]), axis=0))
-    if not np.all(np.isfinite(out[np.asarray(x) > 0])):
-        raise SeriesOverflow("Bessel series failed to converge in the log domain")
-    return out
-
-
-def hitting_pdf(L: int, lam: float, mu: float, t, series_tol: float = 1e-10):
+def hitting_pdf(L: int, lam: float, mu: float, t):
     """Density of the M/M/1 hitting time to zero from L customers.
 
     f(t) = (L/t) exp(-(lam+mu) t) (mu/lam)^{L/2} I_L(2 t sqrt(lam mu))
-    evaluated in the log domain.  The exponent combines to
+    evaluated in the log domain through scipy's exponentially scaled Bessel
+    function, log I_L(x) = log ive(L, x) + x.  The exponent combines to
     -t (sqrt(mu) - sqrt(lam))^2, which decays, so the evaluation is stable
-    at large t.  Accepts scalar or array t; the density is zero for t <= 0.
+    at large t.  Accepts scalar or array t; the density is zero for t <= 0,
+    and reads 0 where it falls below about 1e-200, where ive underflows.
     """
+    from scipy.special import ive
+
     if L < 1:
         raise InvalidSupport(f"need L >= 1 for a non-degenerate hitting time, got {L}")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -100,13 +72,14 @@ def hitting_pdf(L: int, lam: float, mu: float, t, series_tol: float = 1e-10):
     if np.any(pos):
         tp = t_arr[pos]
         x = 2.0 * tp * math.sqrt(lam * mu)
-        log_f = (
-            math.log(L)
-            - np.log(tp)
-            - (lam + mu) * tp
-            + 0.5 * L * (math.log(mu) - math.log(lam))
-            + _log_bessel_i(L, x, series_tol)
-        )
+        with np.errstate(divide="ignore"):  # log 0 where ive underflows; the density reads 0
+            log_f = (
+                math.log(L)
+                - np.log(tp)
+                - (lam + mu) * tp
+                + 0.5 * L * (math.log(mu) - math.log(lam))
+                + np.log(ive(L, x)) + x
+            )
         out[pos] = np.exp(log_f)
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return float(out[0])

@@ -83,6 +83,8 @@ class ExperimentConfig:
     output: str | None = None  # the config's report path, read only by main
 
     def __post_init__(self):
+        for name in ("cases", "scenarios", "modes"):
+            object.__setattr__(self, name, _list(getattr(self, name), name))
         # the checks and conversion ArrivalState applies, so a bad count or
         # index fails at load and reports print integral values as ints
         object.__setattr__(self, "cases", tuple(_queue_lengths(c) for c in self.cases))
@@ -149,8 +151,8 @@ def _object(raw, where: str, required=(), known=None) -> dict:
 
 
 def _list(raw, where: str) -> tuple:
-    """``raw`` as a tuple if it is a JSON list."""
-    if not isinstance(raw, list):
+    """``raw`` as a tuple if it is a JSON list, or a tuple in Python."""
+    if not isinstance(raw, (list, tuple)):
         raise ValueError(f"{where} must be a JSON list, got {type(raw).__name__}")
     return tuple(raw)
 
@@ -173,9 +175,7 @@ def load_config(path: str) -> ExperimentConfig:
     )
     kwargs = {}  # the keys the file holds; ExperimentConfig holds the defaults
     for key, value in raw.items():
-        if key in ("cases", "scenarios", "modes"):
-            kwargs[key] = _list(value, key)
-        elif key in ("trunc", "sim"):  # each a dataclass's fields
+        if key in ("trunc", "sim"):  # each a dataclass's fields
             cls = {"trunc": TruncationConfig, "sim": SimConfig}[key]
             kwargs[key] = cls(**_object(value, key, known=[f.name for f in dataclasses.fields(cls)]))
         elif key not in ("schema", "rates"):

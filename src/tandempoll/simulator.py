@@ -316,22 +316,18 @@ def _conditional_batch(job) -> np.ndarray:
     for rng, buf in zip(rngs, draws):
         rng.standard_exponential(out=buf)
     flat = draws.reshape(-1)
-    # Every row starts from the same snapshot, so the scalar seeding, run
-    # once on unit draws, says which servers start and at which class;
-    # its draws come in the order station 2, station 1, arrivals.
-    net = _Polling(p, lambda: 1.0)
+    # Every row starts from the same snapshot, so the scalar seeding runs
+    # once on whole columns of draws: each clock it sets is a per-row array
+    # (or _INF for an idle server), and ``taken`` ends at the first unread
+    # column.
+    taken = iter(range(width))
+    net = _Polling(p, lambda: draws[:, next(taken)])
     net.seed_snapshot(s)
-    end = [np.full(len(rngs), _INF), np.full(len(rngs), _INF)]
-    k = 0
-    for j in (1, 0):
-        if net.end[j] != _INF:
-            end[j] = draws[:, k] / p.mu[net.position[j]][j]
-            k += 1
-    arrival = [draws[:, k + c] / p.lam[c] for c in (0, 1)]
+    end, arrival = ([np.full(len(rngs), x) for x in v] for v in (net.end, net.next_arrival))
     n = [[np.full(len(rngs), x) for x in nj] for nj in net.n]
     position = [np.full(len(rngs), c == 1) for c in net.position]
     rows = np.arange(len(rngs))
-    nxt = rows * width + (k + 2)        # flat index of each row's next draw
+    nxt = rows * width + next(taken)    # flat index of each row's next draw
     last = rows * width + (width - 4)   # past it, a step could run off the row
     # Class-1 customers leave station 2 in arrival order, so the tagged one
     # (behind l12 + l11 others) leaves at this many class-1 departures.

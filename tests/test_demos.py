@@ -1,6 +1,7 @@
 """Smoke test for the walk-through scripts in ``demos/`` and the README's
 Quick start: each must run to completion against the package in ``src/``
-without writing to stderr."""
+without writing to stderr.  Also guards what a bare ``import tandempoll``
+loads."""
 
 import os
 import subprocess
@@ -27,6 +28,7 @@ def _run(args, cwd):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout
+    return proc.stdout
 
 
 @pytest.mark.parametrize("script", DEMOS)
@@ -39,3 +41,9 @@ def test_readme_quick_start_runs(tmp_path):
     section = (ROOT / "README.md").read_text().split("\n## Quick start\n", 1)[1]
     block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     _run(["-c", block], tmp_path)
+
+
+def test_import_leaves_scipy_special_unloaded(tmp_path):
+    # only hitting_pdf needs scipy.special, and it imports it when called
+    code = "import sys, tandempoll; print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+    assert _run(["-c", code], tmp_path) == "[]\n"

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,14 @@ class TestValidate:
     def test_rejects_bad_rates(self, bad):
         with pytest.raises(NonPositiveRate):
             validate_params(SystemParams(lam=(1.0, bad), mu=((3.0, 3.0), (3.0, 3.0))))
+
+    @pytest.mark.parametrize("bad", [10**400, Fraction(10**400, 3), Fraction(1, 10**400)],
+                             ids=["huge-int", "huge-fraction", "tiny-fraction"])
+    def test_rejects_rates_outside_the_float_range(self, bad):
+        # every route computes with the rates as floats, where these are
+        # infinite or zero
+        with pytest.raises(NonPositiveRate, match="positive and finite"):
+            validate_params(SystemParams(lam=(bad, 1.0), mu=((3.0, 3.0), (3.0, 3.0))))
 
     def test_idempotent(self):
         p = sym(2.86)

@@ -63,6 +63,27 @@ class TestHittingTime:
                 ref = (L / t) * (mu / lam) ** (L / 2) * ive(L, x) * math.exp(x - (lam + mu) * t)
                 assert hitting_pdf(L, lam, mu, t) == pytest.approx(ref, rel=1e-10)
 
+    @pytest.mark.parametrize("L", [1, 4, 40])
+    def test_pdf_matches_mpmath(self, L):
+        # reference that does not go through scipy.special: the density in
+        # 30-digit arithmetic on mpmath's own Bessel function
+        import mpmath
+
+        t = np.logspace(-2, 2, 17)
+        for lam, mu in [(1.0, 2.0), (1.0, 2.86), (0.2, 4.0)]:
+            got = hitting_pdf(L, lam, mu, t)
+            with mpmath.workdps(30):
+                ref = [
+                    float(
+                        L / mpmath.mpf(s)
+                        * mpmath.exp(-(lam + mu) * mpmath.mpf(s))
+                        * mpmath.power(mpmath.mpf(mu) / lam, mpmath.mpf(L) / 2)
+                        * mpmath.besseli(L, 2 * mpmath.mpf(s) * mpmath.sqrt(mpmath.mpf(lam) * mu))
+                    )
+                    for s in t
+                ]
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
     def test_pdf_vs_busy_period_histogram(self):
         samples = mm1_hitting_samples(1, 1.0, 2.0, 400_000, seed=5)
         lo, hi = 0.45, 0.55

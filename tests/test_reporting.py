@@ -77,6 +77,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(modes=("analytic", "plot"))
 
+    @pytest.mark.parametrize("over,named", [
+        ({"cases": 5}, "cases must be a JSON list, got int"),
+        ({"scenarios": 5}, "scenarios must be a JSON list, got int"),
+        ({"modes": "analytic"}, "modes must be a JSON list, got str"),
+    ])
+    def test_python_config_checks_list_fields(self, over, named):
+        with pytest.raises(ValueError, match=named):
+            small_config(**over)
+
+    def test_python_config_stores_lists_as_tuples(self):
+        cfg = small_config(cases=[[1, 1, 1, 1]], scenarios=[1, 2], modes=["analytic"])
+        assert (cfg.cases, cfg.scenarios, cfg.modes) == (((1, 1, 1, 1),), (1, 2), ("analytic",))
+        assert type(cfg.modes) is tuple and type(cfg.scenarios) is tuple
+        hash(cfg)  # frozen and hashable, as a config from load_config is
+
     def test_integral_case_becomes_ints(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.json", cases=[[2.0, 1, 1, 1]]))
         assert cfg.cases == ((2, 1, 1, 1),)
@@ -341,6 +356,8 @@ class TestMain:
         ({**CONFIG, "output": True}, "output must be a string, got bool"),
         ({**CONFIG, "scenario": [1]}, "unknown config keys: scenario"),
         ({**CONFIG, "sim": {"batches": 20}}, "unknown sim keys: batches"),
+        ({**CONFIG, "rates": {"lambda": [10**400, 1.0], "mu": [[2.86, 2.86], [2.86, 2.86]]}},
+         "rates must be positive and finite"),
     ])
     def test_config_error_is_one_line(self, tmp_path, monkeypatch, capsys, over, named):
         # in process: an exception escaping main fails the test as a traceback would

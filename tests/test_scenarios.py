@@ -327,11 +327,11 @@ class TestRandomizedSweep:
             assert rep.cond_wait > 0
 
     @staticmethod
-    def _answer(route, p):
-        """``route(p)``, checked to be a finite positive Python float, or the
-        name of the ``TandemPollError`` it raised."""
+    def _answer(route, s, p):
+        """``route(s, p)``, checked to be a finite positive Python float, or
+        the name of the ``TandemPollError`` it raised."""
         try:
-            x = route(p)
+            x = route(s, p)
         except TandemPollError as exc:
             return type(exc).__name__
         assert type(x) is float and math.isfinite(x) and x > 0, x
@@ -353,15 +353,27 @@ class TestRandomizedSweep:
         mu = [[lam[0] / (sh * rho), lam[1] / ((1.0 - sh) * rho)] for rho, sh in zip(loads, shares)]
         typed = SystemParams(lam=tuple(map(kind, lam)), mu=tuple(tuple(map(kind, col)) for col in zip(*mu)))
         floats = SystemParams(lam=tuple(map(float, typed.lam)), mu=tuple(tuple(map(float, r)) for r in typed.mu))
+        doubled = SystemParams(
+            lam=tuple(2 * x for x in floats.lam), mu=tuple(tuple(2 * x for x in r) for r in floats.mu)
+        )
         s = ArrivalState(la=la, m=m, tagged_class=tagged_class)
         eps = TruncationConfig().eps
 
-        def analytic(p):
+        def analytic(s, p):
             rep = analyze(s, p)
             assert rep.residual_prob <= eps
             assert sum(o.prob for o in rep.outcomes) + rep.residual_prob == pytest.approx(1.0, abs=1e-9)
             return rep.cond_wait
 
         cfg = SimConfig(replications=16, seed=1)
-        for route in (analytic, lambda p: deterministic_wait(s, p), lambda p: simulate_conditional(s, p, cfg).mean):
-            assert self._answer(route, typed) == self._answer(route, floats)
+        for route in (analytic, deterministic_wait, lambda s, p: simulate_conditional(s, p, cfg).mean):
+            answer = self._answer(route, s, floats)
+            assert self._answer(route, s, typed) == answer
+            # doubling every rate halves every time, and scaling by a power
+            # of two is exact in IEEE arithmetic
+            assert self._answer(route, s, doubled) == (answer / 2 if type(answer) is float else answer)
+        # the empty snapshot leaves the tagged customer its own two services
+        empty = ArrivalState(la=(0, 0, 0, 0), m=m, tagged_class=tagged_class)
+        own = 1.0 / floats.mu[tagged_class - 1][0] + 1.0 / floats.mu[tagged_class - 1][1]
+        for route in (analytic, deterministic_wait):
+            assert route(empty, floats) == pytest.approx(own, rel=1e-12)
