@@ -7,9 +7,9 @@ rate ``mu2``.  Two questions are asked of it: which station empties first
 (the race), and how long station 2 takes to empty.
 
 Both are answered on one truncated lattice, the box 0 <= i <= n,
-1 <= j <= n, whose generator is assembled from numpy index arrays.
-Station 2 emptying (j = 0) absorbs; every other exit from the box (an
-arrival at i = n, a transfer at j = n) goes to one overflow vector.
+1 <= j <= n.  Station 2 emptying (j = 0) absorbs; every other exit from
+the box (an arrival at i = n, a transfer at j = n) goes to one overflow
+vector.
 
 * The drain chain is the whole box: ``drain2`` is the mean time for
   station 2 to empty from (0, w), with paths that continue through i = 0.
@@ -21,13 +21,26 @@ arrival at i = n, a transfer at j = n) goes to one overflow vector.
   that p1 + p2 + overflow = 1 can be checked; no conditional time is kept
   for station 1.
 
-Each chain is factorised once per (rates, n), solved with stacked
-right-hand sides, and cached.  The size n follows the query: it starts at
-the smallest rung of the ladder 20, 40, 80, ... that gives the start (u, w)
-the headroom 2 max(u, w) <= n, and doubles while the overflow mass of the
-chain the query reads (drain starts included) exceeds ``_OVERFLOW_TOL``,
-a fixed 1e-10.
-``TruncationConfig.n_max`` caps the ladder and is its last rung; a start
+The box is a finite quasi-birth-death chain: level i holds the n
+station-2 counts, and every level has the same three n x n blocks, the
+diagonal D_i (out-rate lam + mu1 + mu2, or lam + mu2 at i = 0, with -mu2
+below it), the up block -lam I and the transfer block -mu1 U, U the
+superdiagonal shift.  It is solved by linear level reduction, a
+block-tridiagonal elimination (Gaver, Jacobs & Latouche 1984; Latouche &
+Ramaswami 1999, ch. 10).  Eliminating levels from i = n down gives the
+Schur complements S_n = D_n, S_i = D_i - lam mu1 S_{i+1}^{-1} U, whose
+inverses are kept in one (n + 1, n, n) array.  The race chain's
+complements are the drain chain's on levels 1..n, so one sweep serves
+both: the race is solved by forward and back substitution over levels
+1..n, the drain by the forward sweep down to level 0.  A build takes
+O(n^4) time and (n + 1) n^2 floats of memory, and is cached per
+(rates, n).
+
+The size n follows the query: it starts at the smallest rung of the
+ladder 20, 40, 80, ... that gives the start (u, w) the headroom
+2 max(u, w) <= n, and doubles while the overflow mass of the chain the
+query reads (drain starts included) exceeds ``_OVERFLOW_TOL``, a fixed
+1e-10.  ``TruncationConfig.n_max`` caps the ladder and is its last rung; a start
 without headroom at the cap, or with too much overflow mass there, raises
 ``TruncationTooTight``.  The walk always starts at the bottom, so the size,
 and with it the answer, depends on (rates, u, w, trunc) alone, never on
@@ -42,8 +55,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from .errors import SingularSystem, TruncationTooTight
 from .model import TruncationConfig
@@ -76,53 +87,62 @@ class LatticeSolution:
         return (u - 1) * self.n_max + (w - 1)
 
 
-def _box_generator(lam: float, mu1: float, mu2: float, n: int):
-    """Sparse (-G) on the box 0 <= i <= n, 1 <= j <= n, state i * n + j - 1.
-
-    Returns the matrix, the coordinates i and j of each state, and the rate
-    at which each state leaves the box other than through j = 0.
-    """
-    s = np.arange((n + 1) * n)
-    i, j = np.divmod(s, n)
-    j += 1
-    up, xfer, down = i < n, (i > 0) & (j < n), j > 1
-    rows = np.concatenate([s, s[up], s[xfer], s[down]])
-    cols = np.concatenate([s, s[up] + n, s[xfer] - n + 1, s[down] - 1])
-    vals = np.concatenate([
-        np.where(i > 0, lam + mu1 + mu2, lam + mu2),
-        np.full(up.sum(), -lam),
-        np.full(xfer.sum(), -mu1),
-        np.full(down.sum(), -mu2),
-    ])
-    A = csc_matrix((vals, (rows, cols)), shape=(s.size, s.size))
-    overflow = lam * ~up + mu1 * ((i > 0) & ~xfer)
-    return A, i, j, overflow
-
-
 @lru_cache(maxsize=8)
 def lattice_solution(lam: float, mu1: float, mu2: float, n_max: int) -> LatticeSolution:
     t0 = time.perf_counter()
     lam, mu1, mu2 = float(lam), float(mu1), float(mu2)  # a cached value depends on values alone
     n = n_max
-    A, i, j, overflow = _box_generator(lam, mu1, mu2, n)
-    i, j = i[n:], j[n:]  # the race chain's states, i >= 1
-    b1 = mu1 * (i == 1)
-    b2 = mu2 * (j == 1)
-    # a transfer from (1, n) reaches i = 0, which ends the race: not overflow
-    b_ovf = overflow[n:] - b1 * (j == n)
+    # the diagonal block of every level i >= 1; the up block is -lam I and
+    # the transfer block -mu1 times the superdiagonal shift
+    D = np.diag(np.full(n, lam + mu1 + mu2)) - mu2 * np.eye(n, k=-1)
+    inv = np.empty((n + 1, n, n))  # inv[i]: the inverse of level i's Schur complement
     try:
-        race = splu(A[n:, n:])
-        p1, p2, p_ovf = race.solve(np.column_stack([b1, b2, b_ovf])).T
-        # E[T 1{absorb in R2}] satisfies (-G) psi = p2.
-        psi2 = race.solve(p2)
-        drain, drain_ovf = splu(A).solve(np.column_stack([np.ones(A.shape[0]), overflow])).T
-    except RuntimeError as exc:  # pragma: no cover - splu failure
+        inv[n] = np.linalg.inv(D)
+        for i in range(n - 1, -1, -1):
+            S = D.copy()
+            S[:, 1:] -= lam * mu1 * inv[i + 1][:, :-1]
+            if i == 0:
+                S.flat[::n + 1] -= mu1  # no transfer out of level 0
+            inv[i] = np.linalg.inv(S)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - a transient chain is regular
         raise SingularSystem(str(exc)) from exc
+
+    def forward(y):
+        """Fold each level's right-hand side into the level below, in place."""
+        for i in range(n, 0, -1):
+            y[i - 1] += lam * (inv[i] @ y[i])
+
+    def back(y):
+        """The race chain's solution from forward-swept right-hand sides on levels 1..n."""
+        x = np.empty_like(y)
+        x[1] = inv[1] @ y[1]
+        for i in range(2, n + 1):
+            y[i, :-1] += mu1 * x[i - 1, 1:]
+            x[i] = inv[i] @ y[i]
+        return x[1:].reshape(n * n, -1)
+
+    # columns: p1, p2 and the race overflow on levels 1..n; the drain time
+    # and its overflow on levels 0..n
+    y = np.zeros((n + 1, n, 5))
+    y[1, :, 0] = mu1                 # a transfer from level 1 ends the race
+    y[1:, 0, 1] = mu2
+    y[n, :, 2] = y[n, :, 4] = lam    # arrivals at i = n leave the box
+    y[2:, -1, 2] += mu1              # so do transfers at j = n, except from
+    y[1:, -1, 4] += mu1              # level 1 in the race, where i = 0 absorbs
+    y[:, :, 3] = 1.0
+    forward(y)
+    p1, p2, p_ovf = back(y[:, :, :3]).T
+    drain, drain_ovf = (inv[0] @ y[0, :, 3:]).T
+    # E[T 1{absorb in R2}] satisfies (-G) psi = p2.
+    y = np.zeros((n + 1, n, 1))
+    y[1:, :, 0] = p2.reshape(n, n)
+    forward(y)
+    psi2 = back(y)[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         phi2 = np.where(p2 > 0, psi2 / np.maximum(p2, 1e-300), 0.0)
     sol = LatticeSolution(
         n_max=n, p1=p1, p2=p2, p_overflow=p_ovf, phi2=phi2,
-        drain2=drain[:n], drain_overflow=drain_ovf[:n],  # row i = 0
+        drain2=drain, drain_overflow=drain_ovf,
     )
     _log.debug("lattice build lam=%r mu1=%r mu2=%r n=%d in %.4f s",
                lam, mu1, mu2, n, time.perf_counter() - t0)

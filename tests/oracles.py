@@ -12,6 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from tandempoll import simulator
 from tandempoll.model import relabel_for_class2
@@ -203,6 +205,43 @@ def absorption_p2_value_iteration(u, w, lam, mu1, mu2, n_max, sweeps=60000, tol=
         if delta < tol:
             break
     return float(p[u, w])
+
+
+def lattice_reference(lam, mu1, mu2, n):
+    """Every array of ``absorption.lattice_solution(lam, mu1, mu2, n)``,
+    from the whole box's sparse generator and two LU factorisations.
+
+    The box is 0 <= i <= n, 1 <= j <= n, state i * n + j - 1; the race
+    chain is its i >= 1 block.  Returns a dict keyed by the
+    ``LatticeSolution`` field names.
+    """
+    s = np.arange((n + 1) * n)
+    i, j = np.divmod(s, n)
+    j += 1
+    up, xfer, down = i < n, (i > 0) & (j < n), j > 1
+    rows = np.concatenate([s, s[up], s[xfer], s[down]])
+    cols = np.concatenate([s, s[up] + n, s[xfer] - n + 1, s[down] - 1])
+    vals = np.concatenate([
+        np.where(i > 0, lam + mu1 + mu2, lam + mu2),
+        np.full(up.sum(), -lam),
+        np.full(xfer.sum(), -mu1),
+        np.full(down.sum(), -mu2),
+    ])
+    A = csc_matrix((vals, (rows, cols)), shape=(s.size, s.size))  # -G
+    overflow = lam * ~up + mu1 * ((i > 0) & ~xfer)
+    i, j = i[n:], j[n:]
+    b1 = mu1 * (i == 1)
+    b2 = mu2 * (j == 1)
+    # a transfer from (1, n) reaches i = 0, which ends the race: not overflow
+    b_ovf = overflow[n:] - b1 * (j == n)
+    race = splu(A[n:, n:])
+    p1, p2, p_ovf = race.solve(np.column_stack([b1, b2, b_ovf])).T
+    psi2 = race.solve(p2)  # E[T 1{absorb in R2}]
+    drain, drain_ovf = splu(A).solve(np.column_stack([np.ones(A.shape[0]), overflow])).T
+    return {
+        "p1": p1, "p2": p2, "p_overflow": p_ovf, "phi2": psi2 / p2,
+        "drain2": drain[:n], "drain_overflow": drain_ovf[:n],
+    }
 
 
 def exact_timeline_wait(s, p):

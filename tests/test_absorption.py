@@ -1,6 +1,7 @@
 import logging
 import math
 
+import numpy as np
 import pytest
 
 from tandempoll import absorption
@@ -8,7 +9,12 @@ from tandempoll.absorption import absorption_probs, lattice_solution, mfpt_to_em
 from tandempoll.errors import TruncationTooTight
 from tandempoll.model import TruncationConfig
 
-from oracles import absorption_p2_value_iteration, drain_time_samples, lattice_race_samples
+from oracles import (
+    absorption_p2_value_iteration,
+    drain_time_samples,
+    lattice_race_samples,
+    lattice_reference,
+)
 
 RATES = [(1.0, 2.86, 2.86), (1.0, 2.22, 2.22), (1.0, 2.22, 2.86), (1.0, 2.86, 2.22)]
 
@@ -68,6 +74,22 @@ class TestAbsorptionProbs:
     def test_headroom_guard(self):
         with pytest.raises(TruncationTooTight):
             absorption_probs(30, 30, 1.0, 2.86, 2.22, TruncationConfig(n_max=40))
+
+
+class TestLevelElimination:
+    """The level-by-level elimination against the whole box's sparse LU."""
+
+    @pytest.mark.parametrize("n", [10, 20, 40, 80])
+    @pytest.mark.parametrize("lam,mu1,mu2", [
+        (1.0, 2.86, 2.86), (1.0, 2.86, 1.2), (0.72, 2.03, 1.67), (1.43, 8.27, 3.30),
+    ])
+    def test_matches_sparse_reference(self, lam, mu1, mu2, n):
+        sol = lattice_solution(lam, mu1, mu2, n)
+        ref = lattice_reference(lam, mu1, mu2, n)
+        for name in ("p1", "p2", "phi2", "drain2"):
+            np.testing.assert_allclose(getattr(sol, name), ref[name], rtol=1e-12, atol=0, err_msg=name)
+        for name in ("p_overflow", "drain_overflow"):
+            np.testing.assert_allclose(getattr(sol, name), ref[name], rtol=0, atol=1e-14, err_msg=name)
 
 
 class TestMfpt:

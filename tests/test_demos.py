@@ -47,3 +47,9 @@ def test_import_leaves_scipy_special_unloaded(tmp_path):
     # only hitting_pdf needs scipy.special, and it imports it when called
     code = "import sys, tandempoll; print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
     assert _run(["-c", code], tmp_path) == "[]\n"
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # the lattice solver is plain numpy; scipy loads only when hitting_pdf is called
+    code = "import sys, tandempoll; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _run(["-c", code], tmp_path) == "[]\n"

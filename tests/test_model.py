@@ -123,6 +123,15 @@ class TestArrivalState:
         assert s.la == (2, 1, 1, 1)
         assert all(type(x) is int for x in s.la)
 
+    def test_integral_fraction_count_becomes_int(self):
+        s = ArrivalState(la=(Fraction(4), 1, 1, 1), m=Fraction(2))
+        assert (s.la, s.m) == ((4, 1, 1, 1), 2)
+        assert type(s.la[0]) is int and type(s.m) is int
+
+    def test_rejects_count_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="la must be four non-negative integers"):
+            ArrivalState(la=(Fraction(10**400), 0, 0, 0), m=1)
+
     @pytest.mark.parametrize("la", [
         (1.5, 1, 1, 1), (True, 1, 1, 1), ("1", 1, 1, 1), (float("inf"), 1, 1, 1),
         (float("nan"), 1, 1, 1), (1, 1, 1), 4,
@@ -188,6 +197,13 @@ class TestTruncationConfig:
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
             TruncationConfig(**kwargs)
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 10**400), Fraction(10**400)],
+                             ids=["tiny-fraction", "huge-fraction"])
+    def test_rejects_eps_outside_the_float_range(self, eps):
+        # as floats these are 0.0 and out of range
+        with pytest.raises(ValueError, match=r"eps must be a real number in \(0, 1\)"):
+            TruncationConfig(eps=eps)
 
     @pytest.mark.parametrize("n_max", [150.0, np.int64(150)])
     def test_integral_n_max_becomes_int(self, n_max):

@@ -87,17 +87,25 @@ class TestAnalyzePinned:
     (a bound, a window, the order of a sum) fails here, not only against an
     oracle's tolerance."""
 
+    # ids are explicit, so that a case keeps its id when a literal is re-pinned
     @pytest.mark.parametrize("la,m,c,p,cond_wait,residual,leaves", [
         # stage C runs two repeating levels in each of these four
-        ((6, 6, 6, 6), 1, 1, sym(2.22), "6.428152359668232", "2.56497125254653e-09", 6),
-        ((6, 6, 6, 6), 2, 1, sym(2.22), "9.410175548854216", "5.106162535423134e-07", 5),
-        ((6, 6, 6, 6), 3, 1, sym(2.22), "14.398370492191402", "5.85848525780264e-06", 11),
-        ((6, 6, 6, 6), 4, 1, sym(2.22), "13.842468718160017", "0.0006001904089916067", 12),
-        ((3, 6, 3, 6), 2, 2, sym(2.22), "10.018722133855922", "2.1669160104891605e-06", 11),
-        ((0, 0, 0, 0), 4, 1, sym(2.86), "0.6993006993006994", "0.0", 1),
-        ((12, 12, 12, 12), 1, 1,
-         validate_params(SystemParams(lam=(0.72, 1.43), mu=((2.03, 1.67), (8.27, 3.30)))),
-         "15.020467552346298", "1.85030011211929e-06", 6),
+        pytest.param((6, 6, 6, 6), 1, 1, sym(2.22), "6.428152359668232", "2.564971252546525e-09", 6,
+                     id="la0-1-1-p0-6.428152359668232-2.56497125254653e-09-6"),
+        pytest.param((6, 6, 6, 6), 2, 1, sym(2.22), "9.410175548854216", "5.106162535423154e-07", 5,
+                     id="la1-2-1-p1-9.410175548854216-5.106162535423134e-07-5"),
+        pytest.param((6, 6, 6, 6), 3, 1, sym(2.22), "14.398370492191402", "5.858485257802654e-06", 11,
+                     id="la2-3-1-p2-14.398370492191402-5.85848525780264e-06-11"),
+        pytest.param((6, 6, 6, 6), 4, 1, sym(2.22), "13.842468718160017", "0.0006001904089916074", 12,
+                     id="la3-4-1-p3-13.842468718160017-0.0006001904089916067-12"),
+        pytest.param((3, 6, 3, 6), 2, 2, sym(2.22), "10.018722133855922", "2.1669160104891656e-06", 11,
+                     id="la4-2-2-p4-10.018722133855922-2.1669160104891605e-06-11"),
+        pytest.param((0, 0, 0, 0), 4, 1, sym(2.86), "0.6993006993006994", "0.0", 1,
+                     id="la5-4-1-p5-0.6993006993006994-0.0-1"),
+        pytest.param((12, 12, 12, 12), 1, 1,
+                     validate_params(SystemParams(lam=(0.72, 1.43), mu=((2.03, 1.67), (8.27, 3.30)))),
+                     "15.020467552346298", "1.8503001121192903e-06", 6,
+                     id="la6-1-1-p6-15.020467552346298-1.85030011211929e-06-6"),
     ])
     def test_analyze(self, la, m, c, p, cond_wait, residual, leaves):
         rep = analyze(ArrivalState(la=la, m=m, tagged_class=c), p)

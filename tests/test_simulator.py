@@ -1,6 +1,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -336,6 +337,14 @@ class TestSettingsRejected:
         cfg = SimConfig(replications=800.0, seed=np.int64(3))
         assert (cfg.replications, cfg.seed) == (800, 3)
         assert type(cfg.replications) is int and type(cfg.seed) is int
+
+    def test_integral_fraction_becomes_int(self):
+        cfg = SimConfig(replications=Fraction(4))
+        assert cfg.replications == 4 and type(cfg.replications) is int
+
+    def test_count_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="replications must be a non-negative integer"):
+            SimConfig(replications=Fraction(10**400))
 
     def test_too_few_kept_departures(self):
         # 40 departures of both classes leave class 1 only 17 for 20 batches
