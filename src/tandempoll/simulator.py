@@ -9,7 +9,7 @@ routes use its rules:
   Its replications run as one lockstep numpy batch (``_conditional_batch``)
   that applies the same rules in the same order to the same streams, so
   each replication's wait equals ``_Polling``'s bit for bit; a requested
-  trace replays replication 0 through ``_Polling``;
+  trace replays replication 0 through ``_Traced``, in the caller's labels;
 * ``simulate_steady_state`` runs one long ``_Polling`` run and estimates the
   long-run mean system time (waiting inclusive of service) of a class via
   batch means, discarding a warm-up prefix;
@@ -140,10 +140,10 @@ class _Polling:
 
     Each duration is ``draw()`` divided by its rate: a unit exponential
     (the ``__next__`` of ``_unit_draws``) for simulation, or 1.0 for the
-    constant-rate timeline.
+    constant-rate timeline.  Tracing lives in the subclass ``_Traced``.
     """
 
-    def __init__(self, p: SystemParams, draw, trace=None):
+    def __init__(self, p: SystemParams, draw):
         self.lam = p.lam
         self.mu = p.mu
         self.draw = draw
@@ -154,35 +154,19 @@ class _Polling:
         self.next_arrival = [_INF, _INF]
         self.t = 0.0
         self.next_cid = 0
-        self.trace = trace
 
-    def _pick(self, j: int) -> bool:
+    def _pick(self, j: int) -> None:
         """Exhaustive polling: stay on the current class while station j has
-        work of it, otherwise switch (zero switchover); idle at the
-        last-served class.  Returns whether a service started."""
+        work of it, else switch (zero switchover), else idle where it is."""
         n = self.n[j]
         c = self.position[j]
         if not n[c]:
             c = 1 - c
             if not n[c]:
                 self.end[j] = _INF
-                return False
+                return
             self.position[j] = c
         self.end[j] = self.t + self.draw() / self.mu[c][j]
-        return True
-
-    def _in_service(self, j: int) -> int:
-        """Id of the customer in service at busy station j."""
-        c = self.position[j]
-        return self.fifo[c][self.n[1][c] if j == 0 else 0][0]
-
-    def _write(self, rows) -> None:
-        """Append trace rows (kind, station, class, id), each carrying the
-        network's snapshot at the current time; S = 0 marks an idle server."""
-        (l11, l21), (l12, l22) = self.n
-        s1, s2 = (0 if e == _INF else c + 1 for e, c in zip(self.end, self.position))
-        for kind, j, c, cid in rows:
-            self.trace.append((self.t, kind, j + 1, c + 1, cid, l11, l21, l12, l22, s1, s2))
 
     def seed_snapshot(self, s: ArrivalState) -> int:
         """Populate the network per the snapshot, with the tagged customer
@@ -203,8 +187,6 @@ class _Polling:
         self._pick(1)
         self._pick(0)
         self.schedule_arrivals()
-        if self.trace is not None:
-            self._write([("init", 0, 0, self.next_cid)])
         return self.next_cid
 
     def schedule_arrivals(self) -> None:
@@ -214,8 +196,7 @@ class _Polling:
     def step(self):
         """Apply the events at the earliest clock (see the module docstring);
         returns (cid, class index, system time) when a customer leaves
-        station 2, else None.  Trace rows are written once, after both
-        picks, so every row of a step shows the same post-step snapshot."""
+        station 2, else None."""
         end, arrival = self.end, self.next_arrival
         t = end[1]  # explicit compares: several times cheaper than min()
         if end[0] < t:
@@ -227,7 +208,6 @@ class _Polling:
         self.t = t
         due = t + _TIE
         n, pos = self.n, self.position
-        rows = None if self.trace is None else []
         out = None
         done2 = end[1] <= due
         if done2:
@@ -235,13 +215,9 @@ class _Polling:
             cid, arr = self.fifo[c].popleft()
             n[1][c] -= 1
             out = cid, c, t - arr
-            if rows is not None:
-                rows.append(("depart", 1, c, cid))
         done1 = end[0] <= due
         if done1:
             c = pos[0]
-            if rows is not None:
-                rows.append(("transfer", 0, c, self._in_service(0)))
             n[0][c] -= 1
             n[1][c] += 1
         for c in (0, 1):
@@ -250,23 +226,65 @@ class _Polling:
                 self.fifo[c].append((self.next_cid, t))
                 n[0][c] += 1
                 arrival[c] += self.draw() / self.lam[c]
-                if rows is not None:
-                    rows.append(("arrival", 0, c, self.next_cid))
-        started2 = (done2 or end[1] == _INF) and self._pick(1)
-        started1 = (done1 or end[0] == _INF) and self._pick(0)
-        if rows is not None:
-            if started2:
-                rows.append(("start", 1, pos[1], self._in_service(1)))
-            if started1:
-                rows.append(("start", 0, pos[0], self._in_service(0)))
-            self._write(rows)
+        if done2 or end[1] == _INF:
+            self._pick(1)
+        if done1 or end[0] == _INF:
+            self._pick(0)
         return out
 
 
-def _tagged_sojourn(s: ArrivalState, p: SystemParams, draw, trace=None) -> float:
+class _Traced(_Polling):
+    """``_Polling`` that appends trace rows (see ``write_trace``) to ``trace``
+    in the caller's class labels; ``swap`` is 1 for a class-2 caller, whose
+    problem was relabelled.  A step's rows are read off the clocks around the
+    unchanged ``_Polling.step``, so each shows the post-step snapshot (S = 0:
+    idle server), in the order depart, transfer, arrivals, starts."""
+
+    def __init__(self, p: SystemParams, draw, trace, swap: int):
+        super().__init__(p, draw)
+        self.trace = trace
+        self.swap = swap
+
+    def _in_service(self, j: int) -> int:
+        """Id of the customer in service at busy station j."""
+        c = self.position[j]
+        return self.fifo[c][self.n[1][c] if j == 0 else 0][0]
+
+    def _write(self, rows) -> None:
+        x = self.swap
+        n1, n2 = self.n
+        s1, s2 = (0 if e == _INF else (c ^ x) + 1 for e, c in zip(self.end, self.position))
+        for kind, j, c, cid in rows:
+            self.trace.append((self.t, kind, j + 1, (c ^ x) + 1, cid, n1[x], n1[1 - x], n2[x], n2[1 - x], s1, s2))
+
+    def seed_snapshot(self, s: ArrivalState) -> int:
+        tagged_id = super().seed_snapshot(s)
+        self._write([("init", 0, 0, tagged_id)])
+        return tagged_id
+
+    def step(self):
+        end, arrival, cid = self.end[:], self.next_arrival[:], self.next_cid
+        held = (self.position[0], self._in_service(0)) if end[0] != _INF else None
+        out = super().step()
+        due = self.t + _TIE
+        rows = [] if out is None else [("depart", 1, out[1], out[0])]
+        if end[0] <= due:
+            rows.append(("transfer", 0, *held))
+        for c in (0, 1):
+            if arrival[c] <= due:
+                cid += 1
+                rows.append(("arrival", 0, c, cid))
+        for j in (1, 0):
+            if (end[j] <= due or end[j] == _INF) and self.end[j] != _INF:
+                rows.append(("start", j, self.position[j], self._in_service(j)))
+        self._write(rows)
+        return out
+
+
+def _tagged_sojourn(s: ArrivalState, p: SystemParams, draw, trace=None, swap: int = 0) -> float:
     """System time of the tagged customer from snapshot ``s`` (relabelled,
     validated parameters); raises ``NonTermination`` past the step budget."""
-    net = _Polling(p, draw, trace)
+    net = _Polling(p, draw) if trace is None else _Traced(p, draw, trace, swap)
     tagged_id = net.seed_snapshot(s)
     for _ in range(_STEP_BUDGET):
         out = net.step()
@@ -287,13 +305,6 @@ def deterministic_wait(s: ArrivalState, p: SystemParams) -> float:
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
-
-
-def _as_class2(row):
-    """A trace row of the relabelled class-1 problem in the caller's class-2
-    labels: classes, queue lengths and server classes swap; S = 0 stays."""
-    t, kind, j, c, cid, l11, l21, l12, l22, s1, s2 = row
-    return (t, kind, j, 3 - c, cid, l21, l11, l22, l12, s1 and 3 - s1, s2 and 3 - s2)
 
 
 def _conditional_batch(job) -> np.ndarray:
@@ -401,11 +412,12 @@ def simulate_conditional(
     Each replication re-creates the snapshot, injects the tagged customer at
     the tail of its class queue at station 1, and runs until that customer
     departs station 2.  The replications run in lockstep batches of at most
-    ``_BATCH_ROWS``.  ``n_jobs`` is the number of worker processes; above 1,
-    each takes a contiguous range of replications, and any count gives the
-    same result bit for bit.  ``trace``, if a list is supplied, collects the
-    event rows of replication 0, run once more through ``_Polling``, in the
-    caller's class labels (see ``write_trace``).
+    ``_BATCH_ROWS``.  ``n_jobs`` is the number of worker processes at most,
+    no more than there are batches; above 1, each takes a contiguous range
+    of replications, and any count gives the same result bit for bit.
+    ``trace``, if a list is supplied, collects the event rows of replication
+    0, run once more through ``_Traced``, which writes them in the caller's
+    class labels (see ``write_trace``).
     """
     workers = _count(n_jobs)
     if workers < 1:
@@ -414,15 +426,12 @@ def simulate_conditional(
     tagged_class = s.tagged_class
     s, p = relabel_for_class2(s, p)
     if trace is not None:
-        start = len(trace)
-        _tagged_sojourn(s, p, _unit_draws(_rep_rng(c.seed, 0)).__next__, trace)
-        if tagged_class == 2:
-            trace[start:] = map(_as_class2, trace[start:])
+        _tagged_sojourn(s, p, _unit_draws(_rep_rng(c.seed, 0)).__next__, trace, tagged_class - 1)
     reps = c.replications
     size = min(_BATCH_ROWS, -(-reps // workers))
     jobs = [(s, p, c.seed, lo, min(lo + size, reps)) for lo in range(0, reps, size)]
     if len(jobs) > 1 and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             waits = np.concatenate(list(pool.map(_conditional_batch, jobs)))
     else:
         waits = np.concatenate([_conditional_batch(job) for job in jobs])

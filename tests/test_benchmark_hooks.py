@@ -76,3 +76,23 @@ def test_workload_call_passes_its_checks(name, tmp_path):
     assert wl.attempted >= 1
     assert wl.problems == []
     assert wl.failed == 0
+
+
+def test_traced_sim_conditional_counts_the_trace_rows(tracer, tmp_path):
+    # a traced benchmark pass records the length of replication 0's trace
+    # as simulator.events_rep0; it must be the trace simulate_conditional
+    # writes for the same input, and tracing must leave the estimate alone
+    wl = WORKLOADS["sim-conditional"](1, str(tmp_path))
+    inp = wl.next_input()
+    tr = tracer.Tracer()
+    tr.on()
+    try:
+        with tr.request():
+            (_, _, est), _ = wl.call(inp)
+    finally:
+        tr.off()
+    (mu, _, _), s, cfg = inp
+    rows = []
+    assert est == simulator.simulate_conditional(s, wl.params[mu], cfg, trace=rows)
+    assert len(rows) > 1
+    assert tr.sim_events == [len(rows)]

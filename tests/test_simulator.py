@@ -66,6 +66,31 @@ class TestConditional:
         assert (simulate_conditional(s, sym(2.22), cfg, n_jobs=2.0)
                 == simulate_conditional(s, sym(2.22), cfg, n_jobs=2))
 
+    @pytest.mark.parametrize("n_jobs", [500, 10**30])
+    def test_pool_sized_by_its_jobs(self, monkeypatch, n_jobs):
+        # a pool forks all its workers on the first map, so it must not ask
+        # for more than there are batches; a stand-in pool runs them here
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", Pool)
+        s, cfg = ArrivalState(la=(1, 2, 2, 1), m=2), SimConfig(replications=2, seed=7)
+        est = simulate_conditional(s, sym(2.22), cfg, n_jobs=n_jobs)
+        assert sizes == [2]
+        assert est == simulate_conditional(s, sym(2.22), cfg)
+
     def test_tagged_class2_relabels(self):
         p = sym(2.86)
         a = simulate_conditional(ArrivalState(la=(1, 2, 3, 1), m=2, tagged_class=2), p,
@@ -284,6 +309,59 @@ class TestTraceInvariants:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("time|kind|station")
         assert len(lines) == len(rows) + 1
+
+
+class TestTracePinned:
+    """Every row of two short traces, pinned, so that a change to a row's
+    kind, order, id, snapshot or class labels fails here.  Both servers go
+    idle and both start in one step.  The class-2 run is the class-1 run's
+    twin (same draws, classes and positions swapped)."""
+
+    CLASS1 = [
+        (0.0, "init", 1, 1, 4, 2, 1, 0, 1, 1, 2),
+        (0.0008765268541324875, "depart", 2, 2, 1, 2, 1, 0, 0, 1, 0),
+        (0.26460782677712813, "transfer", 1, 1, 2, 1, 1, 1, 0, 1, 1),
+        (0.26460782677712813, "start", 2, 1, 2, 1, 1, 1, 0, 1, 1),
+        (0.26460782677712813, "start", 1, 1, 4, 1, 1, 1, 0, 1, 1),
+        (0.5376595300260356, "depart", 2, 1, 2, 1, 1, 0, 0, 1, 0),
+        (0.6063978354565028, "transfer", 1, 1, 4, 0, 1, 1, 0, 2, 1),
+        (0.6063978354565028, "start", 2, 1, 4, 0, 1, 1, 0, 2, 1),
+        (0.6063978354565028, "start", 1, 2, 3, 0, 1, 1, 0, 2, 1),
+        (0.7318357847349892, "transfer", 1, 2, 3, 0, 0, 1, 1, 0, 1),
+        (0.7969086373796048, "arrival", 1, 2, 5, 0, 1, 1, 1, 2, 1),
+        (0.7969086373796048, "start", 1, 2, 5, 0, 1, 1, 1, 2, 1),
+        (0.9045481287141346, "arrival", 1, 2, 6, 0, 2, 1, 1, 2, 1),
+        (1.3388278136387082, "arrival", 1, 1, 7, 1, 2, 1, 1, 2, 1),
+        (1.5541309019751168, "depart", 2, 1, 4, 1, 2, 0, 1, 2, 2),
+        (1.5541309019751168, "start", 2, 2, 3, 1, 2, 0, 1, 2, 2),
+    ]
+    CLASS2 = [
+        (0.0, "init", 1, 2, 4, 1, 2, 1, 0, 2, 1),
+        (0.0008765268541324875, "depart", 2, 1, 1, 1, 2, 0, 0, 2, 0),
+        (0.26460782677712813, "transfer", 1, 2, 2, 1, 1, 0, 1, 2, 2),
+        (0.26460782677712813, "start", 2, 2, 2, 1, 1, 0, 1, 2, 2),
+        (0.26460782677712813, "start", 1, 2, 4, 1, 1, 0, 1, 2, 2),
+        (0.5376595300260356, "depart", 2, 2, 2, 1, 1, 0, 0, 2, 0),
+        (0.6063978354565028, "transfer", 1, 2, 4, 1, 0, 0, 1, 1, 2),
+        (0.6063978354565028, "start", 2, 2, 4, 1, 0, 0, 1, 1, 2),
+        (0.6063978354565028, "start", 1, 1, 3, 1, 0, 0, 1, 1, 2),
+        (0.7318357847349892, "transfer", 1, 1, 3, 0, 0, 1, 1, 0, 2),
+        (0.7969086373796048, "arrival", 1, 1, 5, 1, 0, 1, 1, 1, 2),
+        (0.7969086373796048, "start", 1, 1, 5, 1, 0, 1, 1, 1, 2),
+        (0.9045481287141346, "arrival", 1, 1, 6, 2, 0, 1, 1, 1, 2),
+        (1.3388278136387082, "arrival", 1, 2, 7, 2, 1, 1, 1, 1, 2),
+        (1.5541309019751168, "depart", 2, 2, 4, 2, 1, 1, 0, 1, 1),
+        (1.5541309019751168, "start", 2, 1, 3, 2, 1, 1, 0, 1, 1),
+    ]
+
+    @pytest.mark.parametrize("s,expected", [
+        (ArrivalState(la=(1, 1, 0, 1), m=2), CLASS1),
+        (ArrivalState(la=(1, 1, 1, 0), m=3, tagged_class=2), CLASS2),
+    ], ids=["class1", "class2"])
+    def test_rows(self, s, expected):
+        out = []
+        simulate_conditional(s, sym(2.22), SimConfig(replications=1, seed=57), trace=out)
+        assert out == expected
 
 
 @pytest.fixture(scope="module")
