@@ -11,15 +11,19 @@ Both are answered on one truncated lattice, the box 0 <= i <= n,
 the box (an arrival at i = n, a transfer at j = n) goes to one overflow
 vector.
 
-* The drain chain is the whole box: ``drain2`` is the mean time for
-  station 2 to empty from (0, w), with paths that continue through i = 0.
+* The drain chain is the whole box, read from starts (0, w): the mean
+  time for station 2 to empty, with paths that continue through i = 0.
 * The race chain is the box's i >= 1 block, since reaching i = 0 there
   means station 1 emptied first.  From it come ``p1`` and ``p2``, the
-  probabilities that station 1 (resp. 2) empties first, and ``phi2``, the
-  mean time to absorption given station 2 empties first, computed exactly
-  as E[T 1{R2}] / P(R2).  ``p1`` is solved independently of ``p2`` only so
+  probabilities that station 1 (resp. 2) empties first, and the mean time
+  to absorption given station 2 empties first, computed exactly as
+  E[T 1{R2}] / P(R2).  ``p1`` is solved independently of ``p2`` only so
   that p1 + p2 + overflow = 1 can be checked; no conditional time is kept
   for station 1.
+
+A ``LatticeSolution`` keeps each quantity once, as a read-only table
+indexed by the start: ``p1`` and ``p2`` at [u - 1, w - 1], ``time`` and
+``overflow`` at [u, w - 1], whose row u = 0 is the drain chain's.
 
 The box is a finite quasi-birth-death chain: level i holds the n
 station-2 counts, and every level has the same three n x n blocks, the
@@ -70,21 +74,13 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class LatticeSolution:
-    """Cached absorption quantities for one (lam, mu1, mu2, n_max) set.
+    """Cached absorption quantities for one (lam, mu1, mu2, n) set, as
+    read-only tables indexed by the start (u, w)."""
 
-    The race arrays are indexed by ``_idx(u, w)``, the drain arrays by w - 1.
-    """
-
-    n_max: int
-    p1: np.ndarray              # independent solve, for consistency checks
-    p2: np.ndarray
-    p_overflow: np.ndarray
-    phi2: np.ndarray            # conditional MFPT given absorption in R2
-    drain2: np.ndarray          # E[time to station-2 empty] from (0, w)
-    drain_overflow: np.ndarray  # overflow mass of the drain from (0, w)
-
-    def _idx(self, u: int, w: int) -> int:
-        return (u - 1) * self.n_max + (w - 1)
+    p1: np.ndarray        # [u - 1, w - 1]; independent solve, for consistency checks
+    p2: np.ndarray        # [u - 1, w - 1]
+    time: np.ndarray      # [u, w - 1]; the drain time at u = 0, else given R2
+    overflow: np.ndarray  # [u, w - 1]; the overflow mass of the chain read
 
 
 @lru_cache(maxsize=8)
@@ -119,7 +115,7 @@ def lattice_solution(lam: float, mu1: float, mu2: float, n_max: int) -> LatticeS
         for i in range(2, n + 1):
             y[i, :-1] += mu1 * x[i - 1, 1:]
             x[i] = inv[i] @ y[i]
-        return x[1:].reshape(n * n, -1)
+        return x[1:]
 
     # columns: p1, p2 and the race overflow on levels 1..n; the drain time
     # and its overflow on levels 0..n
@@ -131,19 +127,21 @@ def lattice_solution(lam: float, mu1: float, mu2: float, n_max: int) -> LatticeS
     y[1:, -1, 4] += mu1              # level 1 in the race, where i = 0 absorbs
     y[:, :, 3] = 1.0
     forward(y)
-    p1, p2, p_ovf = back(y[:, :, :3]).T
+    p1, p2, p_ovf = np.moveaxis(back(y[:, :, :3]), -1, 0)
     drain, drain_ovf = (inv[0] @ y[0, :, 3:]).T
     # E[T 1{absorb in R2}] satisfies (-G) psi = p2.
     y = np.zeros((n + 1, n, 1))
-    y[1:, :, 0] = p2.reshape(n, n)
+    y[1:, :, 0] = p2
     forward(y)
-    psi2 = back(y)[:, 0]
+    psi2 = back(y)[:, :, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         phi2 = np.where(p2 > 0, psi2 / np.maximum(p2, 1e-300), 0.0)
+    # a start with u = 0 reads the drain chain: row 0 of the by-start tables
     sol = LatticeSolution(
-        n_max=n, p1=p1, p2=p2, p_overflow=p_ovf, phi2=phi2,
-        drain2=drain, drain_overflow=drain_ovf,
+        p1=p1, p2=p2, time=np.vstack([drain, phi2]), overflow=np.vstack([drain_ovf, p_ovf]),
     )
+    for a in (sol.p1, sol.p2, sol.time, sol.overflow):
+        a.setflags(write=False)
     _log.debug("lattice build lam=%r mu1=%r mu2=%r n=%d in %.4f s",
                lam, mu1, mu2, n, time.perf_counter() - t0)
     return sol
@@ -167,8 +165,7 @@ def _size_for(u: int, w: int, lam: float, mu1: float, mu2: float, cap: int) -> i
         n = min(n, cap)
         # the module-global name, so that a wrapper installed on it sees every build
         sol = lattice_solution(lam, mu1, mu2, n)
-        # the overflow mass of the chain the query reads
-        ovf = sol.drain_overflow[w - 1] if u == 0 else sol.p_overflow[sol._idx(u, w)]
+        ovf = sol.overflow[u, w - 1]
         if ovf <= _OVERFLOW_TOL:
             return n
         if n == cap:
@@ -203,7 +200,7 @@ def absorption_probs(
         return 1.0, 0.0
     n = _size_for(u, w, lam, mu1, mu2, trunc.n_max)
     sol = lattice_solution(lam, mu1, mu2, n)
-    p2 = float(sol.p2[sol._idx(u, w)])
+    p2 = float(sol.p2[u - 1, w - 1])
     return 1.0 - p2, p2
 
 
@@ -230,4 +227,4 @@ def mfpt_to_empty(
         return 0.0
     n = _size_for(u, w, lam, mu1, mu2, trunc.n_max)
     sol = lattice_solution(lam, mu1, mu2, n)
-    return float(sol.drain2[w - 1] if u == 0 else sol.phi2[sol._idx(u, w)])
+    return float(sol.time[u, w - 1])

@@ -175,9 +175,10 @@ def race_erlang(u: int, mu1: float, w: int, mu2: float) -> float:
     The completion sequence is Bernoulli with success probability
     p = mu1/(mu1+mu2); the event is a negative-binomial tail
     P(Z >= u) with Z ~ NB(w; p), computed as one minus the finite
-    complementary sum so no infinite series is truncated.  Degenerate
-    counts follow the convention that an empty Erlang clock rings at
-    time zero: u = 0 gives 1.0, w = 0 gives 0.0.
+    complementary sum so no infinite series is truncated.  The sum is of
+    positive terms, so only rounding can take it past 1; the result is
+    floored at 0.  Degenerate counts follow the convention that an empty
+    Erlang clock rings at time zero: u = 0 gives 1.0, w = 0 gives 0.0.
     """
     if u < 0 or w < 0:
         raise InvalidSupport(f"counts must be non-negative, got ({u}, {w})")
@@ -194,7 +195,7 @@ def race_erlang(u: int, mu1: float, w: int, mu2: float) -> float:
             r * log_p + w * log_q
             + math.lgamma(r + w) - math.lgamma(r + 1) - math.lgamma(w)
         )
-    return 1.0 - acc
+    return max(0.0, 1.0 - acc)
 
 
 # ---------------------------------------------------------------------------

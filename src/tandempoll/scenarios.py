@@ -306,49 +306,46 @@ class _Engine:
                 done,
             )
 
-    # -- scenario entry points ----------------------------------------------
+    # -- scenario entry point -----------------------------------------------
 
-    def run_m1(self, s: ArrivalState) -> None:
-        l11, l21, l12, l22 = (float(x) for x in s.la)
-        self._stage_a("", 1.0, int(l11), l12, l22, l21, 0.0)
+    def run(self, s: ArrivalState) -> None:
+        """Expand the scenario tree for ``s.m`` from snapshot ``s``."""
+        _, l21, l12, l22 = (float(x) for x in s.la)
+        ahead = s.la[0]
+        if s.m == 1:
+            self._stage_a("", 1.0, ahead, l12, l22, l21, 0.0)
+        elif s.m == 2:
+            self._stage_c("", 1.0, ahead, l12, l22, l21, 0.0, 0.0)
+        elif s.m == 3:
+            self._stage_j("", 1.0, ahead, l12, l21, l22, 0.0)
+        else:
+            tr = self.trunc
+            l21_r, l22_r = _nnint(l21), _nnint(l22)
+            p_lp, p_l = absorption_probs(l21_r, l22_r, self.lam2, self.mu21, self.mu22, tr)
 
-    def run_m2(self, s: ArrivalState) -> None:
-        l11, l21, l12, l22 = (float(x) for x in s.la)
-        self._stage_c("", 1.0, int(l11), l12, l22, l21, 0.0, 0.0)
+            if p_l > 0.0:
+                # Station 2's class-2 backlog empties first; station 1 is still
+                # working through its class-2 queue, which is the stage-J picture.
+                t_l = mfpt_to_empty(l21_r, l22_r, self.lam2, self.mu21, self.mu22, tr)
+                self._stage_j("L≺", p_l, ahead, l12, _served(l21 + self.lam2 * t_l, self.mu21, t_l), 0.0, t_l)
 
-    def run_m3(self, s: ArrivalState) -> None:
-        l11, l21, l12, l22 = (float(x) for x in s.la)
-        self._stage_j("", 1.0, int(l11), l12, l21, l22, 0.0)
-
-    def run_m4(self, s: ArrivalState) -> None:
-        l11, l21, l12, l22 = (float(x) for x in s.la)
-        tr = self.trunc
-        l21_r, l22_r = _nnint(l21), _nnint(l22)
-        p_lp, p_l = absorption_probs(l21_r, l22_r, self.lam2, self.mu21, self.mu22, tr)
-
-        if p_l > 0.0:
-            # Station 2's class-2 backlog empties first; station 1 is still
-            # working through its class-2 queue, which is the stage-J picture.
-            t_l = mfpt_to_empty(l21_r, l22_r, self.lam2, self.mu21, self.mu22, tr)
-            self._stage_j("L≺", p_l, int(l11), l12, _served(l21 + self.lam2 * t_l, self.mu21, t_l), 0.0, t_l)
-
-        if p_lp > 0.0:
-            # Station 1's class-2 queue empties first; its content has moved
-            # behind station 2's class-2 backlog, which is the stage-C picture.
-            t_lp = l21 / (self.mu21 - self.lam2)
-            total2 = l22 + l21 + self.lam2 * t_lp
-            self._stage_c("L′≺", p_lp, int(l11), l12, _served(total2, self.mu22, t_lp), 0.0, t_lp, t_lp)
+            if p_lp > 0.0:
+                # Station 1's class-2 queue empties first; its content has moved
+                # behind station 2's class-2 backlog, which is the stage-C picture.
+                t_lp = l21 / (self.mu21 - self.lam2)
+                total2 = l22 + l21 + self.lam2 * t_lp
+                self._stage_c("L′≺", p_lp, ahead, l12, _served(total2, self.mu22, t_lp), 0.0, t_lp, t_lp)
 
 
 def analyze(s: ArrivalState, p: SystemParams, trunc: TruncationConfig = _DEFAULT_TRUNC) -> ScenarioReport:
     """Mean conditional wait of the tagged customer from snapshot ``s``.
 
-    Dispatches to the scenario tree for ``s.m``, expands sub-scenarios until
-    the unresolved mass is below ``trunc.eps`` (the residual contributes
-    zero wait) and aggregates the leaves.  A class-2 tagged customer is
-    relabeled onto the class-1 analysis first.
+    Expands the scenario tree for ``s.m`` until the unresolved mass is
+    below ``trunc.eps`` (the residual contributes zero wait) and aggregates
+    the leaves.  A class-2 tagged customer is relabeled onto the class-1
+    analysis first; the report carries the caller's ``s.m``.
     """
-    s, p = relabel_for_class2(s, validate_params(p))
+    relabeled, p = relabel_for_class2(s, validate_params(p))
     eng = _Engine(p, trunc)
-    {1: eng.run_m1, 2: eng.run_m2, 3: eng.run_m3, 4: eng.run_m4}[s.m](s)
+    eng.run(relabeled)
     return eng.report(s.m)

@@ -213,7 +213,7 @@ def lattice_reference(lam, mu1, mu2, n):
 
     The box is 0 <= i <= n, 1 <= j <= n, state i * n + j - 1; the race
     chain is its i >= 1 block.  Returns a dict keyed by the
-    ``LatticeSolution`` field names.
+    ``LatticeSolution`` field names, in its by-start shapes.
     """
     s = np.arange((n + 1) * n)
     i, j = np.divmod(s, n)
@@ -239,8 +239,9 @@ def lattice_reference(lam, mu1, mu2, n):
     psi2 = race.solve(p2)  # E[T 1{absorb in R2}]
     drain, drain_ovf = splu(A).solve(np.column_stack([np.ones(A.shape[0]), overflow])).T
     return {
-        "p1": p1, "p2": p2, "p_overflow": p_ovf, "phi2": psi2 / p2,
-        "drain2": drain[:n], "drain_overflow": drain_ovf[:n],
+        "p1": p1.reshape(n, n), "p2": p2.reshape(n, n),
+        "time": np.concatenate([drain[:n], psi2 / p2]).reshape(n + 1, n),
+        "overflow": np.concatenate([drain_ovf[:n], p_ovf]).reshape(n + 1, n),
     }
 
 

@@ -46,8 +46,8 @@ class TestAbsorptionProbs:
         # overflow mass must exhaust the row of the fundamental matrix
         sol = lattice_solution(lam, mu1, mu2, 80)
         for u, w in [(1, 1), (2, 3), (3, 2)]:
-            s = sol._idx(u, w)
-            assert sol.p1[s] + sol.p2[s] + sol.p_overflow[s] == pytest.approx(1.0, abs=1e-10)
+            s = (u - 1, w - 1)
+            assert sol.p1[s] + sol.p2[s] + sol.overflow[u, w - 1] == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("u,w", [(1, 1), (2, 2), (3, 3), (1, 3), (3, 1)])
     def test_matches_first_step_value_iteration(self, u, w):
@@ -69,7 +69,7 @@ class TestAbsorptionProbs:
             for u, w in [(2, 2), (6, 6)]:
                 _, a = absorption_probs(u, w, lam, mu1, mu2)
                 big = doubled_rung(u, w, lam, mu1, mu2)
-                assert abs(a - big.p2[big._idx(u, w)]) < 1e-6
+                assert abs(a - big.p2[u - 1, w - 1]) < 1e-6
 
     def test_headroom_guard(self):
         with pytest.raises(TruncationTooTight):
@@ -86,10 +86,9 @@ class TestLevelElimination:
     def test_matches_sparse_reference(self, lam, mu1, mu2, n):
         sol = lattice_solution(lam, mu1, mu2, n)
         ref = lattice_reference(lam, mu1, mu2, n)
-        for name in ("p1", "p2", "phi2", "drain2"):
+        for name in ("p1", "p2", "time"):
             np.testing.assert_allclose(getattr(sol, name), ref[name], rtol=1e-12, atol=0, err_msg=name)
-        for name in ("p_overflow", "drain_overflow"):
-            np.testing.assert_allclose(getattr(sol, name), ref[name], rtol=0, atol=1e-14, err_msg=name)
+        np.testing.assert_allclose(sol.overflow, ref["overflow"], rtol=0, atol=1e-14, err_msg="overflow")
 
 
 class TestMfpt:
@@ -139,7 +138,7 @@ class TestMfpt:
         for lam, mu1, mu2 in RATES:
             a = mfpt_to_empty(3, 3, lam, mu1, mu2)
             big = doubled_rung(3, 3, lam, mu1, mu2)
-            assert abs(a - big.phi2[big._idx(3, 3)]) < 1e-6
+            assert abs(a - big.time[3, 2]) < 1e-6
 
     def test_scale_covariance(self):
         c = 2.0
@@ -164,10 +163,9 @@ class TestLadder:
         lam, mu1, mu2 = 1.0, 2.86, 2.86
         tol = absorption._OVERFLOW_TOL
         small, big = lattice_solution(lam, mu1, mu2, 20), lattice_solution(lam, mu1, mu2, 40)
-        s = small._idx(3, 3)
-        assert small.p_overflow[s] > tol >= big.p_overflow[big._idx(3, 3)]
-        assert absorption_probs(3, 3, lam, mu1, mu2)[1] == big.p2[big._idx(3, 3)]
-        assert mfpt_to_empty(3, 3, lam, mu1, mu2) == big.phi2[big._idx(3, 3)]
+        assert small.overflow[3, 2] > tol >= big.overflow[3, 2]
+        assert absorption_probs(3, 3, lam, mu1, mu2)[1] == big.p2[2, 2]
+        assert mfpt_to_empty(3, 3, lam, mu1, mu2) == big.time[3, 2]
 
     def test_past_cap_headroom_raises_without_build(self):
         clear_caches()
@@ -191,11 +189,19 @@ class TestLadder:
         monkeypatch.setattr(absorption, "lattice_solution", spy)
         trunc = TruncationConfig(n_max=cap)
         if cap == 60:
-            assert mfpt_to_empty(0, 10, *self.RATES, trunc) == lattice_solution(*self.RATES, 60).drain2[9]
+            assert mfpt_to_empty(0, 10, *self.RATES, trunc) == lattice_solution(*self.RATES, 60).time[0, 9]
         else:
             with pytest.raises(TruncationTooTight, match=rf"from \(0, 10\) exceeds .* at n_max = {cap}"):
                 mfpt_to_empty(0, 10, *self.RATES, trunc)
         assert list(dict.fromkeys(tried)) == sizes   # the answer reads the last size again
+
+    def test_cached_tables_are_read_only(self):
+        before = absorption_probs(2, 2, *self.RATES), mfpt_to_empty(0, 2, *self.RATES)
+        sol = lattice_solution(*self.RATES, absorption._size_for(2, 2, *self.RATES, TruncationConfig().n_max))
+        for name in ("p1", "p2", "time", "overflow"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sol, name)[:] = 0.5
+        assert (absorption_probs(2, 2, *self.RATES), mfpt_to_empty(0, 2, *self.RATES)) == before
 
     def test_build_logs_its_size(self, caplog):
         clear_caches()

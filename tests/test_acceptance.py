@@ -182,13 +182,13 @@ def test_criterion_2_markov_suite():
                 # the lattice the ladder picks for this start, and one twice its size
                 n = absorption._size_for(u, w, lam, mu1, mu2, trunc.n_max)
                 sol, big = lattice_solution(lam, mu1, mu2, n), lattice_solution(lam, mu1, mu2, 2 * n)
-                s, b = sol._idx(u, w), big._idx(u, w)
-                gap = abs(sol.p1[s] + sol.p2[s] + sol.p_overflow[s] - 1.0)
+                s = (u - 1, w - 1)
+                gap = abs(sol.p1[s] + sol.p2[s] + sol.overflow[u, w - 1] - 1.0)
                 if gap > 1e-10:
                     problems.append(f"row mass ({u},{w}) rates {mu1},{mu2}: off by {gap:.2e}")
                 a = absorption_probs(u, w, lam, mu1, mu2, trunc)[1]
                 f = mfpt_to_empty(u, w, lam, mu1, mu2, trunc)
-                if abs(a - big.p2[b]) > 1e-6 or abs(f - big.phi2[b]) > 1e-6:
+                if abs(a - big.p2[s]) > 1e-6 or abs(f - big.time[u, w - 1]) > 1e-6:
                     problems.append(f"truncation drift at ({u},{w}) rates {mu1},{mu2}")
 
     seed = 5000

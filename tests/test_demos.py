@@ -50,6 +50,19 @@ def test_import_leaves_scipy_special_unloaded(tmp_path):
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # the lattice solver is plain numpy; scipy loads only when hitting_pdf is called
-    code = "import sys, tandempoll; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # the lattice solver is plain numpy; scipy loads only when hitting_pdf is
+    # called.  Nor does a first call of each route load it: a scipy import in
+    # a primitive the tree reaches would add its load time to every cold start
+    code = """
+import sys
+import tandempoll as tp
+
+p = tp.SystemParams(lam=(1.0, 1.0), mu=((2.86, 2.22), (2.86, 2.22)))
+s = tp.ArrivalState(la=(3, 6, 3, 6), m=4)  # reaches every primitive and the lattice
+tp.analyze(s, p)
+tp.deterministic_wait(s, p)
+tp.simulate_conditional(s, p, tp.SimConfig(replications=4))
+tp.simulate_steady_state(p, tp.SimConfig(warmup_departures=10, horizon_departures=100))
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
     assert _run(["-c", code], tmp_path) == "[]\n"

@@ -214,6 +214,10 @@ class TestRaceErlang:
                 s = race_erlang(u, mu1, w, mu2) + race_erlang(w, mu2, u, mu1)
                 assert s == pytest.approx(1.0, abs=1e-12)
 
+    def test_lost_tail_reads_zero_not_negative(self):
+        # the complementary sum rounds to just above 1 here (1 - sum = -1.78e-15)
+        assert race_erlang(100, 1.0, 20, 2.0) == 0.0
+
     def test_matches_scipy_negative_binomial(self):
         u, w, mu1, mu2 = 3, 5, 2.22, 2.86
         q = mu2 / (mu1 + mu2)

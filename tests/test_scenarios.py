@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tandempoll.errors import TandemPollError
 from tandempoll.simulator import SimConfig, deterministic_wait, simulate_conditional
-from tandempoll.model import ArrivalState, SystemParams, TruncationConfig, validate_params
+from tandempoll.model import ArrivalState, SystemParams, TruncationConfig, swap_class_labels, validate_params
 from tandempoll.primitives import transfer_count_pmf
 from tandempoll.scenarios import analyze
 
@@ -185,6 +185,13 @@ class TestProperties:
         ref = analyze(s1, p1)
         assert rep.cond_wait == pytest.approx(ref.cond_wait, abs=1e-12)
 
+    @pytest.mark.parametrize("tagged_class", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_report_carries_callers_m(self, m, tagged_class):
+        # a class-2 caller is analysed in the relabelled frame, where m is 5 - m
+        s = ArrivalState(la=(1, 2, 3, 4), m=m, tagged_class=tagged_class)
+        assert analyze(s, asym(2.22, 2.86)).m == s.m
+
     def test_monotone_in_station2_backlog(self):
         p = sym(2.86)
         w1 = analyze(ArrivalState(la=(1, 1, 1, 1), m=1), p).cond_wait
@@ -345,6 +352,14 @@ class TestRandomizedSweep:
         assert type(x) is float and math.isfinite(x) and x > 0, x
         return x
 
+    @staticmethod
+    def _outcome(route, s, p):
+        """``route(s, p)``, or the name of the ``TandemPollError`` it raised."""
+        try:
+            return route(s, p)
+        except TandemPollError as exc:
+            return type(exc).__name__
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(
         lam=st.tuples(st.floats(0.2, 1.5), st.floats(0.2, 1.5)),
@@ -385,3 +400,13 @@ class TestRandomizedSweep:
         own = 1.0 / floats.mu[tagged_class - 1][0] + 1.0 / floats.mu[tagged_class - 1][1]
         for route in (analytic, deterministic_wait):
             assert route(empty, floats) == pytest.approx(own, rel=1e-12)
+        # swapping the class labels everywhere poses the same question: every
+        # route answers it bit for bit alike, the tree down to its leaves
+        def leaves(s, p):
+            rep = analyze(s, p)
+            return rep.outcomes, rep.residual_prob, rep.cond_wait
+
+        sim20 = SimConfig(replications=20, seed=7)
+        swapped = swap_class_labels(s, floats)
+        for route in (leaves, deterministic_wait, lambda s, p: simulate_conditional(s, p, sim20)):
+            assert self._outcome(route, *swapped) == self._outcome(route, s, floats)
