@@ -40,15 +40,15 @@ both: the race is solved by forward and back substitution over levels
 O(n^4) time and (n + 1) n^2 floats of memory, and is cached per
 (rates, n).
 
-The size n follows the query: it starts at the smallest rung of the
-ladder 20, 40, 80, ... that gives the start (u, w) the headroom
-2 max(u, w) <= n, and doubles while the overflow mass of the chain the
-query reads (drain starts included) exceeds ``_OVERFLOW_TOL``, a fixed
-1e-10.  ``TruncationConfig.n_max`` caps the ladder and is its last rung; a start
-without headroom at the cap, or with too much overflow mass there, raises
-``TruncationTooTight``.  The walk always starts at the bottom, so the size,
-and with it the answer, depends on (rates, u, w, trunc) alone, never on
-what the caches hold.
+The size n follows the query by one rule: it is the first rung of the
+ladder 20, 40, 80, ... on which the chain the query reads (drain starts
+included) loses at most ``_OVERFLOW_TOL``, a fixed 1e-10, of the start's
+mass through the box's edges.  A box that cannot hold the start
+(max(u, w) > n) would lose all of it, so it is skipped without a build.
+``TruncationConfig.n_max`` caps the ladder and is its last rung; a start
+that loses too much there raises ``TruncationTooTight``.  The walk always
+starts at the bottom, so the size, and with it the answer, depends on
+(rates, u, w, trunc) alone, never on what the caches hold.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SingularSystem, TruncationTooTight
+from .errors import InvalidSupport, SingularSystem, TruncationTooTight
 from .model import TruncationConfig
 
 __all__ = ["absorption_probs", "mfpt_to_empty", "lattice_solution"]
@@ -154,18 +154,14 @@ def _size_for(u: int, w: int, lam: float, mu1: float, mu2: float, cap: int) -> i
     Memoised, so that a warm query looks up one lattice, not every rung
     below its own; the size depends on the arguments alone.
     """
-    if 2 * max(u, w) > cap:
-        raise TruncationTooTight(
-            f"start ({u}, {w}) needs headroom beyond n_max = {cap}; increase n_max"
-        )
     n = _FIRST_RUNG
-    while n < 2 * max(u, w):
-        n *= 2
     while True:
         n = min(n, cap)
-        # the module-global name, so that a wrapper installed on it sees every build
-        sol = lattice_solution(lam, mu1, mu2, n)
-        ovf = sol.overflow[u, w - 1]
+        if max(u, w) > n:  # a box that cannot hold the start loses all its mass
+            ovf = 1.0
+        else:
+            # the module-global name, so that a wrapper installed on it sees every build
+            ovf = lattice_solution(lam, mu1, mu2, n).overflow[u, w - 1]
         if ovf <= _OVERFLOW_TOL:
             return n
         if n == cap:
@@ -193,7 +189,7 @@ def absorption_probs(
     independently solved p1 is kept for consistency checks.
     """
     if u < 0 or w < 0:
-        raise ValueError(f"counts must be non-negative, got ({u}, {w})")
+        raise InvalidSupport(f"counts must be non-negative, got ({u}, {w})")
     if w == 0:
         return 0.0, 1.0
     if u == 0:
@@ -219,10 +215,10 @@ def mfpt_to_empty(
     first), the quantity a conditioned path simulation estimates.  For
     u = 0 there is no race left to condition on, and the unconditional mean
     drain time on the whole box is returned.  w = 0 returns 0.  Both kinds
-    of start are checked for headroom and overflow mass.
+    of start are checked for overflow mass.
     """
     if u < 0 or w < 0:
-        raise ValueError(f"counts must be non-negative, got ({u}, {w})")
+        raise InvalidSupport(f"counts must be non-negative, got ({u}, {w})")
     if w == 0:
         return 0.0
     n = _size_for(u, w, lam, mu1, mu2, trunc.n_max)

@@ -117,15 +117,15 @@ class TruncationConfig:
     """The two settings of the analytic solvers, ``n_max`` and ``eps``.
 
     ``n_max`` caps the absorbing-chain lattice.  Each query builds the
-    smallest box on the ladder 20, 40, 80, ... that has headroom for its
-    start and loses at most 1e-10 of its mass through the box's edges;
-    ``n_max`` is the last size tried.  The default, 256, answers
-    snapshots of about 60 customers per queue at load 0.7; a box of that
-    size takes about 1 s and 170 MB of peak memory to build on a 2-core
-    Xeon.  ``eps`` bounds the unresolved probability mass of the scenario
-    tree.  ``n_max`` follows ``ArrivalState``'s count rule (``150.0``
-    becomes 150; ``"80"``, ``True`` or ``150.5`` raise), and ``eps`` must
-    be a real number whose Python float lies in (0, 1).
+    smallest box on the ladder 20, 40, 80, ... that holds its start and
+    loses at most 1e-10 of its mass through the box's edges; ``n_max`` is
+    the last size tried.  The default, 256, answered every snapshot of up
+    to 60 customers per queue that was tried at station loads 0.5 to 0.9;
+    a box of that size takes about 1 s and 170 MB of peak memory to build
+    on a 2-core Xeon.  ``eps`` bounds the unresolved probability mass of
+    the scenario tree.  ``n_max`` follows ``ArrivalState``'s count rule
+    (``150.0`` becomes 150; ``"80"``, ``True`` or ``150.5`` raise), and
+    ``eps`` must be a real number whose Python float lies in (0, 1).
     """
 
     n_max: int = 256

@@ -130,8 +130,6 @@ class _Engine:
         first cycle and simply rides it out; otherwise exactly K of the
         customers ahead transfer and the class-2 stage begins.
         """
-        if weight <= 0.0:
-            return
         w_k = _nnint(w12)
         if w_k == 0:
             pmf = {0: 1.0}
@@ -140,8 +138,6 @@ class _Engine:
         p_ride = max(0.0, 1.0 - sum(pmf.values()))
         self._leaf(prefix + "A≺B", weight * p_ride, elapsed + (ahead + w12 + 1.0) * self.tau12)
         for k, pk in pmf.items():
-            if pk <= 0.0:
-                continue
             t_a = (w12 + k) * self.tau12
             self._stage_c(
                 prefix + "A′≺", weight * pk, ahead - k, 0.0,
@@ -161,7 +157,7 @@ class _Engine:
         l21_anchor: float,
         elapsed: float,
     ) -> None:
-        if weight <= 0.0:
+        if weight <= 0.0:  # an underflowed weight, whose cutoff would be 0 too
             return
         tr = self.trunc
         l22_r = _nnint(l22)
@@ -271,8 +267,6 @@ class _Engine:
     ) -> None:
         """Race between station 1's class-2 queue emptying and station 2
         finishing its class-1 backlog; branches into stage A or stage C."""
-        if weight <= 0.0:
-            return
         l21_r, l12_r = _nnint(l21), _nnint(l12)
         p_jp = race_busy_period(l21_r, self.lam2, self.mu21, l12_r, self.mu12)
         p_j = 1.0 - p_jp

@@ -116,14 +116,16 @@ class TestMfpt:
         with pytest.raises(TruncationTooTight, match=r"overflow mass [0-9.]+e-0[34] from \(1, 10\)"):
             mfpt_to_empty(1, 10, 1.3, 1.6, 2.0, trunc)
 
-    def test_drain_start_headroom_guard(self):
+    def test_drain_and_race_fail_alike(self):
+        # neither start fits the 20-box, so each loses all of its mass
         trunc = TruncationConfig(n_max=20)
         with pytest.raises(TruncationTooTight) as drain:
-            mfpt_to_empty(0, 11, 1.0, 2.86, 2.22, trunc)
+            mfpt_to_empty(0, 21, 1.0, 2.86, 2.22, trunc)
         with pytest.raises(TruncationTooTight) as race:
-            mfpt_to_empty(1, 11, 1.0, 2.86, 2.22, trunc)
-        assert str(drain.value) == str(race.value).replace("(1, 11)", "(0, 11)")
-        assert "needs headroom beyond n_max = 20" in str(drain.value)
+            mfpt_to_empty(1, 21, 1.0, 2.86, 2.22, trunc)
+        assert str(drain.value) == str(race.value).replace("(1, 21)", "(0, 21)")
+        assert "overflow mass 1.000e+00 from (0, 21)" in str(drain.value)
+        assert "at n_max = 20" in str(drain.value)
 
     @pytest.mark.parametrize("u,w", [(1, 1), (2, 2), (3, 1)])
     def test_matches_conditioned_monte_carlo(self, u, w):
@@ -167,18 +169,18 @@ class TestLadder:
         assert absorption_probs(3, 3, lam, mu1, mu2)[1] == big.p2[2, 2]
         assert mfpt_to_empty(3, 3, lam, mu1, mu2) == big.time[3, 2]
 
-    def test_past_cap_headroom_raises_without_build(self):
+    def test_start_outside_cap_box_raises_without_build(self):
         clear_caches()
         misses = lattice_solution.cache_info().misses
-        with pytest.raises(TruncationTooTight, match=r"needs headroom beyond n_max = 256"):
-            absorption_probs(129, 1, *self.RATES)
-        with pytest.raises(TruncationTooTight, match=r"needs headroom beyond n_max = 30"):
-            mfpt_to_empty(0, 16, *self.RATES, TruncationConfig(n_max=30))
+        with pytest.raises(TruncationTooTight, match=r"mass 1\.000e\+00 from \(257, 1\) .* n_max = 256;"):
+            absorption_probs(257, 1, *self.RATES)
+        with pytest.raises(TruncationTooTight, match=r"mass 1\.000e\+00 from \(0, 31\) .* n_max = 30;"):
+            mfpt_to_empty(0, 31, *self.RATES, TruncationConfig(n_max=30))
         assert lattice_solution.cache_info().misses == misses
 
-    @pytest.mark.parametrize("cap,sizes", [(30, [20, 30]), (60, [20, 40, 60])])
-    def test_off_ladder_cap_is_last_size(self, monkeypatch, cap, sizes):
-        # from (0, 10) the drain overflows every box below 60 (about 3e-8 at 40)
+    @staticmethod
+    def spy_on_builds(monkeypatch):
+        """The sizes of the lattices the ladder reads, in order, first time each."""
         clear_caches()
         tried = []
 
@@ -187,6 +189,26 @@ class TestLadder:
             return lattice_solution(lam, mu1, mu2, n)
 
         monkeypatch.setattr(absorption, "lattice_solution", spy)
+        return tried
+
+    def test_tall_start_skips_boxes_that_cannot_hold_it(self, monkeypatch):
+        # (129, 1) fits no box below 160, and loses too much mass from 160
+        tried = self.spy_on_builds(monkeypatch)
+        p1, p2 = absorption_probs(129, 1, *self.RATES)
+        assert list(dict.fromkeys(tried)) == [160, 256]
+        assert p2 == pytest.approx(0.9999865, abs=1e-7) and p1 + p2 == 1.0
+        assert mfpt_to_empty(129, 1, *self.RATES) == pytest.approx(2.4967, abs=1e-4)
+
+    def test_drain_start_skips_the_first_rung(self, monkeypatch):
+        tried = self.spy_on_builds(monkeypatch)
+        t = mfpt_to_empty(0, 30, *self.RATES)
+        assert 20 not in tried and tried[0] == 40
+        assert t == lattice_solution(*self.RATES, tried[-1]).time[0, 29]
+
+    @pytest.mark.parametrize("cap,sizes", [(30, [20, 30]), (60, [20, 40, 60])])
+    def test_off_ladder_cap_is_last_size(self, monkeypatch, cap, sizes):
+        # from (0, 10) the drain overflows every box below 60 (about 3e-8 at 40)
+        tried = self.spy_on_builds(monkeypatch)
         trunc = TruncationConfig(n_max=cap)
         if cap == 60:
             assert mfpt_to_empty(0, 10, *self.RATES, trunc) == lattice_solution(*self.RATES, 60).time[0, 9]

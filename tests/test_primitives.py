@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from tandempoll.absorption import absorption_probs, mfpt_to_empty
 from tandempoll.errors import InvalidSupport, UnstableQueue
 from tandempoll.primitives import (
     drain_wait,
@@ -13,6 +14,7 @@ from tandempoll.primitives import (
     race_erlang,
     transfer_count_pmf,
 )
+from tandempoll.reporting import ComparisonRow, emit_report
 
 from oracles import (
     erlang_race_exact,
@@ -308,3 +310,32 @@ def test_scale_covariance(c):
         assert hitting_pdf(2, c * lam, c * mu1, t) == pytest.approx(
             c * hitting_pdf(2, lam, mu1, c * t), rel=1e-9
         )
+
+
+# ---------------------------------------------------------------------------
+# guards on arguments outside a formula's support
+# ---------------------------------------------------------------------------
+
+# name: (call on a scratch directory, the error it raises or the value it returns)
+GUARDS = {
+    "hitting_mean": (lambda d: hitting_mean(-1, 1.0, 2.0), InvalidSupport),
+    "transfer_count_pmf": (lambda d: transfer_count_pmf(-1, 2, 2.86, 2.22), 0.0),
+    "drain_wait": (lambda d: drain_wait(-1, 2, 2.86, 2.22), InvalidSupport),
+    "race_erlang": (lambda d: race_erlang(2, 2.86, -1, 2.22), InvalidSupport),
+    "race_busy_period": (lambda d: race_busy_period(-1, 1.0, 2.86, 2, 2.22), InvalidSupport),
+    "absorption_probs": (lambda d: absorption_probs(-1, 2, 1.0, 2.86, 2.22), InvalidSupport),
+    "mfpt_to_empty": (lambda d: mfpt_to_empty(2, -1, 1.0, 2.86, 2.22), InvalidSupport),
+    "emit_report": (lambda d: emit_report([ComparisonRow(la=(1, 1, 1, 1), m=1)], str(d / "r"), "xml"),
+                    ValueError),
+}
+
+
+@pytest.mark.parametrize("name", GUARDS)
+def test_guard(name, tmp_path):
+    call, outcome = GUARDS[name]
+    if isinstance(outcome, float):
+        assert call(tmp_path) == outcome
+    else:
+        with pytest.raises(outcome, match=r"counts must|length must|unknown format 'xml'"):
+            call(tmp_path)
+        assert not any(tmp_path.iterdir())

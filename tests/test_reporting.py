@@ -377,9 +377,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("polling-wait: ") and "No such file or directory" in err
 
+    def test_cli_large_case(self, tmp_path, capsys):
+        # sixty customers per queue fit the default lattice cap
+        cfg = write_config(
+            tmp_path / "c.json",
+            rates={"lambda": [1.0, 1.0], "mu": [[2.22, 2.22], [2.22, 2.22]]},
+            cases=[[60, 60, 60, 60]], scenarios=[1], modes=["analytic"],
+        )
+        assert main([cfg, "-o", str(tmp_path / "r.csv")]) == 0
+        [row] = parse_report(str(tmp_path / "r.csv"))
+        assert row.error is None and row.analytic > 0
+        assert "failed: 0" in capsys.readouterr().out
+
     def test_cli_failure_exit_code(self, tmp_path):
-        # a case beyond the headroom of the lattice cap fails its rows; the
-        # batch still completes and the exit code flags the failure
+        # a case whose starts do not fit the lattice cap (n_max = 256) fails
+        # its rows; the batch still completes and the exit code flags the failure
         cfg = write_config(
             tmp_path / "c.json",
             cases=[[1, 1, 1, 1], [200, 200, 200, 200]],
