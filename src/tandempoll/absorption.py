@@ -38,7 +38,10 @@ complements are the drain chain's on levels 1..n, so one sweep serves
 both: the race is solved by forward and back substitution over levels
 1..n, the drain by the forward sweep down to level 0.  A build takes
 O(n^4) time and (n + 1) n^2 floats of memory, and is cached per
-(rates, n).
+(rates, n).  Every table holds probabilities or times, so a build with an
+entry below -1e-12 raises ``SingularSystem`` naming the rates and n: at
+lam = 1 beside mu1 = 1e17 the diagonal lam + mu1 + mu2 loses lam in
+rounding, and the tables come out with negative times.
 
 The size n follows the query by one rule: it is the first rung of the
 ladder 20, 40, 80, ... on which the chain the query reads (drain starts
@@ -69,6 +72,8 @@ _DEFAULT_TRUNC = TruncationConfig()
 _FIRST_RUNG = 20
 # Largest overflow mass a query's start may lose through the box's edges.
 _OVERFLOW_TOL = 1e-10
+# Every table holds probabilities or times; one below this is rounding gone wrong.
+_NEGATIVE_TOL = -1e-12
 _log = logging.getLogger(__name__)
 
 
@@ -140,6 +145,12 @@ def lattice_solution(lam: float, mu1: float, mu2: float, n_max: int) -> LatticeS
     sol = LatticeSolution(
         p1=p1, p2=p2, time=np.vstack([drain, phi2]), overflow=np.vstack([drain_ovf, p_ovf]),
     )
+    low = min(float(a.min()) for a in (sol.p1, sol.p2, sol.time, sol.overflow))
+    if not low >= _NEGATIVE_TOL:
+        raise SingularSystem(
+            f"lattice at lam={lam!r}, mu1={mu1!r}, mu2={mu2!r}, n={n} holds the entry {low:.3e}:"
+            " rates this far apart are lost in its rounding"
+        )
     for a in (sol.p1, sol.p2, sol.time, sol.overflow):
         a.setflags(write=False)
     _log.debug("lattice build lam=%r mu1=%r mu2=%r n=%d in %.4f s",

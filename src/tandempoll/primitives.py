@@ -5,10 +5,10 @@ These are the building blocks the scenario analysis is assembled from:
 * the M/M/1 hitting time to zero (mean, and a density on scipy's scaled
   Bessel function),
 * the number of upstream services completed before a downstream queue with
-  replenishment first empties (a ballot-type pmf),
+  replenishment first empties (a ballot pmf: one negative-binomial term),
 * the tagged-customer drain time through two stations with no external
   arrivals (a two-index recursion),
-* the race between two independent Erlang clocks (negative-binomial tail),
+* the race between two independent Erlang clocks (a sum of those terms),
 * the race between an Erlang clock and an M/M/1 busy period (an exact
   series from the busy-period generating function).
 
@@ -19,6 +19,7 @@ expensive to evaluate are memoised.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -96,27 +97,15 @@ def transfer_count_pmf(k: int, w: int, mu1: float, mu2: float) -> float:
 
     With p = mu1/(mu1+mu2) and q = 1-p this is
     p^k q^{w+k} [C(2k+w-1, k) - C(2k+w-1, k-1)], a ballot-type count of the
-    completion orderings in which the downstream queue stays busy.  Derived
-    for w >= 1; callers must treat an initially empty downstream queue as
-    k = 0 with probability one.
+    completion orderings in which the downstream queue stays busy, that is
+    exp(``_nb_log_term``(k, k + w)) w/(k + w).  Derived for w >= 1;
+    callers must treat an empty downstream queue as k = 0 for certain.
     """
     if w <= 0:
         raise InvalidSupport(f"the pmf is derived for w >= 1, got w = {w}")
     if k < 0:
         return 0.0
-    p = mu1 / (mu1 + mu2)
-    q = 1.0 - p
-    # C(2k+w-1,k) - C(2k+w-1,k-1) = C(2k+w-1,k) * w/(k+w), evaluated via lgamma.
-    log_val = (
-        k * math.log(p)
-        + (w + k) * math.log(q)
-        + math.lgamma(2 * k + w)
-        - math.lgamma(k + 1)
-        - math.lgamma(k + w)
-        + math.log(w)
-        - math.log(k + w)
-    )
-    return math.exp(log_val)
+    return math.exp(_nb_log_term(k, k + w, mu1, mu2) + math.log(w) - math.log(k + w))
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +158,28 @@ def drain_wait(u: int, w: int, mu1: float, mu2: float) -> float:
 # Erlang vs Erlang race
 # ---------------------------------------------------------------------------
 
+def _nb_log_term(r: int, s: int, mu1: float, mu2: float) -> float:
+    """log[C(r + s - 1, r) p^r q^s], p = mu1/(mu1+mu2), q = 1-p, s >= 1: the
+    log-chance that the s-th rate-mu2 completion comes after exactly r
+    rate-mu1 ones.  A split that rounds to 0 or 1 is handled here: log 0 is
+    -inf, and a zero count adds 0, never 0 * (-inf)."""
+    p = mu1 / (mu1 + mu2)
+    log_p = math.log(p) if p > 0.0 else -math.inf
+    log_q = math.log(1.0 - p) if p < 1.0 else -math.inf
+    log_pr = r * log_p if r else 0.0
+    return log_pr + s * log_q + math.lgamma(r + s) - math.lgamma(r + 1) - math.lgamma(s)
+
+
 def race_erlang(u: int, mu1: float, w: int, mu2: float) -> float:
     """P(u services at rate mu1 all finish before w services at rate mu2).
 
     The completion sequence is Bernoulli with success probability
     p = mu1/(mu1+mu2); the event is a negative-binomial tail
     P(Z >= u) with Z ~ NB(w; p), computed as one minus the finite
-    complementary sum so no infinite series is truncated.  The sum is of
-    positive terms, so only rounding can take it past 1; the result is
-    floored at 0.  Degenerate counts follow the convention that an empty
-    Erlang clock rings at time zero: u = 0 gives 1.0, w = 0 gives 0.0.
+    complementary sum of ``_nb_log_term`` at (r, w), r < u.  Only rounding
+    can take that sum of positive terms past 1; the result is floored at 0.
+    Degenerate counts follow the convention that an empty Erlang clock
+    rings at time zero: u = 0 gives 1.0, w = 0 gives 0.0.
     """
     if u < 0 or w < 0:
         raise InvalidSupport(f"counts must be non-negative, got ({u}, {w})")
@@ -186,15 +187,9 @@ def race_erlang(u: int, mu1: float, w: int, mu2: float) -> float:
         return 1.0
     if w == 0:
         return 0.0
-    p = mu1 / (mu1 + mu2)
-    q = 1.0 - p
-    log_p, log_q = math.log(p), math.log(q)
     acc = 0.0
     for r in range(u):
-        acc += math.exp(
-            r * log_p + w * log_q
-            + math.lgamma(r + w) - math.lgamma(r + 1) - math.lgamma(w)
-        )
+        acc += math.exp(_nb_log_term(r, w, mu1, mu2))
     return max(0.0, 1.0 - acc)
 
 
@@ -211,7 +206,8 @@ def race_busy_period(u: int, lam1: float, mu1: float, w: int, mu2: float) -> flo
     the number of rate-mu2 ticks before it is the u-fold convolution of a,
     the tick count during one busy period.  Its generating function solves
     A = (mu1 + lam1 A^2 + mu2 x A) / s with s = lam1 + mu1 + mu2, whence,
-    with r = sqrt(s^2 - 4 lam1 mu1),
+    with r = sqrt(s^2 - 4 lam1 mu1) (taken as s sqrt(1 - 4 (lam1/s)(mu1/s))
+    where s^2 over- or underflows, so no rate magnitude is out of reach),
 
         a_0 = 2 mu1 / (s + r),
         a_k = (mu2 a_{k-1} + lam1 sum_{j=1}^{k-1} a_j a_{k-j}) / r.
@@ -231,7 +227,10 @@ def race_busy_period(u: int, lam1: float, mu1: float, w: int, mu2: float) -> flo
     lam1, mu1, mu2 = float(lam1), float(mu1), float(mu2)  # a cached value depends on values alone
     hitting_mean(u, lam1, mu1)  # raises UnstableQueue unless lam1 < mu1
     s = lam1 + mu1 + mu2
-    r = math.sqrt(s * s - 4.0 * lam1 * mu1)
+    if sys.float_info.min <= s * s < math.inf:
+        r = math.sqrt(s * s - 4.0 * lam1 * mu1)
+    else:  # s * s over- or underflows; factoring s out keeps r to scale
+        r = s * math.sqrt(1.0 - 4.0 * (lam1 / s) * (mu1 / s))
     a = np.empty(w)
     a[0] = 2.0 * mu1 / (s + r)
     for k in range(1, w):

@@ -19,10 +19,10 @@ An experiment is described by a JSON config (schema ``polling-wait/v1``):
 ``trunc`` takes the two ``TruncationConfig`` fields, ``n_max`` and ``eps``;
 ``n_max`` caps the size of the absorbing-chain lattice, which otherwise
 follows each query (here 80 in place of the default 256).  ``sim`` takes
-``SimConfig`` fields.  An unknown key, at the top level or in either
-section, is an error.  Each (case, scenario) pair becomes one row holding
-whichever of the analytic conditional wait, the simulation estimate and the
-deterministic wait were requested, plus the relative gap
+``SimConfig`` fields.  An unknown key, at the top level or in ``rates``,
+``trunc`` or ``sim``, is an error.  Each (case, scenario) pair becomes one
+row holding whichever of the analytic conditional wait, the simulation
+estimate and the deterministic wait were requested, plus the relative gap
 |sim - analytic| / sim.  A failing row is recorded, with its error message
 in the report's ``error`` column, and the batch continues.
 ``run_experiment`` returns the rows and writes nothing: only ``main``, the
@@ -168,7 +168,7 @@ def load_config(path: str) -> ExperimentConfig:
     # the config's keys are ExperimentConfig's fields, with rates for params
     known = {"schema", "rates"} | {f.name for f in dataclasses.fields(ExperimentConfig)} - {"params"}
     _object(raw, "config", ("rates", "cases"), known)
-    rates = _object(raw["rates"], "rates", ("lambda", "mu"))
+    rates = _object(raw["rates"], "rates", ("lambda", "mu"), known=("lambda", "mu"))
     params = SystemParams(
         lam=_list(rates["lambda"], "rates.lambda"),
         mu=tuple(_list(row, "rates.mu row") for row in _list(rates["mu"], "rates.mu")),

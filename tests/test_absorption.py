@@ -6,7 +6,7 @@ import pytest
 
 from tandempoll import absorption
 from tandempoll.absorption import absorption_probs, lattice_solution, mfpt_to_empty
-from tandempoll.errors import TruncationTooTight
+from tandempoll.errors import SingularSystem, TruncationTooTight
 from tandempoll.model import TruncationConfig
 
 from oracles import (
@@ -115,6 +115,14 @@ class TestMfpt:
             mfpt_to_empty(0, 10, 1.3, 1.6, 2.0, trunc)
         with pytest.raises(TruncationTooTight, match=r"overflow mass [0-9.]+e-0[34] from \(1, 10\)"):
             mfpt_to_empty(1, 10, 1.3, 1.6, 2.0, trunc)
+
+    def test_rates_lost_in_rounding_raise(self):
+        # beside mu1 = 1e17 the arrival rate 1 is lost in the diagonal
+        # lam + mu1 + mu2, and the tables come out with negative entries;
+        # at mu1 = 1e16 they are sound: station 2 drains as an M/M/1(1, 3)
+        with pytest.raises(SingularSystem, match=r"mu1=1e\+17, mu2=3\.0, n=20"):
+            mfpt_to_empty(0, 2, 1.0, 1e17, 3.0)
+        assert mfpt_to_empty(0, 2, 1.0, 1e16, 3.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_drain_and_race_fail_alike(self):
         # neither start fits the 20-box, so each loses all of its mass

@@ -151,6 +151,13 @@ class TestTransferCount:
         with pytest.raises(InvalidSupport):
             transfer_count_pmf(0, 0, 2.0, 2.0)
 
+    def test_split_that_rounds_reads_its_limit(self):
+        # p = mu1/(mu1 + mu2) rounds to 1: the downstream queue never
+        # empties, so every k has mass 0; then p rounds to 0: it empties
+        # before any upstream completion, so k = 0 for certain
+        assert [transfer_count_pmf(k, 2, 1e20, 1.0) for k in range(4)] == [0.0] * 4
+        assert transfer_count_pmf(0, 2, 1e-300, 1e300) == 1.0
+
 
 # ---------------------------------------------------------------------------
 # drain recursion (Result-5 style)
@@ -220,6 +227,11 @@ class TestRaceErlang:
         # the complementary sum rounds to just above 1 here (1 - sum = -1.78e-15)
         assert race_erlang(100, 1.0, 20, 2.0) == 0.0
 
+    def test_split_that_rounds_reads_its_limit(self):
+        # p = mu1/(mu1 + mu2) rounds to 1, then to 0
+        assert race_erlang(2, 1e20, 3, 1.0) == 1.0
+        assert race_erlang(2, 1e-300, 3, 1e300) == 0.0
+
     def test_matches_scipy_negative_binomial(self):
         u, w, mu1, mu2 = 3, 5, 2.22, 2.86
         q = mu2 / (mu1 + mu2)
@@ -262,6 +274,23 @@ class TestRaceBusyPeriod:
                 assert race_busy_period(u, 0.0, 2.86, w, 2.22) == pytest.approx(
                     1.0 - race_erlang(u, 2.86, w, 2.22), abs=1e-14
                 )
+
+    def test_rates_past_the_square_range(self):
+        # s = lam1 + mu1 + mu2 squares past the float range; a busy period
+        # at rate 1e200 ends long before two rate-3 ticks
+        assert race_busy_period(3, 1.0, 1e200, 2, 3.0) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("k", [0, 400, 600, 1000, -600, -1000])
+    def test_power_of_two_scale_invariance(self, k):
+        # scaling every rate by 2^k is exact; s * s stays a normal float for
+        # |k| <= 400, where r is computed as before, bit for bit
+        c = 2.0 ** k
+        scaled = race_busy_period(3, 1.0 * c, 3.0 * c, 2, 2.2 * c)
+        base = race_busy_period(3, 1.0, 3.0, 2, 2.2)
+        if abs(k) <= 400:
+            assert scaled == base
+        else:
+            assert scaled == pytest.approx(base, rel=1e-14, abs=0.0)
 
     def test_vs_paired_monte_carlo(self):
         u, lam1, mu1, w, mu2 = 2, 1.0, 2.86, 2, 2.22

@@ -358,6 +358,7 @@ class TestMain:
         ({**CONFIG, "sim": {"batches": 20}}, "unknown sim keys: batches"),
         ({**CONFIG, "rates": {"lambda": [10**400, 1.0], "mu": [[2.86, 2.86], [2.86, 2.86]]}},
          "rates must be positive and finite"),
+        ({**CONFIG, "rates": {**CONFIG["rates"], "rho": 3}}, "unknown rates keys: rho"),
     ])
     def test_config_error_is_one_line(self, tmp_path, monkeypatch, capsys, over, named):
         # in process: an exception escaping main fails the test as a traceback would

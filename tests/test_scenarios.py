@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tandempoll.errors import TandemPollError
+from tandempoll.errors import SingularSystem, TandemPollError
 from tandempoll.simulator import SimConfig, deterministic_wait, simulate_conditional
 from tandempoll.model import ArrivalState, SystemParams, TruncationConfig, swap_class_labels, validate_params
 from tandempoll.primitives import transfer_count_pmf
@@ -316,6 +317,43 @@ class TestFirstPrinciplesRecomputation:
         assert abs(mass_lp - p1) <= residual + 1e-12
 
 
+def _one_rate_at(i, j, rate):
+    """lam = (1, 1) and every service rate 3.0 except mu[i][j] = rate."""
+    mu = [[3.0, 3.0], [3.0, 3.0]]
+    mu[i][j] = rate
+    return validate_params(SystemParams(lam=(1.0, 1.0), mu=tuple(map(tuple, mu))))
+
+
+class TestExtremeRates:
+    """One service rate far beyond the others: each answer is its limit's,
+    or a ``TandemPollError``."""
+
+    @pytest.mark.parametrize("i,j,tagged_class", [(0, 0, 1), (1, 1, 1), (1, 1, 2)])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_split_that_rounds_answers(self, i, j, tagged_class, m):
+        # beside 1e20 a rate of 3.0 is lost, so a race's split rounds to 0 or 1
+        rep = analyze(ArrivalState(la=(2, 2, 2, 2), m=m, tagged_class=tagged_class), _one_rate_at(i, j, 1e20))
+        assert math.isfinite(rep.cond_wait) and rep.cond_wait > 0
+        assert rep.residual_prob <= TruncationConfig().eps
+        assert sum(o.prob for o in rep.outcomes) + rep.residual_prob == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_lattice_that_loses_lam_raises(self, m):
+        # a class-2 customer's tree reads the lattice at mu1 = mu11 = 1e20,
+        # beside which the arrival rate 1 is lost in rounding
+        with pytest.raises(SingularSystem, match="mu1=1e\\+20"):
+            analyze(ArrivalState(la=(2, 2, 2, 2), m=m, tagged_class=2), _one_rate_at(0, 0, 1e20))
+
+    @pytest.mark.parametrize("i,j,tagged_class", [(0, 0, 1), (1, 0, 2)])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_busy_period_past_the_square_range(self, i, j, tagged_class, m):
+        # the busy-period race's s * s overflows at 1e200, not at 1e100;
+        # at both rates the answer has long reached its limit
+        s = ArrivalState(la=(2, 2, 2, 2), m=m, tagged_class=tagged_class)
+        near, far = (analyze(s, _one_rate_at(i, j, rate)).cond_wait for rate in (1e100, 1e200))
+        assert far == pytest.approx(near, rel=1e-12)
+
+
 class TestRandomizedSweep:
     """Seeded random states and stable rates; structural invariants only."""
 
@@ -412,3 +450,24 @@ class TestRandomizedSweep:
         swapped = swap_class_labels(s, floats)
         for route in (leaves, deterministic_wait, lambda s, p: simulate_conditional(s, p, sim20)):
             assert self._outcome(route, *swapped) == self._outcome(route, s, floats)
+
+    @pytest.mark.parametrize("i,j", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_extreme_rates(self, i, j):
+        # mu[i][j] = 10^k beside three rates of 3.0: every route answers or
+        # raises a TandemPollError, and for each (m, class) the analytic
+        # answers that exist agree across k, all near the limit
+        sim20 = SimConfig(replications=20, seed=3)
+        routes = (deterministic_wait, lambda s, p: simulate_conditional(s, p, sim20).mean)
+        answers = collections.defaultdict(list)
+        for k in (12, 16, 17, 20, 100, 200):
+            p = _one_rate_at(i, j, 10.0 ** k)
+            for m in range(1, 5):
+                for tagged_class in (1, 2):
+                    s = ArrivalState(la=(2, 2, 2, 2), m=m, tagged_class=tagged_class)
+                    for route in routes:
+                        self._answer(route, s, p)
+                    x = self._answer(lambda s, p: analyze(s, p).cond_wait, s, p)
+                    if type(x) is float:
+                        answers[m, tagged_class].append(x)
+        for key, xs in answers.items():
+            assert max(xs) - min(xs) <= 1e-9 * min(xs), (key, xs)
