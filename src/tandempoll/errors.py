@@ -6,7 +6,8 @@ class TandemPollError(Exception):
 
 
 class NonPositiveRate(TandemPollError):
-    """An arrival or service rate is zero, negative, or non-finite."""
+    """An arrival or service rate is zero, negative, or non-finite, or the
+    rates sum past the largest float."""
 
 
 class UnstableSystem(TandemPollError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import NonPositiveRate, UnstableSystem
@@ -149,16 +150,26 @@ def validate_params(p: SystemParams) -> SystemParams:
     computes with the Python floats returned here (``p`` itself if its
     rates already are).  Raises ``ValueError`` for a wrong shape,
     ``NonPositiveRate`` for bad rates and ``UnstableSystem`` when
-    rho_j >= 1 at either station.
+    rho_j >= 1 at either station.  The six rates must also sum to a finite
+    float (at most ``sys.float_info.max``), so that no sum of rates a route
+    forms overflows.
     """
     try:
         (l1, l2), ((m11, m12), (m21, m22)) = p.lam, p.mu
     except (TypeError, ValueError):
         raise ValueError("expected 2 arrival rates and a 2x2 service rate matrix") from None
     rates = (l1, l2, m11, m12, m21, m22)
+    total = 0.0
     for r in rates:
-        if not 0.0 < _real(r) < math.inf:
+        x = _real(r)
+        if not 0.0 < x < math.inf:
             raise NonPositiveRate(f"all rates must be positive and finite numbers, got {r!r}")
+        total += x
+    if total == math.inf:
+        raise NonPositiveRate(
+            f"the six rates must sum to at most {sys.float_info.max!r}, the largest float; "
+            f"got lam={p.lam!r}, mu={p.mu!r}"
+        )
     if any(type(r) is not float for r in rates):
         p = replace(p, lam=(float(l1), float(l2)), mu=((float(m11), float(m12)), (float(m21), float(m22))))
     for j in (1, 2):

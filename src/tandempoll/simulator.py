@@ -32,6 +32,11 @@ execution order or batching, and parallel runs reproduce serial ones bit for
 bit.  Both engines fetch draws ``_DRAW_BLOCK`` at a time: ``_unit_draws``
 for a scalar run, and one buffer row per replication in the batch.  The
 block size cannot change a result (see ``_unit_draws``).
+
+``_Polling.step`` is the scalar hot loop: it runs about three times per
+departure of a steady-state run and once per event of every timeline and
+trace.  It applies both exhaustive picks inline rather than through
+``_pick``, and draws through the ``__next__`` of a C-level iterator.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -114,15 +120,16 @@ class SteadyStateEstimate(SimEstimate):
 
 
 def _unit_draws(rng: np.random.Generator):
-    """Unit-exponential draws from one Generator, fetched ``_DRAW_BLOCK`` at
-    a time.
+    """An endless iterator of unit-exponential draws (Python floats) from one
+    Generator, fetched ``_DRAW_BLOCK`` at a time.
 
     The block size cannot change a result: numpy fills an array one value at
     a time from the bit stream, so two blocks of 128 give the same numbers
-    as 256 at once.
+    as 256 at once.  The iterator is built of ``itertools`` and ``map``
+    objects, so its ``__next__`` runs in C and resumes no Python frame, which
+    a generator would on every draw.
     """
-    while True:
-        yield from rng.standard_exponential(_DRAW_BLOCK).tolist()
+    return chain.from_iterable(map(np.ndarray.tolist, map(rng.standard_exponential, repeat(_DRAW_BLOCK))))
 
 
 class _Polling:
@@ -134,13 +141,16 @@ class _Polling:
     first served, so station 2's class-c customers are always the oldest
     ``n[1][c]`` of the class: a hand-off moves one count, and the customer
     leaving station 2 is the head of its class's FIFO.  A server is idle
-    exactly when its completion time ``end[j]`` is infinite.  The head count
-    is ``len(fifo[0]) + len(fifo[1])``; the engine keeps no time averages,
-    which ``simulate_steady_state`` accumulates itself.
+    exactly when its completion time ``end[j]`` is infinite.  Customers
+    take the ids 1, 2, ... in order of entry, so the head count is
+    ``next_cid`` less the departures so far, as ``len(fifo[0]) +
+    len(fifo[1])`` also gives; the engine keeps no time averages, which
+    ``simulate_steady_state`` accumulates itself from that difference.
 
     Each duration is ``draw()`` divided by its rate: a unit exponential
-    (the ``__next__`` of ``_unit_draws``) for simulation, or 1.0 for the
-    constant-rate timeline.  Tracing lives in the subclass ``_Traced``.
+    (the ``__next__`` of the C-level iterator ``_unit_draws`` returns) for
+    simulation, or 1.0 for the constant-rate timeline.  Tracing lives in
+    the subclass ``_Traced``.
     """
 
     def __init__(self, p: SystemParams, draw):
@@ -157,7 +167,10 @@ class _Polling:
 
     def _pick(self, j: int) -> None:
         """Exhaustive polling: stay on the current class while station j has
-        work of it, else switch (zero switchover), else idle where it is."""
+        work of it, else switch (zero switchover), else idle where it is.
+
+        Only ``seed_snapshot`` calls it; ``step`` inlines the same rule with
+        the same operations and draw order."""
         n = self.n[j]
         c = self.position[j]
         if not n[c]:
@@ -196,40 +209,60 @@ class _Polling:
     def step(self):
         """Apply the events at the earliest clock (see the module docstring);
         returns (cid, class index, system time) when a customer leaves
-        station 2, else None."""
+        station 2, else None.
+
+        The clocks are read once into locals, and each freed or idle server
+        picks by ``_pick``'s rule written out inline, station 2 first: the
+        step is the simulation's hot loop, where a method call per pick is
+        a large share of the cost.
+        """
         end, arrival = self.end, self.next_arrival
-        t = end[1]  # explicit compares: several times cheaper than min()
-        if end[0] < t:
-            t = end[0]
-        if arrival[0] < t:
-            t = arrival[0]
-        if arrival[1] < t:
-            t = arrival[1]
+        e1, e2 = end
+        a1, a2 = arrival
+        t = e2  # explicit compares: several times cheaper than min()
+        if e1 < t:
+            t = e1
+        if a1 < t:
+            t = a1
+        if a2 < t:
+            t = a2
         self.t = t
         due = t + _TIE
-        n, pos = self.n, self.position
+        n1, n2 = self.n
+        pos = self.position
+        draw = self.draw
         out = None
-        done2 = end[1] <= due
+        done2 = e2 <= due
         if done2:
             c = pos[1]
             cid, arr = self.fifo[c].popleft()
-            n[1][c] -= 1
+            n2[c] -= 1
             out = cid, c, t - arr
-        done1 = end[0] <= due
+        done1 = e1 <= due
         if done1:
             c = pos[0]
-            n[0][c] -= 1
-            n[1][c] += 1
-        for c in (0, 1):
-            if arrival[c] <= due:
-                self.next_cid += 1
-                self.fifo[c].append((self.next_cid, t))
-                n[0][c] += 1
-                arrival[c] += self.draw() / self.lam[c]
-        if done2 or end[1] == _INF:
-            self._pick(1)
-        if done1 or end[0] == _INF:
-            self._pick(0)
+            n1[c] -= 1
+            n2[c] += 1
+        if a1 <= due:
+            self.next_cid += 1
+            self.fifo[0].append((self.next_cid, t))
+            n1[0] += 1
+            arrival[0] = a1 + draw() / self.lam[0]
+        if a2 <= due:
+            self.next_cid += 1
+            self.fifo[1].append((self.next_cid, t))
+            n1[1] += 1
+            arrival[1] = a2 + draw() / self.lam[1]
+        if done2 or e2 == _INF:
+            c = pos[1]
+            if not n2[c] and n2[1 - c]:
+                c = pos[1] = 1 - c
+            end[1] = t + draw() / self.mu[c][1] if n2[c] else _INF
+        if done1 or e1 == _INF:
+            c = pos[0]
+            if not n1[c] and n1[1 - c]:
+                c = pos[0] = 1 - c
+            end[0] = t + draw() / self.mu[c][0] if n1[c] else _INF
         return out
 
 
@@ -461,11 +494,13 @@ def simulate_steady_state(
     pooled_sum = 0.0
     departures = 0
     target = c.warmup_departures + c.horizon_departures
-    fifo0, fifo1 = net.fifo
-    area = area0 = time0 = 0.0  # time integral of the head count
+    step = net.step
+    # time integral of the head count, which is the ids handed out less the
+    # departures: the run starts empty and every arrival takes the next id
+    area = area0 = time0 = 0.0
     while departures < target:
-        t, in_system = net.t, len(fifo0) + len(fifo1)
-        out = net.step()
+        t, in_system = net.t, net.next_cid - departures
+        out = step()
         area += in_system * (net.t - t)
         if out is None:
             continue

@@ -1,4 +1,5 @@
 import collections
+import json
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tandempoll.errors import SingularSystem, TandemPollError
-from tandempoll.simulator import SimConfig, deterministic_wait, simulate_conditional
+from tandempoll import reporting
+from tandempoll.errors import NonPositiveRate, SingularSystem, TandemPollError
+from tandempoll.simulator import SimConfig, deterministic_wait, simulate_conditional, simulate_steady_state
 from tandempoll.model import ArrivalState, SystemParams, TruncationConfig, swap_class_labels, validate_params
 from tandempoll.primitives import transfer_count_pmf
 from tandempoll.scenarios import analyze
@@ -352,6 +354,36 @@ class TestExtremeRates:
         s = ArrivalState(la=(2, 2, 2, 2), m=m, tagged_class=tagged_class)
         near, far = (analyze(s, _one_rate_at(i, j, rate)).cond_wait for rate in (1e100, 1e200))
         assert far == pytest.approx(near, rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [
+        ((1.5e308, 1.5e308), (3.0, 3.0)),
+        ((1.5e308, 3.0), (1.5e308, 3.0)),
+        ((1.5e308, 1.5e308), (1.5e308, 1.5e308)),
+    ], ids=["class-1-pair", "station-1-pair", "all-four"])
+    def test_rates_whose_sum_overflows_raise(self, mu, tmp_path, monkeypatch, capsys):
+        # each rate is finite but two of them already sum to inf, where a
+        # race's split would read 0 instead of 1/2: every route refuses
+        p = SystemParams(lam=(1.0, 1.0), mu=mu)
+        sim = SimConfig(replications=2, seed=1, warmup_departures=10, horizon_departures=100)
+        routes = (
+            analyze,
+            deterministic_wait,
+            lambda s, p: simulate_conditional(s, p, sim),
+            lambda s, p: simulate_steady_state(p, sim),
+        )
+        for route in routes:
+            for tagged_class in (1, 2):
+                with pytest.raises(NonPositiveRate, match=r"sum to at most 1\.7976931348623157e\+308"):
+                    route(ArrivalState(la=(2, 2, 2, 2), m=1, tagged_class=tagged_class), p)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "schema": reporting.SCHEMA, "rates": {"lambda": [1.0, 1.0], "mu": mu},
+            "cases": [[1, 1, 1, 1]], "scenarios": [1], "modes": ["analytic", "deterministic"],
+        }))
+        monkeypatch.chdir(tmp_path)
+        assert reporting.main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("polling-wait: ") and "sum to at most" in err and "Traceback" not in err
 
 
 class TestRandomizedSweep:

@@ -125,6 +125,18 @@ class TestReplayPinned:
             "throughput_mean_system_time=4.6232793779403885)"
         )
 
+    def test_steady_state_asymmetric_class1(self):
+        # the per-class rates of the benchmark's second setting, so both
+        # servers switch between unequal service rates
+        p = validate_params(SystemParams(lam=(1.0, 1.0), mu=((2.22, 2.86), (2.22, 2.86))))
+        cfg = SimConfig(seed=7, warmup_departures=500, horizon_departures=20_000)
+        est = simulate_steady_state(p, cfg, measured_class=1)
+        assert repr(est) == (
+            "SteadyStateEstimate(mean=5.1959798336132215, stderr=0.41992016145055966, n=9970, "
+            "seed=7, time_avg_in_system=10.320833786305919, "
+            "throughput_mean_system_time=10.331688242864447)"
+        )
+
     def test_deterministic(self):
         p = validate_params(SystemParams(lam=(1.0, 0.5), mu=((2.86, 2.22), (3.0, 4.0))))
         w = deterministic_wait(ArrivalState(la=(3, 2, 1, 2), m=3, tagged_class=2), p)
@@ -225,6 +237,34 @@ class TestStepBudget:
         with pytest.raises(NonTermination):
             simulate_conditional(ArrivalState(la=(6, 6, 6, 6), m=1), sym(2.86),
                                  SimConfig(replications=2, seed=1))
+
+
+class TestHeadCount:
+    """``simulate_steady_state`` reads the head count as ``next_cid`` minus
+    the departures: every customer takes the next id, so the ids handed out
+    less those that left are the customers present."""
+
+    @staticmethod
+    def run(net, steps):
+        departures = 0
+        for _ in range(steps):
+            departures += net.step() is not None
+            assert net.next_cid - departures == len(net.fifo[0]) + len(net.fifo[1]) == sum(map(sum, net.n))
+        return departures
+
+    def test_from_empty(self):
+        p = validate_params(SystemParams(lam=(1.0, 1.0), mu=((2.22, 2.86), (2.22, 2.86))))
+        net = simulator._Polling(p, simulator._unit_draws(simulator._rep_rng(3, 0)).__next__)
+        net.schedule_arrivals()
+        assert self.run(net, 5000) > 1000
+
+    def test_from_snapshot(self):
+        s = ArrivalState(la=(4, 2, 3, 1), m=2)
+        net = simulator._Polling(sym(2.22), simulator._unit_draws(simulator._rep_rng(4, 0)).__next__)
+        net.seed_snapshot(s)
+        present = sum(s.la) + 1  # the tagged customer too
+        assert net.next_cid == present == sum(map(sum, net.n))
+        assert self.run(net, 5000) > 1000
 
 
 @pytest.fixture(scope="module", params=[((3, 2, 1, 2), 3, 12), ((6, 6, 6, 6), 4, 99), ((1, 1, 1, 1), 2, 5)])
