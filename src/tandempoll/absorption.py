@@ -65,6 +65,7 @@ import numpy as np
 
 from .errors import InvalidSupport, SingularSystem, TruncationTooTight
 from .model import TruncationConfig
+from .primitives import _unit_scale
 
 __all__ = ["absorption_probs", "mfpt_to_empty", "lattice_solution"]
 
@@ -91,7 +92,8 @@ class LatticeSolution:
 @lru_cache(maxsize=8)
 def lattice_solution(lam: float, mu1: float, mu2: float, n_max: int) -> LatticeSolution:
     t0 = time.perf_counter()
-    lam, mu1, mu2 = float(lam), float(mu1), float(mu2)  # a cached value depends on values alone
+    rates = float(lam), float(mu1), float(mu2)  # a cached value depends on values alone
+    c, (lam, mu1, mu2) = _unit_scale(*rates)  # the solve's rates; its times come out divided by c
     n = n_max
     # the diagonal block of every level i >= 1; the up block is -lam I and
     # the transfer block -mu1 times the superdiagonal shift
@@ -143,18 +145,17 @@ def lattice_solution(lam: float, mu1: float, mu2: float, n_max: int) -> LatticeS
         phi2 = np.where(p2 > 0, psi2 / np.maximum(p2, 1e-300), 0.0)
     # a start with u = 0 reads the drain chain: row 0 of the by-start tables
     sol = LatticeSolution(
-        p1=p1, p2=p2, time=np.vstack([drain, phi2]), overflow=np.vstack([drain_ovf, p_ovf]),
+        p1=p1, p2=p2, time=np.vstack([drain, phi2]) * c, overflow=np.vstack([drain_ovf, p_ovf]),
     )
     low = min(float(a.min()) for a in (sol.p1, sol.p2, sol.time, sol.overflow))
     if not low >= _NEGATIVE_TOL:
         raise SingularSystem(
-            f"lattice at lam={lam!r}, mu1={mu1!r}, mu2={mu2!r}, n={n} holds the entry {low:.3e}:"
-            " rates this far apart are lost in its rounding"
+            "lattice at lam={!r}, mu1={!r}, mu2={!r}, n={} holds the entry {:.3e}:"
+            " rates this far apart are lost in its rounding".format(*rates, n, low)
         )
     for a in (sol.p1, sol.p2, sol.time, sol.overflow):
         a.setflags(write=False)
-    _log.debug("lattice build lam=%r mu1=%r mu2=%r n=%d in %.4f s",
-               lam, mu1, mu2, n, time.perf_counter() - t0)
+    _log.debug("lattice build lam=%r mu1=%r mu2=%r n=%d in %.4f s", *rates, n, time.perf_counter() - t0)
     return sol
 
 

@@ -6,8 +6,8 @@ class TandemPollError(Exception):
 
 
 class NonPositiveRate(TandemPollError):
-    """An arrival or service rate is zero, negative, or non-finite, or the
-    rates sum past the largest float."""
+    """An arrival or service rate is zero, negative, non-finite or below the
+    smallest normal float, or the rates sum past the largest float."""
 
 
 class UnstableSystem(TandemPollError):

@@ -150,9 +150,9 @@ def validate_params(p: SystemParams) -> SystemParams:
     computes with the Python floats returned here (``p`` itself if its
     rates already are).  Raises ``ValueError`` for a wrong shape,
     ``NonPositiveRate`` for bad rates and ``UnstableSystem`` when
-    rho_j >= 1 at either station.  The six rates must also sum to a finite
-    float (at most ``sys.float_info.max``), so that no sum of rates a route
-    forms overflows.
+    rho_j >= 1 at either station.  Each rate must be a normal float (a
+    subnormal one has lost precision, and 1/1e-310 is inf), and the six
+    rates must sum to a finite float, so that no sum of rates overflows.
     """
     try:
         (l1, l2), ((m11, m12), (m21, m22)) = p.lam, p.mu
@@ -162,8 +162,8 @@ def validate_params(p: SystemParams) -> SystemParams:
     total = 0.0
     for r in rates:
         x = _real(r)
-        if not 0.0 < x < math.inf:
-            raise NonPositiveRate(f"all rates must be positive and finite numbers, got {r!r}")
+        if not sys.float_info.min <= x < math.inf:
+            raise NonPositiveRate(f"rates must be positive and finite, at least {sys.float_info.min!r}; got {r!r}")
         total += x
     if total == math.inf:
         raise NonPositiveRate(

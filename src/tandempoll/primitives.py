@@ -19,7 +19,6 @@ expensive to evaluate are memoised.
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
 
 import numpy as np
@@ -34,6 +33,15 @@ __all__ = [
     "race_erlang",
     "race_busy_period",
 ]
+
+
+def _unit_scale(*rates: float) -> tuple[float, list[float]]:
+    """(c, the rates times c) for c = 2**-e, e the ``math.frexp`` exponent of
+    the rates' sum: the scaled rates sum to [0.5, 1), so no product of two of
+    them over- or underflows, and the scaling is exact (probabilities stay,
+    times come out divided by c)."""
+    c = math.ldexp(1.0, -math.frexp(sum(rates))[1])
+    return c, [x * c for x in rates]
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +214,8 @@ def race_busy_period(u: int, lam1: float, mu1: float, w: int, mu2: float) -> flo
     the number of rate-mu2 ticks before it is the u-fold convolution of a,
     the tick count during one busy period.  Its generating function solves
     A = (mu1 + lam1 A^2 + mu2 x A) / s with s = lam1 + mu1 + mu2, whence,
-    with r = sqrt(s^2 - 4 lam1 mu1) (taken as s sqrt(1 - 4 (lam1/s)(mu1/s))
-    where s^2 over- or underflows, so no rate magnitude is out of reach),
+    with r = sqrt(s^2 - 4 lam1 mu1) (on rates scaled by ``_unit_scale``;
+    each a_k is a ratio of rates, so no rate magnitude is out of reach),
 
         a_0 = 2 mu1 / (s + r),
         a_k = (mu2 a_{k-1} + lam1 sum_{j=1}^{k-1} a_j a_{k-j}) / r.
@@ -226,11 +234,9 @@ def race_busy_period(u: int, lam1: float, mu1: float, w: int, mu2: float) -> flo
         return 0.0
     lam1, mu1, mu2 = float(lam1), float(mu1), float(mu2)  # a cached value depends on values alone
     hitting_mean(u, lam1, mu1)  # raises UnstableQueue unless lam1 < mu1
+    _, (lam1, mu1, mu2) = _unit_scale(lam1, mu1, mu2)
     s = lam1 + mu1 + mu2
-    if sys.float_info.min <= s * s < math.inf:
-        r = math.sqrt(s * s - 4.0 * lam1 * mu1)
-    else:  # s * s over- or underflows; factoring s out keeps r to scale
-        r = s * math.sqrt(1.0 - 4.0 * (lam1 / s) * (mu1 / s))
+    r = math.sqrt(s * s - 4.0 * lam1 * mu1)
     a = np.empty(w)
     a[0] = 2.0 * mu1 / (s + r)
     for k in range(1, w):

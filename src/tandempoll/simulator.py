@@ -28,8 +28,7 @@ applies one event, drawing in the order of a one-event-per-step loop.
 
 Each replication draws from its own stream derived from (seed, replication
 index) through numpy's SeedSequence spawning, so results do not depend on
-execution order or batching, and parallel runs reproduce serial ones bit for
-bit.  Both engines fetch draws ``_DRAW_BLOCK`` at a time: ``_unit_draws``
+batching.  Both engines fetch draws ``_DRAW_BLOCK`` at a time: ``_unit_draws``
 for a scalar run, and one buffer row per replication in the batch.  The
 block size cannot change a result (see ``_unit_draws``).
 
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
 
@@ -340,10 +338,10 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
-def _conditional_batch(job) -> np.ndarray:
+def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi: int) -> np.ndarray:
     """Tagged system times of replications ``lo .. hi - 1``, run in lockstep
     on numpy arrays; entry r equals ``_tagged_sojourn`` on the stream
-    ``_unit_draws(_rep_rng(seed, lo + r))`` bit for bit.
+    ``_unit_draws(_rep_rng(seed, lo + r))`` bit for bit, whatever batch holds it.
 
     Each array holds one quantity of ``_Polling`` across the live rows
     (``n``, ``end``, ``next_arrival`` as ``arrival``, and ``position`` as a
@@ -353,7 +351,6 @@ def _conditional_batch(job) -> np.ndarray:
     (arrival class 1, arrival class 2, station-2 start, station-1 start).
     Finished rows leave the arrays; the buffer stays indexed by batch row.
     """
-    s, p, seed, lo, hi = job
     width = _DRAW_BLOCK
     rngs = [_rep_rng(seed, rep) for rep in range(lo, hi)]
     draws = np.empty((len(rngs), width))
@@ -444,16 +441,15 @@ def simulate_conditional(
 
     Each replication re-creates the snapshot, injects the tagged customer at
     the tail of its class queue at station 1, and runs until that customer
-    departs station 2.  The replications run in lockstep batches of at most
-    ``_BATCH_ROWS``.  ``n_jobs`` is the number of worker processes at most,
-    no more than there are batches; above 1, each takes a contiguous range
-    of replications, and any count gives the same result bit for bit.
+    departs station 2.  The replications run in the caller's process, in
+    lockstep batches of at most ``_BATCH_ROWS``.  ``n_jobs`` must be a
+    positive integer and is otherwise ignored, as results never depended on
+    it; it stays only for ``perfbench/``, until ROADMAP item 1 removes it.
     ``trace``, if a list is supplied, collects the event rows of replication
     0, run once more through ``_Traced``, which writes them in the caller's
     class labels (see ``write_trace``).
     """
-    workers = _count(n_jobs)
-    if workers < 1:
+    if _count(n_jobs) < 1:
         raise ValueError(f"n_jobs must be a positive integer, got {n_jobs!r}")
     p = validate_params(p)
     tagged_class = s.tagged_class
@@ -461,13 +457,9 @@ def simulate_conditional(
     if trace is not None:
         _tagged_sojourn(s, p, _unit_draws(_rep_rng(c.seed, 0)).__next__, trace, tagged_class - 1)
     reps = c.replications
-    size = min(_BATCH_ROWS, -(-reps // workers))
-    jobs = [(s, p, c.seed, lo, min(lo + size, reps)) for lo in range(0, reps, size)]
-    if len(jobs) > 1 and workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            waits = np.concatenate(list(pool.map(_conditional_batch, jobs)))
-    else:
-        waits = np.concatenate([_conditional_batch(job) for job in jobs])
+    waits = np.concatenate([
+        _conditional_batch(s, p, c.seed, lo, min(lo + _BATCH_ROWS, reps)) for lo in range(0, reps, _BATCH_ROWS)
+    ])
     mean = float(waits.mean())
     stderr = float(waits.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return SimEstimate(mean=mean, stderr=stderr, n=reps, seed=c.seed)

@@ -14,10 +14,11 @@ the per-cell breakdown.
 
 import math
 
+import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from tandempoll import absorption
+from tandempoll import absorption, simulator
 from tandempoll.absorption import absorption_probs, lattice_solution, mfpt_to_empty
 from tandempoll.simulator import deterministic_wait
 from tandempoll.model import ArrivalState, SystemParams, TruncationConfig, validate_params
@@ -293,7 +294,7 @@ def test_criterion_6_steady_state():
     _verdict(6, not fails, detail)
 
 
-def test_criterion_7_property_suite():
+def test_criterion_7_property_suite(monkeypatch):
     problems = []
 
     # scale covariance of the public operations (rates x2 -> times x0.5,
@@ -349,13 +350,20 @@ def test_criterion_7_property_suite():
                 if rep.residual_prob >= eps:
                     problems.append(f"residual {mu_pair[0]} {la} m={m}: {rep.residual_prob!r}")
 
-    # simulator reproducibility, serial vs parallel
+    # simulator reproducibility: a replication's wait depends on (seed,
+    # replication) alone, not on the batch that runs it
     s = ArrivalState(la=(2, 1, 1, 2), m=3)
-    serial = simulate_conditional(s, base, SimConfig(replications=96, seed=7), n_jobs=1)
-    parallel = simulate_conditional(s, base, SimConfig(replications=96, seed=7), n_jobs=2)
-    if serial != parallel:
-        problems.append("serial/parallel mismatch")
-    if serial != simulate_conditional(s, base, SimConfig(replications=96, seed=7)):
+    whole = simulator._conditional_batch(s, base, 7, 0, 96)
+    split = np.concatenate([simulator._conditional_batch(s, base, 7, 0, 40),
+                            simulator._conditional_batch(s, base, 7, 40, 96)])
+    if not np.array_equal(whole, split):
+        problems.append("batching mismatch")
+    est = simulate_conditional(s, base, SimConfig(replications=96, seed=7))
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_BATCH_ROWS", 7)
+        if est != simulate_conditional(s, base, SimConfig(replications=96, seed=7)):
+            problems.append("batch-size mismatch")
+    if est != simulate_conditional(s, base, SimConfig(replications=96, seed=7)):
         problems.append("rerun mismatch")
 
     _verdict(7, not problems, problems or "scale covariance, empty-system waits, "

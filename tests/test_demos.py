@@ -66,3 +66,19 @@ tp.simulate_steady_state(p, tp.SimConfig(warmup_departures=10, horizon_departure
 print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 """
     assert _run(["-c", code], tmp_path) == "[]\n"
+
+
+def test_import_loads_no_process_machinery(tmp_path):
+    # simulate_conditional runs in the caller's process; multiprocessing and
+    # concurrent.futures would add their load time to every cold start
+    code = """
+import sys
+import tandempoll as tp
+
+heavy = ('multiprocessing', 'concurrent.futures')
+print(sorted(m for m in heavy if m in sys.modules))
+p = tp.SystemParams(lam=(1.0, 1.0), mu=((2.86, 2.22), (2.86, 2.22)))
+tp.simulate_conditional(tp.ArrivalState(la=(1, 1, 1, 1), m=1), p, tp.SimConfig(replications=4))
+print(sorted(m for m in heavy if m in sys.modules))
+"""
+    assert _run(["-c", code], tmp_path) == "[]\n[]\n"

@@ -386,6 +386,40 @@ class TestExtremeRates:
         assert err.startswith("polling-wait: ") and "sum to at most" in err and "Traceback" not in err
 
 
+class TestSubnormalRates:
+    """A subnormal rate has lost precision and 1 / 1e-310 is inf, so every
+    route and the CLI refuse one, naming the bound, even a lone one beside
+    ordinary rates."""
+
+    @pytest.mark.parametrize("lam,mu", [
+        ((1e-310, 1e-310), ((3e-310, 3e-310), (3e-310, 3e-310))),
+        ((1e-310, 1.0), ((3.0, 3.0), (3.0, 3.0))),
+    ], ids=["all-six", "lone-lam1"])
+    def test_every_route_refuses(self, lam, mu, tmp_path, monkeypatch, capsys):
+        p = SystemParams(lam=lam, mu=mu)
+        sim = SimConfig(replications=2, seed=1, warmup_departures=10, horizon_departures=100)
+        routes = (
+            analyze,
+            deterministic_wait,
+            lambda s, p: simulate_conditional(s, p, sim),
+            lambda s, p: simulate_steady_state(p, sim),
+        )
+        for route in routes:
+            for tagged_class in (1, 2):
+                with pytest.raises(NonPositiveRate, match=r"at least 2\.2250738585072014e-308"):
+                    route(ArrivalState(la=(2, 2, 2, 2), m=1, tagged_class=tagged_class), p)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "schema": reporting.SCHEMA, "rates": {"lambda": lam, "mu": mu},
+            "cases": [[1, 1, 1, 1]], "scenarios": [1], "modes": ["analytic", "deterministic"],
+        }))
+        monkeypatch.chdir(tmp_path)
+        assert reporting.main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("polling-wait: ") and "at least 2.2250738585072014e-308" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestRandomizedSweep:
     """Seeded random states and stable rates; structural invariants only."""
 
@@ -482,6 +516,22 @@ class TestRandomizedSweep:
         swapped = swap_class_labels(s, floats)
         for route in (leaves, deterministic_wait, lambda s, p: simulate_conditional(s, p, sim20)):
             assert self._outcome(route, *swapped) == self._outcome(route, s, floats)
+
+    @pytest.mark.parametrize("k", [400, -400, 520, -520, 540, -540, 600, -600, 1000, -1000])
+    def test_common_scale(self, k):
+        # every rate times 2**k divides every answer by 2**k bit for bit, as
+        # doubling does: the solvers run on the rates scaled to a common
+        # power of two, so that no product of two rates over- or underflows
+        c = math.ldexp(1.0, k)
+        base = validate_params(SystemParams(lam=(1.0, 0.8), mu=((2.86, 3.1), (2.22, 2.9))))
+        scaled = validate_params(SystemParams(
+            lam=tuple(c * x for x in base.lam), mu=tuple(tuple(c * x for x in r) for r in base.mu)
+        ))
+        for la in GRID:
+            for m in (1, 2, 3, 4):
+                for tagged_class in (1, 2):
+                    s = ArrivalState(la=la, m=m, tagged_class=tagged_class)
+                    assert analyze(s, scaled).cond_wait == analyze(s, base).cond_wait / c, (la, m, tagged_class)
 
     @pytest.mark.parametrize("i,j", [(0, 0), (0, 1), (1, 0), (1, 1)])
     def test_extreme_rates(self, i, j):

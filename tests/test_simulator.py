@@ -48,12 +48,19 @@ class TestConditional:
         c = simulate_conditional(s, p, SimConfig(replications=200, seed=100))
         assert c.mean != a.mean
 
-    def test_parallel_matches_serial(self):
+    def test_batching_leaves_results_unchanged(self, monkeypatch):
+        # a replication's wait depends on (seed, replication) alone, not on
+        # the batch that runs it
         p = sym(2.22)
         s = ArrivalState(la=(1, 2, 2, 1), m=2)
-        serial = simulate_conditional(s, p, SimConfig(replications=96, seed=7), n_jobs=1)
-        parallel = simulate_conditional(s, p, SimConfig(replications=96, seed=7), n_jobs=2)
-        assert serial == parallel
+        whole = simulator._conditional_batch(s, p, 7, 0, 96)
+        split = np.concatenate([simulator._conditional_batch(s, p, 7, 0, 40),
+                                simulator._conditional_batch(s, p, 7, 40, 96)])
+        assert np.array_equal(whole, split)
+        cfg = SimConfig(replications=96, seed=7)
+        default = simulate_conditional(s, p, cfg)
+        monkeypatch.setattr(simulator, "_BATCH_ROWS", 7)
+        assert simulate_conditional(s, p, cfg) == default
 
     @pytest.mark.parametrize("n_jobs", [0, -3, True, 1.5, "2"])
     def test_rejects_bad_n_jobs(self, n_jobs):
@@ -65,31 +72,6 @@ class TestConditional:
         s, cfg = ArrivalState(la=(1, 2, 2, 1), m=2), SimConfig(replications=96, seed=7)
         assert (simulate_conditional(s, sym(2.22), cfg, n_jobs=2.0)
                 == simulate_conditional(s, sym(2.22), cfg, n_jobs=2))
-
-    @pytest.mark.parametrize("n_jobs", [500, 10**30])
-    def test_pool_sized_by_its_jobs(self, monkeypatch, n_jobs):
-        # a pool forks all its workers on the first map, so it must not ask
-        # for more than there are batches; a stand-in pool runs them here
-        sizes = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", Pool)
-        s, cfg = ArrivalState(la=(1, 2, 2, 1), m=2), SimConfig(replications=2, seed=7)
-        est = simulate_conditional(s, sym(2.22), cfg, n_jobs=n_jobs)
-        assert sizes == [2]
-        assert est == simulate_conditional(s, sym(2.22), cfg)
 
     def test_tagged_class2_relabels(self):
         p = sym(2.86)
@@ -189,7 +171,7 @@ class TestBatchMatchesScalar:
     @staticmethod
     def batch(s, p, seed, lo, hi):
         s, p = relabel_for_class2(s, validate_params(p))
-        return simulator._conditional_batch((s, p, seed, lo, hi))
+        return simulator._conditional_batch(s, p, seed, lo, hi)
 
     @staticmethod
     def draws_taken(s, p, seed, rep):
@@ -215,11 +197,11 @@ class TestBatchMatchesScalar:
         assert used > 2 * simulator._DRAW_BLOCK  # so some row refills twice
         assert np.array_equal(self.batch(s, p, 2025, 10, 30), self.scalar(s, p, 2025, range(10, 30)))
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_replications_cross_blocks(self, monkeypatch, n_jobs):
-        monkeypatch.setattr(simulator, "_BATCH_ROWS", 7)
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_replications_cross_blocks(self, monkeypatch, rows):
+        monkeypatch.setattr(simulator, "_BATCH_ROWS", rows)
         s, p = ArrivalState(la=(2, 3, 1, 2), m=3, tagged_class=2), sym(2.22)
-        est = simulate_conditional(s, p, SimConfig(replications=30, seed=11), n_jobs=n_jobs)
+        est = simulate_conditional(s, p, SimConfig(replications=30, seed=11))
         waits = self.scalar(s, p, 11, range(30))
         assert (est.mean, est.stderr) == (float(waits.mean()), float(waits.std(ddof=1) / math.sqrt(30)))
 
