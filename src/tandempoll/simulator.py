@@ -28,9 +28,11 @@ applies one event, drawing in the order of a one-event-per-step loop.
 
 Each replication draws from its own stream derived from (seed, replication
 index) through numpy's SeedSequence spawning, so results do not depend on
-batching.  Both engines fetch draws ``_DRAW_BLOCK`` at a time: ``_unit_draws``
-for a scalar run, and one buffer row per replication in the batch.  The
-block size cannot change a result (see ``_unit_draws``).
+batching: a scalar run builds the SeedSequence (``_rep_rng``), and the batch
+runs the same hash for all its rows at once (``_stream_words``).  Both
+engines fetch draws ``_DRAW_BLOCK`` at a time: ``_unit_draws`` for a scalar
+run, and one buffer row per replication in the batch.  The block size cannot
+change a result (see ``_unit_draws``).
 
 ``_Polling.step`` is the scalar hot loop: it runs about three times per
 departure of a steady-state run and once per event of every timeline and
@@ -40,6 +42,7 @@ trace.  It applies both exhaustive picks inline rather than through
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, fields
@@ -335,7 +338,73 @@ def deterministic_wait(s: ArrivalState, p: SystemParams) -> float:
 
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
+    """Replication ``rep``'s Generator: PCG64 seeded by ``SeedSequence(seed,
+    spawn_key=(rep,))``.  Scalar runs draw from it; ``_batch_rngs`` builds
+    the same streams for a lockstep batch, and the tests hold the two equal."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+
+
+def _hash(h: int, mult: int):
+    """SeedSequence's hash step on ``uint32`` arrays; its constant ``h``
+    advances on every call whatever the data."""
+    def step(v):
+        nonlocal h
+        v = v ^ h
+        h = h * mult & 0xFFFFFFFF
+        v = v * h
+        return v ^ v >> 16
+    return step
+
+
+def _mix(x, y):
+    r = 0xCA01F9DD * x - 0x4973F715 * y
+    return r ^ r >> 16
+
+
+def _stream_words(seed: int, lo: int, hi: int) -> np.ndarray:
+    """Row r holds ``SeedSequence(seed, spawn_key=(lo + r,)).generate_state(4,
+    np.uint64)`` for every replication ``lo + r`` below 2**32.  SeedSequence
+    mixes its entropy (the seed's 32-bit words, low first and zero-padded to
+    4, then the index) into a pool of 4 words and hashes the pool into 8
+    output words, with constants that never depend on the data; so the same
+    steps on ``uint32`` columns hash every row at once.  Rows are
+    C-contiguous, as PCG64 reads the words through the data pointer."""
+    words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.array([w], np.uint32) for w in words + [0] * (4 - len(words))]
+    entropy.append(np.arange(lo, min(hi, 1 << 32), dtype=np.uint32))
+    hashmix = _hash(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in entropy[:4]]
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                pool[j] = _mix(pool[j], hashmix(pool[i]))
+    for w in entropy[4:]:
+        pool = [_mix(x, hashmix(w)) for x in pool]
+    out = _hash(0x8B51F9DD, 0x58F38DED)
+    return np.stack([out(pool[i % 4]) for i in range(8)], axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _fixed_seed():
+    """An ``ISeedSequence`` that hands PCG64 fixed words; made on first use,
+    as defining it loads ``numpy.random``."""
+    class FixedSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for (4, np.uint64) alone
+    return FixedSeed
+
+
+def _batch_rngs(seed: int, lo: int, hi: int) -> list:
+    """``_rep_rng(seed, rep)`` for rep in ``lo .. hi - 1``: numpy's own PCG64
+    seeds from ``_stream_words``, so each stream is the same by construction
+    while no row builds a SeedSequence.  A replication index of 2**32 or
+    more, whose spawn key numpy splits into two words, takes ``_rep_rng``."""
+    fixed, pcg, gen = _fixed_seed(), np.random.PCG64, np.random.Generator
+    rngs = [gen(pcg(fixed(w))) for w in _stream_words(seed, lo, hi)]
+    return rngs + [_rep_rng(seed, rep) for rep in range(max(lo, 1 << 32), hi)]
 
 
 def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -349,10 +418,12 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
     ``_Polling.step``.  Every row keeps its own stream: a ``_DRAW_BLOCK``-wide
     buffer row filled from its own Generator, read in the scalar order
     (arrival class 1, arrival class 2, station-2 start, station-1 start).
-    Finished rows leave the arrays; the buffer stays indexed by batch row.
+    The Generators come from ``_batch_rngs``, which hashes every row's seed
+    words in one pass instead of building a SeedSequence per row.  Finished
+    rows leave the arrays; the buffer stays indexed by batch row.
     """
     width = _DRAW_BLOCK
-    rngs = [_rep_rng(seed, rep) for rep in range(lo, hi)]
+    rngs = _batch_rngs(seed, lo, hi)
     draws = np.empty((len(rngs), width))
     for rng, buf in zip(rngs, draws):
         rng.standard_exponential(out=buf)
@@ -430,6 +501,17 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
     raise NonTermination(f"tagged customer still in system after {_STEP_BUDGET} steps")
 
 
+def _scale_down(x: np.ndarray) -> int:
+    """Multiply ``x`` in place by 2**-e and return e, the ``math.frexp``
+    exponent of its largest entry.  The scaled entries lie below 1, so their
+    squares cannot overflow, and since the scale is a power of two, a mean
+    or standard error of them times 2**e (``math.ldexp``) is the unscaled
+    one bit for bit, as long as no scaled entry falls below the normal range."""
+    e = math.frexp(x.max())[1]
+    np.ldexp(x, -e, out=x)
+    return e
+
+
 def simulate_conditional(
     s: ArrivalState,
     p: SystemParams,
@@ -460,8 +542,9 @@ def simulate_conditional(
     waits = np.concatenate([
         _conditional_batch(s, p, c.seed, lo, min(lo + _BATCH_ROWS, reps)) for lo in range(0, reps, _BATCH_ROWS)
     ])
-    mean = float(waits.mean())
-    stderr = float(waits.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    e = _scale_down(waits)
+    mean = math.ldexp(float(waits.mean()), e)
+    stderr = math.ldexp(float(waits.std(ddof=1) / math.sqrt(reps)), e) if reps > 1 else 0.0
     return SimEstimate(mean=mean, stderr=stderr, n=reps, seed=c.seed)
 
 
@@ -509,10 +592,11 @@ def simulate_steady_state(
             f"class {measured + 1} kept {kept_arr.shape[0]} departures, fewer than "
             f"batches = {_BATCHES}; raise horizon_departures"
         )
+    e = _scale_down(kept_arr)
     usable = (kept_arr.shape[0] // _BATCHES) * _BATCHES
     batches = kept_arr[:usable].reshape(_BATCHES, -1).mean(axis=1)
-    mean = float(kept_arr.mean())
-    stderr = float(batches.std(ddof=1) / math.sqrt(_BATCHES))
+    mean = math.ldexp(float(kept_arr.mean()), e)
+    stderr = math.ldexp(float(batches.std(ddof=1) / math.sqrt(_BATCHES)), e)
     return SteadyStateEstimate(
         mean=mean,
         stderr=stderr,

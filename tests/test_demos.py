@@ -82,3 +82,10 @@ tp.simulate_conditional(tp.ArrivalState(la=(1, 1, 1, 1), m=1), p, tp.SimConfig(r
 print(sorted(m for m in heavy if m in sys.modules))
 """
     assert _run(["-c", code], tmp_path) == "[]\n[]\n"
+
+
+def test_import_leaves_numpy_random_unloaded(tmp_path):
+    # only a simulation draws random numbers; loading numpy.random at import
+    # would add its load time to every cold start, analytic ones included
+    code = "import sys, tandempoll; print('numpy.random' in sys.modules)"
+    assert _run(["-c", code], tmp_path) == "False\n"

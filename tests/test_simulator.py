@@ -1,10 +1,13 @@
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tandempoll import simulator
 from tandempoll.errors import NonTermination, UnstableSystem
@@ -204,6 +207,70 @@ class TestBatchMatchesScalar:
         est = simulate_conditional(s, p, SimConfig(replications=30, seed=11))
         waits = self.scalar(s, p, 11, range(30))
         assert (est.mean, est.stderr) == (float(waits.mean()), float(waits.std(ddof=1) / math.sqrt(30)))
+
+
+class TestBatchStreams:
+    """The batch hashes its rows' seed words itself (``_stream_words``).  The
+    words, and the streams numpy's PCG64 draws from them, must stay numpy's
+    own, so that a change in numpy's seeding fails here instead of parting
+    the batch from the scalar engine."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        seed=st.sampled_from([0, 2**32 - 1, 2**32, 10**40]) | st.integers(0, 2**160),
+        lo=st.sampled_from([0, 1000, 2**31, 2**32 - 3, 2**32 + 5]),
+        width=st.integers(1, 6),
+    )
+    @example(seed=10**40, lo=2**32 - 3, width=6)  # straddles 2**32
+    def test_words_and_streams_match_numpy(self, seed, lo, width):
+        hi = lo + width
+        reps = range(lo, min(hi, 2**32))  # from 2**32 the batch takes _rep_rng
+        words = simulator._stream_words(seed, lo, hi)
+        assert words.shape == (len(reps), 4)
+        for row, rep in zip(words, reps):
+            assert np.array_equal(row, np.random.SeedSequence(seed, spawn_key=(rep,)).generate_state(4, np.uint64))
+        rngs = simulator._batch_rngs(seed, lo, hi)
+        assert len(rngs) == width
+        for rng, rep in zip(rngs, range(lo, hi)):
+            assert np.array_equal(rng.standard_exponential(300), simulator._rep_rng(seed, rep).standard_exponential(300))
+
+    def test_batch_builds_no_seed_sequence(self, monkeypatch):
+        # a SeedSequence per row cost most of a simulate_conditional call
+        def refuse(*args, **kwargs):
+            raise AssertionError("the batch built a SeedSequence")
+
+        monkeypatch.setattr(simulator, "_rep_rng", refuse)
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        a = simulate_conditional(ArrivalState(la=(2, 1, 1, 2), m=1), sym(2.86),
+                                 SimConfig(replications=100, seed=2024))
+        assert repr(a) == ("SimEstimate(mean=2.113478224284256, stderr=0.12073775760034593, "
+                           "n=100, seed=2024)")
+
+
+class TestSmallRates:
+    """At rates s = 2**-532 the system times are near 1e160 and their squares
+    pass the float range; every clock scales by the power of two, so each
+    estimate must be the s = 1 one over s, but for the absolute tie window."""
+
+    routes = {
+        "conditional": lambda p: simulate_conditional(ArrivalState(la=(2, 2, 2, 2), m=3), p,
+                                                      SimConfig(replications=200, seed=1)),
+        "steady": lambda p: simulate_steady_state(p, SimConfig(seed=5, warmup_departures=200,
+                                                               horizon_departures=2000)),
+    }
+
+    @pytest.mark.parametrize("route", sorted(routes))
+    def test_finite_and_scaled(self, route):
+        def run(s):
+            return self.routes[route](validate_params(SystemParams(lam=(s, s), mu=((3 * s, 3 * s),) * 2)))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            small = run(2.0**-532)
+        unit = run(1.0)
+        assert math.isfinite(small.stderr) and small.stderr > 0
+        assert math.ldexp(small.mean, -532) == pytest.approx(unit.mean, rel=1e-12, abs=0)
+        assert math.ldexp(small.stderr, -532) == pytest.approx(unit.stderr, rel=1e-12, abs=0)
 
 
 class TestStepBudget:
