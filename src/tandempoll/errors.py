@@ -6,8 +6,8 @@ class TandemPollError(Exception):
 
 
 class NonPositiveRate(TandemPollError):
-    """An arrival or service rate is zero, negative, non-finite or below the
-    smallest normal float, or the rates sum past the largest float."""
+    """A rate is zero, negative, non-finite or below 2**-1018, the rates sum
+    past the largest float, or a steady-state run's clock passes it."""
 
 
 class UnstableSystem(TandemPollError):

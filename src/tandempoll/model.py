@@ -19,6 +19,7 @@ from .errors import NonPositiveRate, UnstableSystem
 
 # Scenario index -> (queue in service at station 1, queue in service at station 2)
 SCENARIO_SERVERS = {1: (1, 1), 2: (1, 2), 3: (2, 1), 4: (2, 2)}
+_MIN_RATE = 16 * sys.float_info.min  # 2**-1018, see validate_params
 
 
 @dataclass(frozen=True)
@@ -150,9 +151,9 @@ def validate_params(p: SystemParams) -> SystemParams:
     computes with the Python floats returned here (``p`` itself if its
     rates already are).  Raises ``ValueError`` for a wrong shape,
     ``NonPositiveRate`` for bad rates and ``UnstableSystem`` when
-    rho_j >= 1 at either station.  Each rate must be a normal float (a
-    subnormal one has lost precision, and 1/1e-310 is inf), and the six
-    rates must sum to a finite float, so that no sum of rates overflows.
+    rho_j >= 1 at either station.  Each rate must be at least 2**-1018, so
+    that a duration, a unit time below 64 (numpy's exponential draws stay
+    below 45) over a rate, is finite; and the six must sum to a finite float.
     """
     try:
         (l1, l2), ((m11, m12), (m21, m22)) = p.lam, p.mu
@@ -162,8 +163,9 @@ def validate_params(p: SystemParams) -> SystemParams:
     total = 0.0
     for r in rates:
         x = _real(r)
-        if not sys.float_info.min <= x < math.inf:
-            raise NonPositiveRate(f"rates must be positive and finite, at least {sys.float_info.min!r}; got {r!r}")
+        if not _MIN_RATE <= x < math.inf:
+            raise NonPositiveRate(f"rates must be positive and finite, at least {sys.float_info.min!r} * 16 = "
+                                  f"{_MIN_RATE!r}; got {r!r}")
         total += x
     if total == math.inf:
         raise NonPositiveRate(

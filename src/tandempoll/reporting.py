@@ -260,15 +260,20 @@ def emit_report(rows, path: str, fmt: str = "csv") -> None:
 
 def parse_report(path: str) -> list[ComparisonRow]:
     """Read back a CSV report at full precision.  A blank or absent cell of a
-    column that defaults to None (older reports lack ``error``) reads as None."""
+    column that defaults to None (older reports lack ``error``) reads as None;
+    a file without the others, such as a ``table`` report, raises ValueError."""
     with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        fields = dataclasses.fields(ComparisonRow)
+        missing = ", ".join(f.name for f in fields if f.default is not None and f.name not in (reader.fieldnames or ()))
+        if missing:
+            raise ValueError(f"{path} is not a CSV report: it has no {missing} column")
         return [
             ComparisonRow(**{
-                f.name: _COLUMNS[f.name][2](rec[f.name])
-                if rec.get(f.name) or f.default is not None else None
-                for f in dataclasses.fields(ComparisonRow)
+                f.name: _COLUMNS[f.name][2](rec[f.name]) if rec.get(f.name) or f.default is not None else None
+                for f in fields
             })
-            for rec in csv.DictReader(fh)
+            for rec in reader
         ]
 
 

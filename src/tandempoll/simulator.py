@@ -26,13 +26,14 @@ rule cannot change a stochastic result: two exponential clocks land within
 ``_TIE`` of each other with negligible probability, so in practice each step
 applies one event, drawing in the order of a one-event-per-step loop.
 
-Each replication draws from its own stream derived from (seed, replication
-index) through numpy's SeedSequence spawning, so results do not depend on
-batching: a scalar run builds the SeedSequence (``_rep_rng``), and the batch
-runs the same hash for all its rows at once (``_stream_words``).  Both
-engines fetch draws ``_DRAW_BLOCK`` at a time: ``_unit_draws`` for a scalar
-run, and one buffer row per replication in the batch.  The block size cannot
-change a result (see ``_unit_draws``).
+Each replication draws the stream numpy's ``SeedSequence(seed,
+spawn_key=(replication,))`` gives it, so results do not depend on batching.
+One builder, ``_rngs``, makes every stream, for the lockstep batch, the
+steady-state run and the traced replay alike: it seeds numpy's PCG64 from
+the words ``_stream_words`` hashes, and builds no SeedSequence.  Both engines
+fetch draws ``_DRAW_BLOCK`` at a time: ``_unit_draws`` for a scalar run, and
+one buffer row per replication in the batch.  The block size cannot change a
+result (see ``_unit_draws``).
 
 ``_Polling.step`` is the scalar hot loop: it runs about three times per
 departure of a steady-state run and once per event of every timeline and
@@ -42,15 +43,14 @@ trace.  It applies both exhaustive picks inline rather than through
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
+from itertools import chain, permutations, repeat
 
 import numpy as np
 
-from .errors import NonTermination
+from .errors import NonPositiveRate, NonTermination
 from .model import ArrivalState, SystemParams, _count, _member, relabel_for_class2, validate_params
 
 __all__ = [
@@ -337,13 +337,6 @@ def deterministic_wait(s: ArrivalState, p: SystemParams) -> float:
     return _tagged_sojourn(s, p, lambda: 1.0)
 
 
-def _rep_rng(seed: int, rep: int) -> np.random.Generator:
-    """Replication ``rep``'s Generator: PCG64 seeded by ``SeedSequence(seed,
-    spawn_key=(rep,))``.  Scalar runs draw from it; ``_batch_rngs`` builds
-    the same streams for a lockstep batch, and the tests hold the two equal."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
-
-
 def _hash(h: int, mult: int):
     """SeedSequence's hash step on ``uint32`` arrays; its constant ``h``
     advances on every call whatever the data."""
@@ -363,54 +356,49 @@ def _mix(x, y):
 
 def _stream_words(seed: int, lo: int, hi: int) -> np.ndarray:
     """Row r holds ``SeedSequence(seed, spawn_key=(lo + r,)).generate_state(4,
-    np.uint64)`` for every replication ``lo + r`` below 2**32.  SeedSequence
+    np.uint64)`` for any replication ``lo + r`` below 2**64.  SeedSequence
     mixes its entropy (the seed's 32-bit words, low first and zero-padded to
-    4, then the index) into a pool of 4 words and hashes the pool into 8
-    output words, with constants that never depend on the data; so the same
-    steps on ``uint32`` columns hash every row at once.  Rows are
+    4, then the index: one word below 2**32, two from there) into a pool of 4
+    words and hashes the pool into 8 output words, with constants that never
+    depend on the data; so the same steps on ``uint32`` columns hash every row
+    at once, mixing in a high word only where there is one.  Rows are
     C-contiguous, as PCG64 reads the words through the data pointer."""
     words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
     entropy = [np.array([w], np.uint32) for w in words + [0] * (4 - len(words))]
-    entropy.append(np.arange(lo, min(hi, 1 << 32), dtype=np.uint32))
+    reps = np.arange(lo, hi, dtype=np.uint64)
+    entropy.append(reps.astype(np.uint32))
     hashmix = _hash(0x43B0D7E5, 0x931E8875)
     pool = [hashmix(w) for w in entropy[:4]]
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                pool[j] = _mix(pool[j], hashmix(pool[i]))
+    for i, j in permutations(range(4), 2):
+        pool[j] = _mix(pool[j], hashmix(pool[i]))
     for w in entropy[4:]:
         pool = [_mix(x, hashmix(w)) for x in pool]
+    if hi > 1 << 32:  # a window below 2**32 skips this
+        high = reps >> 32
+        pool = [np.where(high > 0, _mix(x, hashmix(high.astype(np.uint32))), x) for x in pool]
     out = _hash(0x8B51F9DD, 0x58F38DED)
     return np.stack([out(pool[i % 4]) for i in range(8)], axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
-@functools.cache
-def _fixed_seed():
-    """An ``ISeedSequence`` that hands PCG64 fixed words; made on first use,
-    as defining it loads ``numpy.random``."""
-    class FixedSeed(np.random.bit_generator.ISeedSequence):
+def _rngs(seed: int, lo: int, hi: int) -> list:
+    """The Generators of replications ``lo .. hi - 1``: numpy's PCG64 seeded
+    from ``_stream_words``, so each draws the stream ``SeedSequence(seed,
+    spawn_key=(rep,))`` gives it, with none built.  The one stream builder:
+    the batch, the steady-state run and the traced replay take theirs here."""
+    class Words(np.random.bit_generator.ISeedSequence):  # here, as it loads numpy.random
         def __init__(self, words):
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words  # PCG64 asks for (4, np.uint64) alone
-    return FixedSeed
-
-
-def _batch_rngs(seed: int, lo: int, hi: int) -> list:
-    """``_rep_rng(seed, rep)`` for rep in ``lo .. hi - 1``: numpy's own PCG64
-    seeds from ``_stream_words``, so each stream is the same by construction
-    while no row builds a SeedSequence.  A replication index of 2**32 or
-    more, whose spawn key numpy splits into two words, takes ``_rep_rng``."""
-    fixed, pcg, gen = _fixed_seed(), np.random.PCG64, np.random.Generator
-    rngs = [gen(pcg(fixed(w))) for w in _stream_words(seed, lo, hi)]
-    return rngs + [_rep_rng(seed, rep) for rep in range(max(lo, 1 << 32), hi)]
+    pcg, gen = np.random.PCG64, np.random.Generator
+    return [gen(pcg(Words(w))) for w in _stream_words(seed, lo, hi)]
 
 
 def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi: int) -> np.ndarray:
     """Tagged system times of replications ``lo .. hi - 1``, run in lockstep
-    on numpy arrays; entry r equals ``_tagged_sojourn`` on the stream
-    ``_unit_draws(_rep_rng(seed, lo + r))`` bit for bit, whatever batch holds it.
+    on numpy arrays; entry r equals ``_tagged_sojourn`` on replication
+    ``lo + r``'s stream (``_rngs``) bit for bit, whatever batch holds it.
 
     Each array holds one quantity of ``_Polling`` across the live rows
     (``n``, ``end``, ``next_arrival`` as ``arrival``, and ``position`` as a
@@ -418,12 +406,11 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
     ``_Polling.step``.  Every row keeps its own stream: a ``_DRAW_BLOCK``-wide
     buffer row filled from its own Generator, read in the scalar order
     (arrival class 1, arrival class 2, station-2 start, station-1 start).
-    The Generators come from ``_batch_rngs``, which hashes every row's seed
-    words in one pass instead of building a SeedSequence per row.  Finished
-    rows leave the arrays; the buffer stays indexed by batch row.
+    ``_rngs`` hashes every row's seed words in one pass.  Finished rows
+    leave the arrays; the buffer stays indexed by batch row.
     """
     width = _DRAW_BLOCK
-    rngs = _batch_rngs(seed, lo, hi)
+    rngs = _rngs(seed, lo, hi)
     draws = np.empty((len(rngs), width))
     for rng, buf in zip(rngs, draws):
         rng.standard_exponential(out=buf)
@@ -537,7 +524,7 @@ def simulate_conditional(
     tagged_class = s.tagged_class
     s, p = relabel_for_class2(s, p)
     if trace is not None:
-        _tagged_sojourn(s, p, _unit_draws(_rep_rng(c.seed, 0)).__next__, trace, tagged_class - 1)
+        _tagged_sojourn(s, p, _unit_draws(_rngs(c.seed, 0, 1)[0]).__next__, trace, tagged_class - 1)
     reps = c.replications
     waits = np.concatenate([
         _conditional_batch(s, p, c.seed, lo, min(lo + _BATCH_ROWS, reps)) for lo in range(0, reps, _BATCH_ROWS)
@@ -563,7 +550,7 @@ def simulate_steady_state(
     """
     measured = _member(measured_class, "measured_class", (1, 2)) - 1
     p = validate_params(p)
-    net = _Polling(p, _unit_draws(_rep_rng(c.seed, 0)).__next__)
+    net = _Polling(p, _unit_draws(_rngs(c.seed, 0, 1)[0]).__next__)
     net.schedule_arrivals()
     kept = []
     pooled_sum = 0.0
@@ -575,7 +562,10 @@ def simulate_steady_state(
     area = area0 = time0 = 0.0
     while departures < target:
         t, in_system = net.t, net.next_cid - departures
-        out = step()
+        try:
+            out = step()
+        except IndexError:  # a step pops an empty queue only once the clock is inf
+            break
         area += in_system * (net.t - t)
         if out is None:
             continue
@@ -586,6 +576,8 @@ def simulate_steady_state(
             pooled_sum += out[2]
             if out[1] == measured:
                 kept.append(out[2])
+    if net.t == _INF:
+        raise NonPositiveRate(f"the clock passed the largest float, 1.8e308, before {target} departures")
     kept_arr = np.asarray(kept)
     if kept_arr.shape[0] < _BATCHES:
         raise ValueError(

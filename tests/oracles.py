@@ -266,3 +266,10 @@ def exact_timeline_wait(s, p):
             assert type(net.t) is Fraction, "the timeline left its exact clock"
             return float(out[2])
     raise RuntimeError("tagged customer did not leave within the step budget")
+
+
+def rep_rng(seed, rep):
+    """Replication ``rep``'s Generator as numpy itself builds it: PCG64 seeded
+    by ``SeedSequence(seed, spawn_key=(rep,))``.  The simulator derives the
+    same stream without a SeedSequence; the tests hold the two equal."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))

@@ -1,0 +1,42 @@
+"""Source hygiene: the package keeps no private helper that nothing calls."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tandempoll"
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _definitions(tree):
+    """(name, node) for every private module-level function, class or
+    assigned name, and every private method of a module-level class."""
+    for scope in [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]:
+        for node in scope.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif scope is tree and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            yield from ((name, node) for name in names if _private(name))
+
+
+def test_no_unused_private_helpers():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    uses = [
+        (fname, node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+        for fname, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+    ]
+    unused = [
+        f"{fname}:{node.lineno} {name}"
+        for fname, tree in trees.items()
+        for name, node in _definitions(tree)
+        if not any(n == name and not (f == fname and node.lineno <= line <= node.end_lineno) for f, n, line in uses)
+    ]
+    assert unused == [], "private names referenced nowhere in the package but their own definition"

@@ -288,6 +288,17 @@ class TestEmit:
             dataclasses.replace(self.GOLDEN_ROWS[0], error=None), self.GOLDEN_ROWS[1]
         ]
 
+    @pytest.mark.parametrize("text,missing", [
+        (GOLDEN["table"], "la, m"),
+        ("m,analytic\n1,1.6\n", "la"),
+        ("", "la, m"),
+    ], ids=["table-report", "no-la", "empty"])
+    def test_file_without_report_columns(self, tmp_path, text, missing):
+        path = tmp_path / "other.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"has no {missing} column"):
+            parse_report(str(path))
+
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report([], str(tmp_path / "x.csv"))

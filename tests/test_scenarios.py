@@ -420,6 +420,47 @@ class TestSubnormalRates:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+class TestTinyRates:
+    """lam = (s, s) and every mu = 3s.  A duration is a unit time below 64
+    over a rate, so below s = 2**-1018 it could overflow: there every route
+    refuses the rates, naming the bound, where analyze raised OverflowError,
+    deterministic_wait returned inf and the simulations warned of overflow
+    or raised untyped errors.  From 1e-306 every route answers as before."""
+
+    sim = SimConfig(replications=200, seed=1, warmup_departures=10, horizon_departures=100)
+    routes = {
+        "analyze": lambda s, p: analyze(s, p).cond_wait,
+        "deterministic": deterministic_wait,
+        "conditional": lambda s, p: simulate_conditional(s, p, TestTinyRates.sim).mean,
+        "steady": lambda s, p: simulate_steady_state(p, TestTinyRates.sim).mean,
+    }
+
+    @staticmethod
+    def run(route, s):
+        return TestTinyRates.routes[route](ArrivalState(la=(6, 6, 6, 6), m=3),
+                                           SystemParams(lam=(s, s), mu=((3 * s, 3 * s),) * 2))
+
+    @pytest.mark.parametrize("route", sorted(routes))
+    @pytest.mark.parametrize("s", [3e-308, 1e-307, 3.56e-307])
+    def test_refused_below_the_bound(self, route, s):
+        with pytest.raises(NonPositiveRate, match=r"at least 2\.2250738585072014e-308 \* 16 = 3\.5601181736115222e-307"):
+            self.run(route, s)
+
+    def test_answers_above_the_bound(self):
+        assert [repr(self.run(route, 1e-306)) for route in sorted(self.routes)] == [
+            "9.992958115328147e+306", "9.446859666045765e+306", "8.999999999999996e+306", "2.1076474788879637e+306",
+        ]
+        assert repr(self.run("analyze", 3.6e-307)) == "2.7758216987022623e+307"
+
+    # 5e-307 empties a queue at an infinite clock; 1e-306 runs on to the
+    # last departure with an infinite clock
+    @pytest.mark.parametrize("s", [5e-307, 1e-306])
+    def test_steady_clock_past_the_float_range(self, s):
+        p = SystemParams(lam=(s, s), mu=((3 * s, 3 * s),) * 2)
+        with pytest.raises(NonPositiveRate, match=r"clock passed the largest float, 1\.8e308, before 2000 departures"):
+            simulate_steady_state(p, SimConfig(seed=5, warmup_departures=0, horizon_departures=2000))
+
+
 class TestRandomizedSweep:
     """Seeded random states and stable rates; structural invariants only."""
 

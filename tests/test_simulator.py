@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import rep_rng
 
 from tandempoll import simulator
 from tandempoll.errors import NonTermination, UnstableSystem
@@ -167,7 +168,7 @@ class TestBatchMatchesScalar:
     def scalar(s, p, seed, reps):
         s, p = relabel_for_class2(s, validate_params(p))
         return np.array([
-            simulator._tagged_sojourn(s, p, simulator._unit_draws(simulator._rep_rng(seed, rep)).__next__)
+            simulator._tagged_sojourn(s, p, simulator._unit_draws(rep_rng(seed, rep)).__next__)
             for rep in reps
         ])
 
@@ -179,7 +180,7 @@ class TestBatchMatchesScalar:
     @staticmethod
     def draws_taken(s, p, seed, rep):
         s, p = relabel_for_class2(s, validate_params(p))
-        stream = simulator._unit_draws(simulator._rep_rng(seed, rep))
+        stream = simulator._unit_draws(rep_rng(seed, rep))
         count = 0
 
         def draw():
@@ -200,6 +201,12 @@ class TestBatchMatchesScalar:
         assert used > 2 * simulator._DRAW_BLOCK  # so some row refills twice
         assert np.array_equal(self.batch(s, p, 2025, 10, 30), self.scalar(s, p, 2025, range(10, 30)))
 
+    def test_window_straddling_2_32(self):
+        # numpy reads an index from 2**32 up as two words, one below as one
+        s, p = ArrivalState(la=(2, 3, 1, 2), m=3, tagged_class=2), sym(2.22)
+        lo, hi = 2**32 - 3, 2**32 + 3
+        assert np.array_equal(self.batch(s, p, 13, lo, hi), self.scalar(s, p, 13, range(lo, hi)))
+
     @pytest.mark.parametrize("rows", [1, 7])
     def test_replications_cross_blocks(self, monkeypatch, rows):
         monkeypatch.setattr(simulator, "_BATCH_ROWS", rows)
@@ -210,10 +217,10 @@ class TestBatchMatchesScalar:
 
 
 class TestBatchStreams:
-    """The batch hashes its rows' seed words itself (``_stream_words``).  The
-    words, and the streams numpy's PCG64 draws from them, must stay numpy's
-    own, so that a change in numpy's seeding fails here instead of parting
-    the batch from the scalar engine."""
+    """Every run hashes its replications' seed words itself
+    (``_stream_words``).  The words, and the streams numpy's PCG64 draws
+    from them, must stay numpy's own (``oracles.rep_rng``) for every index,
+    2**32 and up included, so that a change in numpy's seeding fails here."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(
@@ -224,27 +231,25 @@ class TestBatchStreams:
     @example(seed=10**40, lo=2**32 - 3, width=6)  # straddles 2**32
     def test_words_and_streams_match_numpy(self, seed, lo, width):
         hi = lo + width
-        reps = range(lo, min(hi, 2**32))  # from 2**32 the batch takes _rep_rng
         words = simulator._stream_words(seed, lo, hi)
-        assert words.shape == (len(reps), 4)
-        for row, rep in zip(words, reps):
+        assert words.shape == (width, 4)
+        for row, rep in zip(words, range(lo, hi)):
             assert np.array_equal(row, np.random.SeedSequence(seed, spawn_key=(rep,)).generate_state(4, np.uint64))
-        rngs = simulator._batch_rngs(seed, lo, hi)
+        rngs = simulator._rngs(seed, lo, hi)
         assert len(rngs) == width
         for rng, rep in zip(rngs, range(lo, hi)):
-            assert np.array_equal(rng.standard_exponential(300), simulator._rep_rng(seed, rep).standard_exponential(300))
+            assert np.array_equal(rng.standard_exponential(300), rep_rng(seed, rep).standard_exponential(300))
 
     def test_batch_builds_no_seed_sequence(self, monkeypatch):
-        # a SeedSequence per row cost most of a simulate_conditional call
+        # a SeedSequence per row cost most of a simulate_conditional call;
+        # the steady-state run and the traced replay take the same builder
         def refuse(*args, **kwargs):
-            raise AssertionError("the batch built a SeedSequence")
+            raise AssertionError("a run built a SeedSequence")
 
-        monkeypatch.setattr(simulator, "_rep_rng", refuse)
         monkeypatch.setattr(np.random, "SeedSequence", refuse)
-        a = simulate_conditional(ArrivalState(la=(2, 1, 1, 2), m=1), sym(2.86),
-                                 SimConfig(replications=100, seed=2024))
-        assert repr(a) == ("SimEstimate(mean=2.113478224284256, stderr=0.12073775760034593, "
-                           "n=100, seed=2024)")
+        TestReplayPinned().test_conditional()
+        TestReplayPinned().test_steady_state()
+        TestTracePinned().test_rows(ArrivalState(la=(1, 1, 0, 1), m=2), TestTracePinned.CLASS1)
 
 
 class TestSmallRates:
@@ -303,13 +308,13 @@ class TestHeadCount:
 
     def test_from_empty(self):
         p = validate_params(SystemParams(lam=(1.0, 1.0), mu=((2.22, 2.86), (2.22, 2.86))))
-        net = simulator._Polling(p, simulator._unit_draws(simulator._rep_rng(3, 0)).__next__)
+        net = simulator._Polling(p, simulator._unit_draws(rep_rng(3, 0)).__next__)
         net.schedule_arrivals()
         assert self.run(net, 5000) > 1000
 
     def test_from_snapshot(self):
         s = ArrivalState(la=(4, 2, 3, 1), m=2)
-        net = simulator._Polling(sym(2.22), simulator._unit_draws(simulator._rep_rng(4, 0)).__next__)
+        net = simulator._Polling(sym(2.22), simulator._unit_draws(rep_rng(4, 0)).__next__)
         net.seed_snapshot(s)
         present = sum(s.la) + 1  # the tagged customer too
         assert net.next_cid == present == sum(map(sum, net.n))
