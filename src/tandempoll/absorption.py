@@ -57,13 +57,14 @@ starts at the bottom, so the size, and with it the answer, depends on
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidSupport, SingularSystem, TruncationTooTight
+from .errors import InvalidSupport, NonPositiveRate, SingularSystem, TruncationTooTight
 from .model import TruncationConfig
 from .primitives import _unit_scale
 
@@ -143,10 +144,12 @@ def lattice_solution(lam: float, mu1: float, mu2: float, n_max: int) -> LatticeS
     psi2 = back(y)[:, :, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         phi2 = np.where(p2 > 0, psi2 / np.maximum(p2, 1e-300), 0.0)
-    # a start with u = 0 reads the drain chain: row 0 of the by-start tables
-    sol = LatticeSolution(
-        p1=p1, p2=p2, time=np.vstack([drain, phi2]) * c, overflow=np.vstack([drain_ovf, p_ovf]),
-    )
+    # a start with u = 0 reads the drain chain: row 0 of the by-start tables.
+    # Near the smallest accepted rates a far corner's time may pass the float
+    # range and read inf; mfpt_to_empty refuses a start whose own entry does.
+    with np.errstate(over="ignore"):
+        times = np.vstack([drain, phi2]) * c
+    sol = LatticeSolution(p1=p1, p2=p2, time=times, overflow=np.vstack([drain_ovf, p_ovf]))
     low = min(float(a.min()) for a in (sol.p1, sol.p2, sol.time, sol.overflow))
     if not low >= _NEGATIVE_TOL:
         raise SingularSystem(
@@ -227,12 +230,18 @@ def mfpt_to_empty(
     first), the quantity a conditioned path simulation estimates.  For
     u = 0 there is no race left to condition on, and the unconditional mean
     drain time on the whole box is returned.  w = 0 returns 0.  Both kinds
-    of start are checked for overflow mass.
+    of start are checked for overflow mass.  A time past the largest float
+    (rates near ``validate_params``'s bound) raises ``NonPositiveRate``.
     """
     if u < 0 or w < 0:
         raise InvalidSupport(f"counts must be non-negative, got ({u}, {w})")
     if w == 0:
         return 0.0
     n = _size_for(u, w, lam, mu1, mu2, trunc.n_max)
-    sol = lattice_solution(lam, mu1, mu2, n)
-    return float(sol.time[u, w - 1])
+    t = float(lattice_solution(lam, mu1, mu2, n).time[u, w - 1])
+    if t == math.inf:
+        raise NonPositiveRate(
+            f"the mean time to empty from ({u}, {w}) at lam={lam!r}, mu1={mu1!r}, mu2={mu2!r}"
+            " passes the largest float, 1.8e308"
+        )
+    return t

@@ -7,7 +7,8 @@ class TandemPollError(Exception):
 
 class NonPositiveRate(TandemPollError):
     """A rate is zero, negative, non-finite or below 2**-1018, the rates sum
-    past the largest float, or a steady-state run's clock passes it."""
+    past the largest float, or a steady-state run's clock or an absorption
+    time passes it."""
 
 
 class UnstableSystem(TandemPollError):

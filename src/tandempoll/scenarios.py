@@ -31,9 +31,9 @@ import math
 from dataclasses import dataclass
 
 from .absorption import absorption_probs, mfpt_to_empty
-from .errors import ThresholdUnreached
+from .errors import NonPositiveRate, ThresholdUnreached
 from .model import ArrivalState, SystemParams, TruncationConfig, relabel_for_class2, validate_params
-from .primitives import drain_wait, race_busy_period, race_erlang, transfer_count_pmf
+from .primitives import _unit_scale, drain_wait, race_busy_period, race_erlang, transfer_count_pmf
 
 __all__ = ["SubScenarioOutcome", "ScenarioReport", "analyze"]
 
@@ -104,12 +104,17 @@ class _Engine:
         acc[0] += prob
         acc[1] += prob * wait
 
-    def report(self, m: int) -> ScenarioReport:
+    def report(self, m: int, c: float) -> ScenarioReport:
+        """The leaves and their mean, with every wait times ``c``, the power
+        of two the tree's rates were multiplied by."""
+        waits = [acc[1] / acc[0] for acc in self._leaves.values()]
         outcomes = tuple(
-            SubScenarioOutcome(label=lbl, prob=acc[0], wait=acc[1] / acc[0])
-            for lbl, acc in self._leaves.items()
+            SubScenarioOutcome(label=lbl, prob=acc[0], wait=w * c)
+            for (lbl, acc), w in zip(self._leaves.items(), waits)
         )
-        cond = sum(o.prob * o.wait for o in outcomes)
+        cond = sum(o.prob * w for o, w in zip(outcomes, waits)) * c
+        if cond == math.inf:
+            raise NonPositiveRate("the mean wait passes the largest float, 1.8e308: the rates are too small")
         return ScenarioReport(m=m, outcomes=outcomes, residual_prob=self.residual, cond_wait=cond)
 
     # -- stage A: station 2 still on queue 1 --------------------------------
@@ -340,6 +345,16 @@ def analyze(s: ArrivalState, p: SystemParams, trunc: TruncationConfig = _DEFAULT
     analysis first; the report carries the caller's ``s.m``.
     """
     relabeled, p = relabel_for_class2(s, validate_params(p))
+    # Rates that sum below 0.5 run times c, the power of two that brings
+    # their sum into [0.5, 1), so that no time in the tree passes the float
+    # range, as a branch that adds little to the mean may near the 2**-1018
+    # bound.  The scaling is exact, so the answer is the unscaled tree's bit
+    # for bit wherever that one stays finite.  Larger rates run as given,
+    # so an error names the caller's rates.
+    c = 1.0
+    if sum(p.lam) + sum(p.mu[0]) + sum(p.mu[1]) < 0.5:
+        c, (lam1, lam2, mu11, mu12, mu21, mu22) = _unit_scale(*p.lam, *p.mu[0], *p.mu[1])
+        p = SystemParams(lam=(lam1, lam2), mu=((mu11, mu12), (mu21, mu22)))
     eng = _Engine(p, trunc)
     eng.run(relabeled)
-    return eng.report(s.m)
+    return eng.report(s.m, c)

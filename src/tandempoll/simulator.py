@@ -7,9 +7,11 @@ routes use its rules:
   (queue lengths plus server positions), runs until the tagged customer
   leaves station 2, and averages the tagged system time over replications.
   Its replications run as one lockstep numpy batch (``_conditional_batch``)
-  that applies the same rules in the same order to the same streams, so
-  each replication's wait equals ``_Polling``'s bit for bit; a requested
-  trace replays replication 0 through ``_Traced``, in the caller's labels;
+  that applies the same rules in the same order to the same streams, until
+  ``_TAIL_ROWS`` rows are left; those stragglers finish one by one on
+  ``_Polling`` itself, each resumed from its lockstep state.  So each
+  replication's wait equals ``_Polling``'s bit for bit; a requested trace
+  replays replication 0 through ``_Traced``, in the caller's labels;
 * ``simulate_steady_state`` runs one long ``_Polling`` run and estimates the
   long-run mean system time (waiting inclusive of service) of a class via
   batch means, discarding a warm-up prefix;
@@ -71,6 +73,11 @@ _STEP_BUDGET = 1_000_000
 _DRAW_BLOCK = 128
 # Replications one lockstep batch runs at most, which bounds its memory.
 _BATCH_ROWS = 8192
+# Live rows at or below which a lockstep batch finishes them one by one on
+# the scalar engine.  A lockstep step costs about 55 us plus 0.3 us per live
+# row, a scalar step about 1 us; a sim-conditional pass is about as fast
+# anywhere from 32 to 96 rows (ROADMAP item 3 gives the sweep).
+_TAIL_ROWS = 40
 # Batch means behind a steady-state standard error.
 _BATCHES = 20
 
@@ -203,6 +210,21 @@ class _Polling:
         self.schedule_arrivals()
         return self.next_cid
 
+    def resume(self, n, end, arrival, position, ahead: int) -> int:
+        """Take up a run mid-way, in a lockstep row's state (``n``, ``end``,
+        ``arrival`` as ``next_arrival`` and ``position``), with the tagged
+        customer ``ahead`` class-1 departures from leaving; returns its id, 0.
+
+        Only the tagged customer's departure is read, so the FIFOs hold
+        placeholders for everyone else: ``ahead - 1`` class-1 ones before the
+        tagged customer, and one per class-2 customer present.  Its arrival
+        time is 0.0, so its system time is the clock at which it leaves.
+        """
+        self.n, self.end, self.next_arrival, self.position = n, end, arrival, position
+        other = (None, 0.0)
+        self.fifo = (deque([other] * (ahead - 1) + [(0, 0.0)]), deque([other] * (n[0][1] + n[1][1])))
+        return 0
+
     def schedule_arrivals(self) -> None:
         for c in (0, 1):
             self.next_arrival[c] = self.t + self.draw() / self.lam[c]
@@ -319,8 +341,15 @@ def _tagged_sojourn(s: ArrivalState, p: SystemParams, draw, trace=None, swap: in
     """System time of the tagged customer from snapshot ``s`` (relabelled,
     validated parameters); raises ``NonTermination`` past the step budget."""
     net = _Polling(p, draw) if trace is None else _Traced(p, draw, trace, swap)
-    tagged_id = net.seed_snapshot(s)
-    for _ in range(_STEP_BUDGET):
+    return _run_tagged(net, net.seed_snapshot(s), _STEP_BUDGET)
+
+
+def _run_tagged(net: _Polling, tagged_id: int, steps: int) -> float:
+    """Step ``net`` until customer ``tagged_id`` leaves station 2 and return
+    its system time; raises ``NonTermination`` if ``steps`` steps do not
+    reach it (a row resumed from the lockstep gets what its lockstep steps
+    left of ``_STEP_BUDGET``)."""
+    for _ in range(steps):
         out = net.step()
         if out is not None and out[0] == tagged_id:
             return out[2]
@@ -397,8 +426,9 @@ def _rngs(seed: int, lo: int, hi: int) -> list:
 
 def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi: int) -> np.ndarray:
     """Tagged system times of replications ``lo .. hi - 1``, run in lockstep
-    on numpy arrays; entry r equals ``_tagged_sojourn`` on replication
-    ``lo + r``'s stream (``_rngs``) bit for bit, whatever batch holds it.
+    on numpy arrays and finished on the scalar engine; entry r equals
+    ``_tagged_sojourn`` on replication ``lo + r``'s stream (``_rngs``) bit
+    for bit, whatever batch holds it.
 
     Each array holds one quantity of ``_Polling`` across the live rows
     (``n``, ``end``, ``next_arrival`` as ``arrival``, and ``position`` as a
@@ -408,6 +438,14 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
     (arrival class 1, arrival class 2, station-2 start, station-1 start).
     ``_rngs`` hashes every row's seed words in one pass.  Finished rows
     leave the arrays; the buffer stays indexed by batch row.
+
+    A lockstep step costs about the same however few rows are live, and the
+    loop runs once per step of the longest row.  So once at most
+    ``_TAIL_ROWS`` rows are live (at once, for a batch that small), each
+    finishes alone on a ``_Polling`` that ``resume`` sets to the row's
+    state, drawing the rest of its buffer row and then fresh
+    ``_DRAW_BLOCK``s of its stream, and stepping through ``_run_tagged``:
+    the same rules, and a step budget that counts its lockstep steps too.
     """
     width = _DRAW_BLOCK
     rngs = _rngs(seed, lo, hi)
@@ -432,7 +470,11 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
     # (behind l12 + l11 others) leaves at this many class-1 departures.
     ahead = np.full(len(rngs), s.la[2] + s.la[0] + 1)
     waits = np.empty(len(rngs))
-    for _ in range(_STEP_BUDGET):
+    steps = 0
+    while len(rows) > _TAIL_ROWS:
+        if steps == _STEP_BUDGET:
+            raise NonTermination(f"tagged customer still in system after {_STEP_BUDGET} steps")
+        steps += 1
         for r in np.flatnonzero(nxt > last):
             i = rows[r]
             buf = draws[i]
@@ -480,12 +522,15 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
         if out.any():
             waits[rows[out]] = t[out]  # the scalar's t - 0.0, the same float
             live = ~out
-            if not live.any():
-                return waits
             rows, nxt, last, ahead = rows[live], nxt[live], last[live], ahead[live]
             n = [[x[live] for x in nj] for nj in n]
             position, end, arrival = ([x[live] for x in v] for v in (position, end, arrival))
-    raise NonTermination(f"tagged customer still in system after {_STEP_BUDGET} steps")
+    # the stragglers, one by one on the scalar engine
+    for i, at, k, *x in zip(*(v.tolist() for v in (rows, nxt, ahead, *n[0], *n[1], *end, *arrival, *position))):
+        net = _Polling(p, chain(draws[i, at - i * width:].tolist(), _unit_draws(rngs[i])).__next__)
+        tagged_id = net.resume([x[0:2], x[2:4]], x[4:6], x[6:8], [int(c) for c in x[8:]], k)
+        waits[i] = _run_tagged(net, tagged_id, _STEP_BUDGET - steps)
+    return waits
 
 
 def _scale_down(x: np.ndarray) -> int:
@@ -511,7 +556,8 @@ def simulate_conditional(
     Each replication re-creates the snapshot, injects the tagged customer at
     the tail of its class queue at station 1, and runs until that customer
     departs station 2.  The replications run in the caller's process, in
-    lockstep batches of at most ``_BATCH_ROWS``.  ``n_jobs`` must be a
+    lockstep batches of at most ``_BATCH_ROWS``, whose last ``_TAIL_ROWS``
+    rows finish one by one on the scalar engine.  ``n_jobs`` must be a
     positive integer and is otherwise ignored, as results never depended on
     it; it stays only for ``perfbench/``, until ROADMAP item 1 removes it.
     ``trace``, if a list is supplied, collects the event rows of replication

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tandempoll import reporting
+from tandempoll.absorption import mfpt_to_empty
 from tandempoll.errors import NonPositiveRate, SingularSystem, TandemPollError
 from tandempoll.simulator import SimConfig, deterministic_wait, simulate_conditional, simulate_steady_state
 from tandempoll.model import ArrivalState, SystemParams, TruncationConfig, swap_class_labels, validate_params
@@ -451,6 +452,31 @@ class TestTinyRates:
             "9.992958115328147e+306", "9.446859666045765e+306", "8.999999999999996e+306", "2.1076474788879637e+306",
         ]
         assert repr(self.run("analyze", 3.6e-307)) == "2.7758216987022623e+307"
+
+    def test_times_past_the_float_range_inside_the_tree(self):
+        # at s = 2**-1018 a branch of (40, 40, 40, 40) m=1 waits 109 times
+        # its unit-rate length, past 1.8e308, and the far corners of its
+        # lattices do too; the cell's mean does not, and equals the s = 1
+        # one scaled, as at 2**-1017
+        cell = ArrivalState(la=(40, 40, 40, 40), m=1)
+        for e in (1017, 1018):
+            s = 2.0**-e
+            answer = analyze(cell, SystemParams(lam=(s, s), mu=((3 * s, 3 * s),) * 2)).cond_wait
+            assert answer == math.ldexp(27.0044643335251, e)
+
+    def test_lattice_corners_past_the_float_range(self):
+        # the drain time from (0, w) is about w / (2s): (0, 128) still
+        # answers at s = 2**-1018, and (0, 130) refuses, typed
+        s = 2.0**-1018
+        assert mfpt_to_empty(0, 128, s, 3 * s, 3 * s) == pytest.approx(1.7906708960542109e308, rel=1e-12)
+        with pytest.raises(NonPositiveRate, match=r"mean time to empty from \(0, 130\).* passes the largest float"):
+            mfpt_to_empty(0, 130, s, 3 * s, 3 * s)
+
+    def test_mean_past_the_float_range(self):
+        # (30, 30, 30, 30) m=3 waits 73.4 at s = 1, past 64 = 1.8e308 * 2**-1018
+        s = 2.0**-1018
+        with pytest.raises(NonPositiveRate, match="mean wait passes the largest float"):
+            analyze(ArrivalState(la=(30, 30, 30, 30), m=3), SystemParams(lam=(s, s), mu=((2.05 * s, 2.05 * s),) * 2))
 
     # 5e-307 empties a queue at an infinite clock; 1e-306 runs on to the
     # last departure with an infinite clock

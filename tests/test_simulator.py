@@ -161,8 +161,18 @@ def generated_cells(count, seed):
 
 class TestBatchMatchesScalar:
     """``simulate_conditional`` runs its replications as a lockstep batch, a
-    second copy of ``_Polling``'s rules; each replication must give the
-    scalar engine's wait bit for bit."""
+    second copy of ``_Polling``'s rules, and finishes its last
+    ``_TAIL_ROWS`` rows on ``_Polling`` itself; each replication must give
+    the scalar engine's wait bit for bit.  The subclasses below run the same
+    cases with the lockstep to the end and with every row handed off right
+    after seeding; here ``_TAIL_ROWS`` keeps its default."""
+
+    TAIL_ROWS = None
+
+    @pytest.fixture(autouse=True)
+    def tail_rows(self, monkeypatch):
+        if self.TAIL_ROWS is not None:
+            monkeypatch.setattr(simulator, "_TAIL_ROWS", self.TAIL_ROWS)
 
     @staticmethod
     def scalar(s, p, seed, reps):
@@ -214,6 +224,55 @@ class TestBatchMatchesScalar:
         est = simulate_conditional(s, p, SimConfig(replications=30, seed=11))
         waits = self.scalar(s, p, 11, range(30))
         assert (est.mean, est.stderr) == (float(waits.mean()), float(waits.std(ddof=1) / math.sqrt(30)))
+
+
+class TestBatchMatchesScalarLockstep(TestBatchMatchesScalar):
+    """The cases above with no handoff: the lockstep runs every row to its end."""
+
+    TAIL_ROWS = 0
+
+
+class TestBatchMatchesScalarHandoffAtOnce(TestBatchMatchesScalar):
+    """The cases above with every row of every batch (none holds more than
+    ``_BATCH_ROWS``) handed to ``_Polling`` right after seeding."""
+
+    TAIL_ROWS = simulator._BATCH_ROWS
+
+
+class TestTailHandoff:
+    """Once a batch's live rows fall to ``_TAIL_ROWS``, each finishes on a
+    resumed ``_Polling``.  Counted with a spy on ``_Polling.resume``, so a
+    change that silently turns the handoff off fails here."""
+
+    @staticmethod
+    def resumed(monkeypatch, s, p, cfg):
+        calls = []
+        resume = simulator._Polling.resume
+
+        def spy(net, *args):
+            calls.append(args)
+            return resume(net, *args)
+
+        monkeypatch.setattr(simulator._Polling, "resume", spy)
+        est = simulate_conditional(s, p, cfg)
+        return est, len(calls)
+
+    @pytest.mark.parametrize("reps", [2, 800])
+    def test_last_rows_finish_on_the_scalar_engine(self, monkeypatch, reps):
+        s, p = ArrivalState(la=(6, 6, 6, 6), m=3), sym(2.86)
+        cfg = SimConfig(replications=reps, seed=20240811)
+        # the lockstep stops at the first step count k with at most
+        # _TAIL_ROWS rows still live, the rows that take more than k steps
+        # alone; rows that leave in one step can take the live count past
+        # _TAIL_ROWS at once, which this seed's 800 rows do not
+        steps = np.array([TestStepBudget.steps_taken(s, p, cfg.seed, rep) for rep in range(reps)])
+        live = (np.count_nonzero(steps > k) for k in range(steps.max() + 1))
+        handed_off = next(x for x in live if x <= simulator._TAIL_ROWS)
+        assert handed_off == min(reps, simulator._TAIL_ROWS)
+        est, resumed = self.resumed(monkeypatch, s, p, cfg)
+        assert resumed == handed_off
+        monkeypatch.setattr(simulator, "_TAIL_ROWS", 0)
+        assert self.resumed(monkeypatch, s, p, cfg) == (est, 0)
 
 
 class TestBatchStreams:
@@ -291,6 +350,32 @@ class TestStepBudget:
         with pytest.raises(NonTermination):
             simulate_conditional(ArrivalState(la=(6, 6, 6, 6), m=1), sym(2.86),
                                  SimConfig(replications=2, seed=1))
+
+    @staticmethod
+    def steps_taken(s, p, seed, rep):
+        net = simulator._Polling(p, simulator._unit_draws(rep_rng(seed, rep)).__next__)
+        tagged_id = net.seed_snapshot(s)
+        for k in itertools.count(1):
+            out = net.step()
+            if out is not None and out[0] == tagged_id:
+                return k
+
+    # a budget counts every step of a row, lockstep and scalar alike: the
+    # longest of 60 rows is handed off mid-run at 20 rows and right after
+    # seeding at 60, and needs as many steps as on the scalar engine alone
+    @pytest.mark.parametrize("tail_rows", [0, 20, 60])
+    def test_budget_across_the_handoff(self, monkeypatch, tail_rows):
+        s, p = ArrivalState(la=(3, 2, 1, 2), m=3), sym(2.22)
+        longest = max(self.steps_taken(s, p, 4, rep) for rep in range(60))
+        monkeypatch.setattr(simulator, "_TAIL_ROWS", tail_rows)
+        waits = TestBatchMatchesScalar.scalar(s, p, 4, range(60))
+        monkeypatch.setattr(simulator, "_STEP_BUDGET", longest)
+        assert np.array_equal(simulator._conditional_batch(s, p, 4, 0, 60), waits)
+        monkeypatch.setattr(simulator, "_STEP_BUDGET", longest - 1)
+        with pytest.raises(NonTermination):
+            simulator._conditional_batch(s, p, 4, 0, 60)
+        with pytest.raises(NonTermination):
+            TestBatchMatchesScalar.scalar(s, p, 4, range(60))
 
 
 class TestHeadCount:
