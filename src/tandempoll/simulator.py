@@ -7,9 +7,10 @@ routes use its rules:
   (queue lengths plus server positions), runs until the tagged customer
   leaves station 2, and averages the tagged system time over replications.
   Its replications run as one lockstep numpy batch (``_conditional_batch``)
-  that applies the same rules in the same order to the same streams, until
-  ``_TAIL_ROWS`` rows are left; those stragglers finish one by one on
-  ``_Polling`` itself, each resumed from its lockstep state.  So each
+  that applies the same rules in the same order to each row's first block
+  of draws.  A row leaves it one way: resumed from its lockstep state, it
+  finishes alone on ``_Polling`` itself, once its next step could run past
+  that block or at most ``_TAIL_ROWS`` rows are left.  So each
   replication's wait equals ``_Polling``'s bit for bit; a requested trace
   replays replication 0 through ``_Traced``, in the caller's labels;
 * ``simulate_steady_state`` runs one long ``_Polling`` run and estimates the
@@ -34,8 +35,9 @@ One builder, ``_rngs``, makes every stream, for the lockstep batch, the
 steady-state run and the traced replay alike: it seeds numpy's PCG64 from
 the words ``_stream_words`` hashes, and builds no SeedSequence.  Both engines
 fetch draws ``_DRAW_BLOCK`` at a time: ``_unit_draws`` for a scalar run, and
-one buffer row per replication in the batch.  The block size cannot change a
-result (see ``_unit_draws``).
+one buffer row per replication, filled once, in the batch.  The block size
+cannot change a result (see ``_unit_draws``).  A tagged run whose clock
+passes the largest float raises ``NonPositiveRate``.
 
 ``_Polling.step`` is the scalar hot loop: it runs about three times per
 departure of a steady-state run and once per event of every timeline and
@@ -322,6 +324,8 @@ class _Traced(_Polling):
         end, arrival, cid = self.end[:], self.next_arrival[:], self.next_cid
         held = (self.position[0], self._in_service(0)) if end[0] != _INF else None
         out = super().step()
+        if self.t == _INF:  # held may be None; _run_tagged raises
+            return out
         due = self.t + _TIE
         rows = [] if out is None else [("depart", 1, out[1], out[0])]
         if end[0] <= due:
@@ -348,12 +352,22 @@ def _run_tagged(net: _Polling, tagged_id: int, steps: int) -> float:
     """Step ``net`` until customer ``tagged_id`` leaves station 2 and return
     its system time; raises ``NonTermination`` if ``steps`` steps do not
     reach it (a row resumed from the lockstep gets what its lockstep steps
-    left of ``_STEP_BUDGET``)."""
-    for _ in range(steps):
-        out = net.step()
-        if out is not None and out[0] == tagged_id:
-            return out[2]
-    raise NonTermination(f"tagged customer still in system after {_STEP_BUDGET} steps")
+    left of ``_STEP_BUDGET``), and ``NonPositiveRate`` if the clock passes
+    the largest float first.  From there every event is due at once, so
+    each step has a departure or pops an empty queue."""
+    try:
+        for _ in range(steps):
+            out = net.step()
+            if out is not None and (out[0] == tagged_id or net.t == _INF):
+                break
+        else:
+            raise NonTermination(f"tagged customer still in system after {_STEP_BUDGET} steps")
+    except IndexError:  # a step pops an empty queue only at an inf clock
+        if net.t != _INF:
+            raise
+    if net.t == _INF:
+        raise NonPositiveRate("the clock passed the largest float, 1.8e308, before the tagged customer left")
+    return out[2]
 
 
 def deterministic_wait(s: ArrivalState, p: SystemParams) -> float:
@@ -432,20 +446,18 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
 
     Each array holds one quantity of ``_Polling`` across the live rows
     (``n``, ``end``, ``next_arrival`` as ``arrival``, and ``position`` as a
-    flag "polled at class 2"), and a step applies the same events, picks and IEEE operations as
-    ``_Polling.step``.  Every row keeps its own stream: a ``_DRAW_BLOCK``-wide
-    buffer row filled from its own Generator, read in the scalar order
+    flag "polled at class 2"), and a step applies ``_Polling.step``'s events,
+    picks and IEEE operations to each row's first ``_DRAW_BLOCK`` draws: a
+    buffer row filled once from its own Generator, read in the scalar order
     (arrival class 1, arrival class 2, station-2 start, station-1 start).
-    ``_rngs`` hashes every row's seed words in one pass.  Finished rows
-    leave the arrays; the buffer stays indexed by batch row.
+    Rows that leave drop out of the arrays, not out of the buffer.
 
-    A lockstep step costs about the same however few rows are live, and the
-    loop runs once per step of the longest row.  So once at most
-    ``_TAIL_ROWS`` rows are live (at once, for a batch that small), each
-    finishes alone on a ``_Polling`` that ``resume`` sets to the row's
-    state, drawing the rest of its buffer row and then fresh
-    ``_DRAW_BLOCK``s of its stream, and stepping through ``_run_tagged``:
-    the same rules, and a step budget that counts its lockstep steps too.
+    A row that has not finished leaves the lockstep one way, ``finish``: it
+    goes on alone on a ``_Polling`` in its state (``resume``), drawing the
+    rest of its buffer row, then its stream's next blocks, through
+    ``_run_tagged`` with what is left of the step budget.  So goes a row
+    whose next step could run past its buffer row, and every live row once
+    at most ``_TAIL_ROWS`` are live or the budget is spent.
     """
     width = _DRAW_BLOCK
     rngs = _rngs(seed, lo, hi)
@@ -470,18 +482,18 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
     # (behind l12 + l11 others) leaves at this many class-1 departures.
     ahead = np.full(len(rngs), s.la[2] + s.la[0] + 1)
     waits = np.empty(len(rngs))
+
+    def finish(go):
+        """Run the rows ``go`` flags to their end on the scalar engine."""
+        state = (rows, nxt, ahead, *n[0], *n[1], *end, *arrival, *position)
+        for i, at, k, *x in zip(*(v[go].tolist() for v in state)):
+            net = _Polling(p, chain(draws[i, at - i * width:].tolist(), _unit_draws(rngs[i])).__next__)
+            tagged_id = net.resume([x[0:2], x[2:4]], x[4:6], x[6:8], [int(c) for c in x[8:]], k)
+            waits[i] = _run_tagged(net, tagged_id, _STEP_BUDGET - steps)
+
     steps = 0
-    while len(rows) > _TAIL_ROWS:
-        if steps == _STEP_BUDGET:
-            raise NonTermination(f"tagged customer still in system after {_STEP_BUDGET} steps")
+    while len(rows) > _TAIL_ROWS and steps < _STEP_BUDGET:
         steps += 1
-        for r in np.flatnonzero(nxt > last):
-            i = rows[r]
-            buf = draws[i]
-            used = nxt[r] - i * width
-            buf[: width - used] = buf[used:]
-            rngs[i].standard_exponential(out=buf[width - used:])
-            nxt[r] = i * width
         t = np.minimum(np.minimum(end[1], end[0]), np.minimum(arrival[0], arrival[1]))
         due = t + _TIE
         done = [end[0] <= due, end[1] <= due]
@@ -519,17 +531,17 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
             at = at + go
         nxt = at
         out = ahead == 0
-        if out.any():
+        gone = out | (nxt > last)
+        if gone.any():
             waits[rows[out]] = t[out]  # the scalar's t - 0.0, the same float
-            live = ~out
+            far = gone ^ out
+            if far.any():
+                finish(far)
+            live = ~gone
             rows, nxt, last, ahead = rows[live], nxt[live], last[live], ahead[live]
             n = [[x[live] for x in nj] for nj in n]
             position, end, arrival = ([x[live] for x in v] for v in (position, end, arrival))
-    # the stragglers, one by one on the scalar engine
-    for i, at, k, *x in zip(*(v.tolist() for v in (rows, nxt, ahead, *n[0], *n[1], *end, *arrival, *position))):
-        net = _Polling(p, chain(draws[i, at - i * width:].tolist(), _unit_draws(rngs[i])).__next__)
-        tagged_id = net.resume([x[0:2], x[2:4]], x[4:6], x[6:8], [int(c) for c in x[8:]], k)
-        waits[i] = _run_tagged(net, tagged_id, _STEP_BUDGET - steps)
+    finish(np.full(len(rows), True))
     return waits
 
 
@@ -556,8 +568,10 @@ def simulate_conditional(
     Each replication re-creates the snapshot, injects the tagged customer at
     the tail of its class queue at station 1, and runs until that customer
     departs station 2.  The replications run in the caller's process, in
-    lockstep batches of at most ``_BATCH_ROWS``, whose last ``_TAIL_ROWS``
-    rows finish one by one on the scalar engine.  ``n_jobs`` must be a
+    lockstep batches of at most ``_BATCH_ROWS``; a row whose next step could
+    run past its first ``_DRAW_BLOCK`` draws, and each batch's last
+    ``_TAIL_ROWS`` rows, finish on the scalar engine.  A clock that passes
+    the largest float raises ``NonPositiveRate``.  ``n_jobs`` must be a
     positive integer and is otherwise ignored, as results never depended on
     it; it stays only for ``perfbench/``, until ROADMAP item 1 removes it.
     ``trace``, if a list is supplied, collects the event rows of replication
@@ -572,9 +586,16 @@ def simulate_conditional(
     if trace is not None:
         _tagged_sojourn(s, p, _unit_draws(_rngs(c.seed, 0, 1)[0]).__next__, trace, tagged_class - 1)
     reps = c.replications
-    waits = np.concatenate([
-        _conditional_batch(s, p, c.seed, lo, min(lo + _BATCH_ROWS, reps)) for lo in range(0, reps, _BATCH_ROWS)
-    ])
+    # A lockstep clock overflows to inf as the scalar's does, so each row
+    # still matches the scalar engine.  At an inf clock every event is due at
+    # once: the row leaves with an inf wait, which raises below, or within
+    # _DRAW_BLOCK / 2 steps goes on alone, where _run_tagged raises.
+    with np.errstate(over="ignore"):
+        waits = np.concatenate([
+            _conditional_batch(s, p, c.seed, lo, min(lo + _BATCH_ROWS, reps)) for lo in range(0, reps, _BATCH_ROWS)
+        ])
+    if waits.max() == _INF:
+        raise NonPositiveRate("the clock passed the largest float, 1.8e308, before the tagged customer left")
     e = _scale_down(waits)
     mean = math.ldexp(float(waits.mean()), e)
     stderr = math.ldexp(float(waits.std(ddof=1) / math.sqrt(reps)), e) if reps > 1 else 0.0

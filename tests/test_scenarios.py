@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -477,6 +478,29 @@ class TestTinyRates:
         s = 2.0**-1018
         with pytest.raises(NonPositiveRate, match="mean wait passes the largest float"):
             analyze(ArrivalState(la=(30, 30, 30, 30), m=3), SystemParams(lam=(s, s), mu=((2.05 * s, 2.05 * s),) * 2))
+
+    # the cell above: every simulator clock passes 1.8e308 before the tagged
+    # customer leaves, where deterministic_wait returned inf, 50 lockstep
+    # rows warned of overflow (or, warnings ignored, ran 10**6 steps to
+    # NonTermination), 40 rows on the scalar engine did the latter, two
+    # rows warned in the standard error and a trace raised TypeError
+    past = {
+        "deterministic": deterministic_wait,
+        "lockstep": lambda s, p: simulate_conditional(s, p, SimConfig(replications=50, seed=1)),
+        "scalar": lambda s, p: simulate_conditional(s, p, SimConfig(replications=40, seed=1)),
+        "two_rows": lambda s, p: simulate_conditional(s, p, SimConfig(replications=2, seed=1)),
+        "traced": lambda s, p: simulate_conditional(s, p, SimConfig(replications=2, seed=1), trace=[]),
+    }
+
+    @pytest.mark.parametrize("warn", ["error", "ignore"])
+    @pytest.mark.parametrize("route", sorted(past))
+    def test_simulators_past_the_float_range(self, route, warn):
+        s = 2.0**-1018
+        p = SystemParams(lam=(s, s), mu=((2.05 * s, 2.05 * s),) * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter(warn)
+            with pytest.raises(NonPositiveRate, match=r"clock passed the largest float, 1\.8e308, before the tagged"):
+                self.past[route](ArrivalState(la=(30, 30, 30, 30), m=3), p)
 
     # 5e-307 empties a queue at an infinite clock; 1e-306 runs on to the
     # last departure with an infinite clock

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import rep_rng
 
 from tandempoll import simulator
-from tandempoll.errors import NonTermination, UnstableSystem
+from tandempoll.errors import NonPositiveRate, NonTermination, UnstableSystem
 from tandempoll.model import ArrivalState, SystemParams, relabel_for_class2, validate_params
 from tandempoll.simulator import (
     SimConfig,
@@ -134,7 +134,8 @@ def test_exp_stream_matches_one_block():
     # fixed blocks must reproduce a single draw of the same length
     drawn = list(itertools.islice(simulator._unit_draws(np.random.default_rng(123)), 20_000))
     assert drawn == np.random.default_rng(123).exponential(size=20_000).tolist()
-    # the lockstep batch fills its buffer rows in place, in pieces
+    # a batch row's first block is filled in place, and a resumed row's
+    # _unit_draws blocks go on with the stream from there
     rng = np.random.default_rng(123)
     out = np.empty(20_000)
     rng.standard_exponential(out=out[:128])
@@ -161,11 +162,12 @@ def generated_cells(count, seed):
 
 class TestBatchMatchesScalar:
     """``simulate_conditional`` runs its replications as a lockstep batch, a
-    second copy of ``_Polling``'s rules, and finishes its last
-    ``_TAIL_ROWS`` rows on ``_Polling`` itself; each replication must give
-    the scalar engine's wait bit for bit.  The subclasses below run the same
-    cases with the lockstep to the end and with every row handed off right
-    after seeding; here ``_TAIL_ROWS`` keeps its default."""
+    second copy of ``_Polling``'s rules, and finishes on ``_Polling`` itself
+    every row a step could run past its first block of draws and its last
+    ``_TAIL_ROWS`` rows; each replication must give the scalar engine's
+    wait bit for bit.  The subclasses below run the same cases with no tail
+    handoff and with every row handed off right after seeding; here
+    ``_TAIL_ROWS`` keeps its default."""
 
     TAIL_ROWS = None
 
@@ -208,7 +210,7 @@ class TestBatchMatchesScalar:
     def test_rows_refill_their_draws(self):
         s, p = ArrivalState(la=(20, 20, 20, 20), m=4, tagged_class=2), sym(2.22)
         used = max(self.draws_taken(s, p, 2025, rep) for rep in range(10, 30))
-        assert used > 2 * simulator._DRAW_BLOCK  # so some row refills twice
+        assert used > 2 * simulator._DRAW_BLOCK  # so some row draws a third block
         assert np.array_equal(self.batch(s, p, 2025, 10, 30), self.scalar(s, p, 2025, range(10, 30)))
 
     def test_window_straddling_2_32(self):
@@ -227,7 +229,8 @@ class TestBatchMatchesScalar:
 
 
 class TestBatchMatchesScalarLockstep(TestBatchMatchesScalar):
-    """The cases above with no handoff: the lockstep runs every row to its end."""
+    """The cases above with no tail handoff: a row leaves the lockstep only
+    when a step could run it past its first block of draws."""
 
     TAIL_ROWS = 0
 
@@ -240,9 +243,11 @@ class TestBatchMatchesScalarHandoffAtOnce(TestBatchMatchesScalar):
 
 
 class TestTailHandoff:
-    """Once a batch's live rows fall to ``_TAIL_ROWS``, each finishes on a
-    resumed ``_Polling``.  Counted with a spy on ``_Polling.resume``, so a
-    change that silently turns the handoff off fails here."""
+    """A row that does not leave in the lockstep finishes on a resumed
+    ``_Polling``: a row whose next step could run past its first block of
+    draws, and the last ``_TAIL_ROWS`` live rows.  Counted with a spy on
+    ``_Polling.resume`` against the scalar engine's step and draw counts, so
+    a change that silently turns either way out off fails here."""
 
     @staticmethod
     def resumed(monkeypatch, s, p, cfg):
@@ -257,22 +262,83 @@ class TestTailHandoff:
         est = simulate_conditional(s, p, cfg)
         return est, len(calls)
 
+    @staticmethod
+    def exits(s, p, seed, rep):
+        """The step at which the scalar engine's tagged customer leaves, and
+        the first one before that after which a step could run past the
+        first block of draws (None if there is none)."""
+        stream = simulator._unit_draws(rep_rng(seed, rep))
+        taken = 0
+
+        def draw():
+            nonlocal taken
+            taken += 1
+            return next(stream)
+
+        net = simulator._Polling(p, draw)
+        tagged_id = net.seed_snapshot(s)
+        outrun = None
+        for k in itertools.count(1):
+            out = net.step()
+            if out is not None and out[0] == tagged_id:
+                return k, outrun
+            if outrun is None and taken > simulator._DRAW_BLOCK - 4:  # a step draws at most 4
+                outrun = k
+
+    @staticmethod
+    def expected(s, p, cfg):
+        """The rows still live once at most ``_TAIL_ROWS`` are, and the rows
+        resumed before that because a step could run them past their block."""
+        exits = [TestTailHandoff.exits(s, p, cfg.seed, rep) for rep in range(cfg.replications)]
+        leave = np.array([outrun or k for k, outrun in exits])
+        outran = np.array([outrun is not None for _, outrun in exits])
+        stop = next(k for k in itertools.count() if np.count_nonzero(leave > k) <= simulator._TAIL_ROWS)
+        return np.count_nonzero(leave > stop), np.count_nonzero(outran & (leave <= stop))
+
     @pytest.mark.parametrize("reps", [2, 800])
     def test_last_rows_finish_on_the_scalar_engine(self, monkeypatch, reps):
         s, p = ArrivalState(la=(6, 6, 6, 6), m=3), sym(2.86)
         cfg = SimConfig(replications=reps, seed=20240811)
-        # the lockstep stops at the first step count k with at most
-        # _TAIL_ROWS rows still live, the rows that take more than k steps
-        # alone; rows that leave in one step can take the live count past
+        # rows that leave in one step can take the live count past
         # _TAIL_ROWS at once, which this seed's 800 rows do not
-        steps = np.array([TestStepBudget.steps_taken(s, p, cfg.seed, rep) for rep in range(reps)])
-        live = (np.count_nonzero(steps > k) for k in range(steps.max() + 1))
-        handed_off = next(x for x in live if x <= simulator._TAIL_ROWS)
-        assert handed_off == min(reps, simulator._TAIL_ROWS)
+        tail, outran = self.expected(s, p, cfg)
+        assert tail == min(reps, simulator._TAIL_ROWS)
         est, resumed = self.resumed(monkeypatch, s, p, cfg)
-        assert resumed == handed_off
+        assert resumed == tail + outran
         monkeypatch.setattr(simulator, "_TAIL_ROWS", 0)
-        assert self.resumed(monkeypatch, s, p, cfg) == (est, 0)
+        assert self.resumed(monkeypatch, s, p, cfg) == (est, self.expected(s, p, cfg)[1])
+
+    def test_generators_draw_only_for_resumed_rows(self, monkeypatch):
+        # a batch Generator is drawn from once, to fill its buffer row, and
+        # after that only through the _unit_draws of its row, once resumed
+        s, p = ArrivalState(la=(6, 6, 6, 6), m=3), sym(2.22)
+        cfg = SimConfig(replications=800, seed=20240811)
+        monkeypatch.setattr(simulator, "_TAIL_ROWS", 0)
+        est = simulate_conditional(s, p, cfg)
+        calls, fed = {}, []
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng = rng
+                calls[self] = []
+
+            def standard_exponential(self, *args, **kwargs):
+                calls[self].append(("fill" if "out" in kwargs else "block", self in fed))
+                return self.rng.standard_exponential(*args, **kwargs)
+
+        rngs, real_unit_draws = simulator._rngs, simulator._unit_draws
+
+        def unit_draws(rng):
+            fed.append(rng)
+            return real_unit_draws(rng)
+
+        monkeypatch.setattr(simulator, "_rngs", lambda *args: [Spy(rng) for rng in rngs(*args)])
+        monkeypatch.setattr(simulator, "_unit_draws", unit_draws)
+        spied, resumed = self.resumed(monkeypatch, s, p, cfg)
+        assert spied == est
+        assert len(calls) == cfg.replications and len(set(fed)) == len(fed) == resumed > 0
+        assert all(log[0] == ("fill", False) and set(log[1:]) <= {("block", True)} for log in calls.values())
+        assert any(len(log) > 1 for log in calls.values())
 
 
 class TestBatchStreams:
@@ -337,6 +403,16 @@ class TestSmallRates:
         assert math.ldexp(small.stderr, -532) == pytest.approx(unit.stderr, rel=1e-12, abs=0)
 
 
+def test_empty_queue_at_an_infinite_clock():
+    # station 1 holds the tagged customer and its completion passed 1.8e308,
+    # station 2 idles at class 2 with no class-2 customer, and both arrival
+    # clocks passed 1.8e308: the step at the infinite clock pops an empty queue
+    net = simulator._Polling(sym(2.86), lambda: 1.0)
+    tagged_id = net.resume([[1, 0], [0, 0]], [math.inf, math.inf], [math.inf, math.inf], [0, 1], 1)
+    with pytest.raises(NonPositiveRate, match="before the tagged customer left"):
+        simulator._run_tagged(net, tagged_id, 10)
+
+
 class TestStepBudget:
     # from (6,6,6,6) with servers (1,1) the tagged customer leaves after at
     # least 7 station-1 hand-offs, one per step, so 5 steps cannot reach it
@@ -350,6 +426,16 @@ class TestStepBudget:
         with pytest.raises(NonTermination):
             simulate_conditional(ArrivalState(la=(6, 6, 6, 6), m=1), sym(2.86),
                                  SimConfig(replications=2, seed=1))
+
+    def test_budget_ends_inside_the_lockstep(self, monkeypatch):
+        # every one of 800 rows needs at least 7 steps, so more than
+        # _TAIL_ROWS are live when 5 are used up; they leave the lockstep
+        # the one way, and _run_tagged raises for the first
+        monkeypatch.setattr(simulator, "_STEP_BUDGET", 5)
+        with pytest.raises(NonTermination, match=r"still in system after 5 steps$") as info:
+            simulate_conditional(ArrivalState(la=(6, 6, 6, 6), m=1), sym(2.86),
+                                 SimConfig(replications=800, seed=1))
+        assert info.traceback[-1].name == "_run_tagged"
 
     @staticmethod
     def steps_taken(s, p, seed, rep):
