@@ -51,7 +51,9 @@ mass through the box's edges.  A box that cannot hold the start
 ``TruncationConfig.n_max`` caps the ladder and is its last rung; a start
 that loses too much there raises ``TruncationTooTight``.  The walk always
 starts at the bottom, so the size, and with it the answer, depends on
-(rates, u, w, trunc) alone, never on what the caches hold.
+(rates, u, w, trunc) alone, never on what the caches hold.  The size and
+the start's entries at that size are memoised together for the last
+1,024 starts, so a warm query is one lookup.
 """
 
 from __future__ import annotations
@@ -163,11 +165,13 @@ def lattice_solution(lam: float, mu1: float, mu2: float, n_max: int) -> LatticeS
 
 
 @lru_cache(maxsize=1024)
-def _size_for(u: int, w: int, lam: float, mu1: float, mu2: float, cap: int) -> int:
-    """The smallest ladder rung whose start (u, w) passes the overflow check.
+def _read_start(u: int, w: int, lam: float, mu1: float, mu2: float, cap: int) -> tuple[int, float, float]:
+    """(n, p2, time) for the start (u, w): the smallest ladder rung whose
+    start passes the overflow check, and the start's entries of that
+    rung's tables (p2 reads 0.0 at u = 0, where no race is left).
 
-    Memoised, so that a warm query looks up one lattice, not every rung
-    below its own; the size depends on the arguments alone.
+    Memoised, so that a warm query is one lookup, not a walk over every
+    rung below its own; the result depends on the arguments alone.
     """
     n = _FIRST_RUNG
     while True:
@@ -176,9 +180,10 @@ def _size_for(u: int, w: int, lam: float, mu1: float, mu2: float, cap: int) -> i
             ovf = 1.0
         else:
             # the module-global name, so that a wrapper installed on it sees every build
-            ovf = lattice_solution(lam, mu1, mu2, n).overflow[u, w - 1]
+            sol = lattice_solution(lam, mu1, mu2, n)
+            ovf = sol.overflow[u, w - 1]
         if ovf <= _OVERFLOW_TOL:
-            return n
+            return n, float(sol.p2[u - 1, w - 1]) if u else 0.0, float(sol.time[u, w - 1])
         if n == cap:
             raise TruncationTooTight(
                 f"overflow mass {ovf:.3e} from ({u}, {w}) exceeds {_OVERFLOW_TOL:.1e}"
@@ -209,9 +214,7 @@ def absorption_probs(
         return 0.0, 1.0
     if u == 0:
         return 1.0, 0.0
-    n = _size_for(u, w, lam, mu1, mu2, trunc.n_max)
-    sol = lattice_solution(lam, mu1, mu2, n)
-    p2 = float(sol.p2[u - 1, w - 1])
+    p2 = _read_start(u, w, lam, mu1, mu2, trunc.n_max)[1]
     return 1.0 - p2, p2
 
 
@@ -237,8 +240,7 @@ def mfpt_to_empty(
         raise InvalidSupport(f"counts must be non-negative, got ({u}, {w})")
     if w == 0:
         return 0.0
-    n = _size_for(u, w, lam, mu1, mu2, trunc.n_max)
-    t = float(lattice_solution(lam, mu1, mu2, n).time[u, w - 1])
+    t = _read_start(u, w, lam, mu1, mu2, trunc.n_max)[2]
     if t == math.inf:
         raise NonPositiveRate(
             f"the mean time to empty from ({u}, {w}) at lam={lam!r}, mu1={mu1!r}, mu2={mu2!r}"

@@ -63,7 +63,8 @@ class ScenarioReport:
 
 def _nnint(x: float) -> int:
     """Round half-up, floored at zero."""
-    return max(0, math.floor(x + 0.5))
+    n = math.floor(x + 0.5)
+    return n if n > 0 else 0
 
 
 def _truncated_poisson_mean(mean: float, bound: int) -> float:
@@ -82,7 +83,10 @@ def _served(x: float, rate: float, t: float) -> float:
     """Expected content of a queue holding ``x`` after service at ``rate``
     for time ``t``: the Poisson departures are truncated so that at most
     round(x) - 1 of its customers leave, which keeps the result >= 0."""
-    return x - _truncated_poisson_mean(rate * t, _nnint(x) - 1)
+    bound = math.floor(x + 0.5) - 1
+    if bound <= 0:  # nobody may leave: x - 0.0 is x
+        return x
+    return x - _truncated_poisson_mean(rate * t, bound)
 
 
 class _Engine:
@@ -107,15 +111,16 @@ class _Engine:
     def report(self, m: int, c: float) -> ScenarioReport:
         """The leaves and their mean, with every wait times ``c``, the power
         of two the tree's rates were multiplied by."""
-        waits = [acc[1] / acc[0] for acc in self._leaves.values()]
-        outcomes = tuple(
-            SubScenarioOutcome(label=lbl, prob=acc[0], wait=w * c)
-            for (lbl, acc), w in zip(self._leaves.items(), waits)
-        )
-        cond = sum(o.prob * w for o, w in zip(outcomes, waits)) * c
+        outcomes = []
+        cond = 0.0
+        for lbl, (prob, prob_wait) in self._leaves.items():
+            w = prob_wait / prob
+            cond += prob * w
+            outcomes.append(SubScenarioOutcome(label=lbl, prob=prob, wait=w * c))
+        cond *= c
         if cond == math.inf:
             raise NonPositiveRate("the mean wait passes the largest float, 1.8e308: the rates are too small")
-        return ScenarioReport(m=m, outcomes=outcomes, residual_prob=self.residual, cond_wait=cond)
+        return ScenarioReport(m=m, outcomes=tuple(outcomes), residual_prob=self.residual, cond_wait=cond)
 
     # -- stage A: station 2 still on queue 1 --------------------------------
 

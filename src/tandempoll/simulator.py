@@ -56,6 +56,7 @@ import numpy as np
 
 from .errors import NonPositiveRate, NonTermination
 from .model import ArrivalState, SystemParams, _count, _member, relabel_for_class2, validate_params
+from .primitives import _unit_scale
 
 __all__ = [
     "SimConfig",
@@ -614,9 +615,21 @@ def simulate_steady_state(
     and the kept ones are split into ``_BATCHES`` (20) batches for the
     standard error.  Little's-law quantities are accumulated over the kept
     window across both classes.
+
+    Rates that sum below 0.5 run times 2**k, the power of two that
+    brings their sum into [0.5, 1), as in ``analyze``: every time comes out
+    divided by 2**k exactly, the mean and standard error are scaled back by
+    2**k, and the two diagnostics, which have no time unit, stay finite
+    where the unscaled head-count area and sojourn sum would pass the float
+    range.
     """
     measured = _member(measured_class, "measured_class", (1, 2)) - 1
     p = validate_params(p)
+    scale, k = 1.0, 0
+    if sum(p.lam) + sum(p.mu[0]) + sum(p.mu[1]) < 0.5:
+        scale, (lam1, lam2, mu11, mu12, mu21, mu22) = _unit_scale(*p.lam, *p.mu[0], *p.mu[1])
+        k = math.frexp(scale)[1] - 1
+        p = SystemParams(lam=(lam1, lam2), mu=((mu11, mu12), (mu21, mu22)))
     net = _Polling(p, _unit_draws(_rngs(c.seed, 0, 1)[0]).__next__)
     net.schedule_arrivals()
     kept = []
@@ -643,7 +656,7 @@ def simulate_steady_state(
             pooled_sum += out[2]
             if out[1] == measured:
                 kept.append(out[2])
-    if net.t == _INF:
+    if net.t * scale == _INF:
         raise NonPositiveRate(f"the clock passed the largest float, 1.8e308, before {target} departures")
     kept_arr = np.asarray(kept)
     if kept_arr.shape[0] < _BATCHES:
@@ -651,7 +664,7 @@ def simulate_steady_state(
             f"class {measured + 1} kept {kept_arr.shape[0]} departures, fewer than "
             f"batches = {_BATCHES}; raise horizon_departures"
         )
-    e = _scale_down(kept_arr)
+    e = _scale_down(kept_arr) + k
     usable = (kept_arr.shape[0] // _BATCHES) * _BATCHES
     batches = kept_arr[:usable].reshape(_BATCHES, -1).mean(axis=1)
     mean = math.ldexp(float(kept_arr.mean()), e)

@@ -21,12 +21,12 @@ RATES = [(1.0, 2.86, 2.86), (1.0, 2.22, 2.22), (1.0, 2.22, 2.86), (1.0, 2.86, 2.
 
 def doubled_rung(u, w, lam, mu1, mu2):
     """The lattice at twice the size the ladder picks for the start (u, w)."""
-    n = absorption._size_for(u, w, lam, mu1, mu2, TruncationConfig().n_max)
+    n = absorption._read_start(u, w, lam, mu1, mu2, TruncationConfig().n_max)[0]
     return lattice_solution(lam, mu1, mu2, 2 * n)
 
 
 def clear_caches():
-    absorption._size_for.cache_clear()
+    absorption._read_start.cache_clear()
     lattice_solution.cache_clear()
 
 
@@ -227,7 +227,7 @@ class TestLadder:
 
     def test_cached_tables_are_read_only(self):
         before = absorption_probs(2, 2, *self.RATES), mfpt_to_empty(0, 2, *self.RATES)
-        sol = lattice_solution(*self.RATES, absorption._size_for(2, 2, *self.RATES, TruncationConfig().n_max))
+        sol = lattice_solution(*self.RATES, absorption._read_start(2, 2, *self.RATES, TruncationConfig().n_max)[0])
         for name in ("p1", "p2", "time", "overflow"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(sol, name)[:] = 0.5

@@ -181,7 +181,7 @@ def test_criterion_2_markov_suite():
         for u in range(1, 7):
             for w in range(1, 7):
                 # the lattice the ladder picks for this start, and one twice its size
-                n = absorption._size_for(u, w, lam, mu1, mu2, trunc.n_max)
+                n = absorption._read_start(u, w, lam, mu1, mu2, trunc.n_max)[0]
                 sol, big = lattice_solution(lam, mu1, mu2, n), lattice_solution(lam, mu1, mu2, 2 * n)
                 s = (u - 1, w - 1)
                 gap = abs(sol.p1[s] + sol.p2[s] + sol.overflow[u, w - 1] - 1.0)

@@ -40,3 +40,43 @@ def test_no_unused_private_helpers():
         if not any(n == name and not (f == fname and node.lineno <= line <= node.end_lineno) for f, n, line in uses)
     ]
     assert unused == [], "private names referenced nowhere in the package but their own definition"
+
+
+def _memos(tree):
+    """(line, name, call) for every use of ``functools.lru_cache`` or
+    ``functools.cache``: call is the call that sizes it, None where the memo
+    is used bare."""
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in ("lru_cache", "cache")
+    }
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in imported:
+            yield node.lineno, imported[node.id], calls.get(id(node))
+        elif (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            yield node.lineno, node.attr, calls.get(id(node))
+
+
+def _literal_maxsize(call):
+    """The call's ``maxsize`` if it is given as an int literal, else None."""
+    given = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+    if given and isinstance(given[0], ast.Constant) and type(given[0].value) is int:
+        return given[0].value
+    return None
+
+
+def test_every_memo_is_bounded():
+    # an unbounded memo grows for the life of the process, and with it the
+    # peak memory of a long sweep; functools.cache is lru_cache(maxsize=None)
+    unbounded = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name, call in _memos(ast.parse(path.read_text()))
+        if name == "cache" or call is None or _literal_maxsize(call) is None
+    ]
+    assert unbounded == [], "memos without an explicit, finite maxsize"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from tandempoll import primitives
 from tandempoll.absorption import absorption_probs, mfpt_to_empty
 from tandempoll.errors import InvalidSupport, UnstableQueue
 from tandempoll.primitives import (
@@ -195,6 +196,62 @@ class TestDrainWait:
         got = drain_wait(3, 2, float(mu1), float(mu2))
         assert type(got) is float
         assert got == drain_wait.__wrapped__(3, 2, float(mu1), float(mu2))
+
+    def test_value_independent_of_earlier_queries(self):
+        # the rows of one rate pair are kept and extended in place; in this
+        # order a query adds rows, lengthens rows, extends only the rows
+        # above one already long enough, or reads what a larger query left,
+        # and each must equal the value from cleared caches
+        def clear():
+            drain_wait.cache_clear()
+            primitives._drain_rows.cache_clear()
+
+        def fresh(u, w):
+            clear()
+            return drain_wait(u, w, 2.86, 2.22)
+
+        queries = [(10, 0), (2, 20), (5, 3), (5, 10), (40, 30), (3, 2), (0, 7), (80, 0)]
+        cold = [fresh(*q) for q in queries]
+        clear()
+        assert [drain_wait(*q, 2.86, 2.22) for q in queries] == cold
+
+
+class TestMemoKeys:
+    """``race_erlang`` and ``transfer_count_pmf`` are memoised.  numpy counts
+    and rates are one key with their Python values, so the entry a numpy
+    call leaves must be the Python computation, and serve both."""
+
+    CALLS = [
+        (race_erlang, (3, 2.86, 5, 2.22)),
+        (race_erlang, (7, 2.22, 2, 2.86)),
+        (transfer_count_pmf, (4, 3, 2.86, 2.22)),
+        (transfer_count_pmf, (0, 6, 2.22, 2.86)),
+    ]
+
+    @staticmethod
+    def typed(args, kind):
+        """The counts as np.int64 and the rates as ``kind``, and the Python
+        values those rates hold."""
+        typed = tuple(np.int64(a) if type(a) is int else kind(a) for a in args)
+        return typed, tuple(int(a) if type(a) is int else float(kind(a)) for a in args)
+
+    @pytest.mark.parametrize("kind", [np.float64, np.float32])
+    @pytest.mark.parametrize("fn,args", CALLS)
+    def test_numpy_call_leaves_the_python_value(self, fn, args, kind):
+        typed, plain = self.typed(args, kind)
+        fn.cache_clear()
+        first = fn(*typed)
+        again = fn(*plain)
+        assert fn.cache_info().hits == 1
+        assert type(first) is float and type(again) is float
+        assert first == again == fn.__wrapped__(*plain)
+
+    @pytest.mark.parametrize("fn,args", CALLS)
+    def test_python_entry_serves_numpy_calls(self, fn, args):
+        typed, plain = self.typed(args, np.float64)
+        fn.cache_clear()
+        first = fn(*plain)
+        assert fn(*typed) == first and fn.cache_info().hits == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tandempoll import reporting
+from tandempoll import absorption, primitives, reporting
 from tandempoll.absorption import mfpt_to_empty
 from tandempoll.errors import NonPositiveRate, SingularSystem, TandemPollError
 from tandempoll.simulator import SimConfig, deterministic_wait, simulate_conditional, simulate_steady_state
@@ -21,6 +22,16 @@ GRID = [
     (1, 1, 3, 3), (1, 1, 6, 6), (3, 3, 1, 1),
     (6, 6, 1, 1), (3, 6, 3, 6), (6, 3, 6, 3),
 ]
+# every memo the analytic route reads through
+MEMOS = (
+    primitives.race_erlang, primitives.transfer_count_pmf, primitives.drain_wait, primitives._drain_rows,
+    primitives.race_busy_period, absorption._read_start, absorption.lattice_solution,
+)
+
+
+def clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 def sym(mu):
@@ -83,6 +94,16 @@ class TestLargeSnapshots:
         assert rep.residual_prob <= TruncationConfig().eps
         assert sum(o.prob for o in rep.outcomes) + rep.residual_prob == pytest.approx(1.0, abs=1e-9)
 
+    def test_tall_station_one_answers_quickly(self):
+        # 401 drain_wait queries of one rate pair extend one kept table; a
+        # fresh table per query took 1.8 s on a shared 2-core Xeon, cubic in
+        # the height
+        clear_memos()
+        t0 = time.perf_counter()
+        rep = analyze(ArrivalState(la=(400, 0, 1, 0), m=1), sym(2.22))
+        assert time.perf_counter() - t0 < 0.5
+        assert repr(rep.cond_wait) == "190.81842263199889"
+
     def test_sixty_each_matches_timeline(self):
         s, p = ArrivalState(la=(60, 60, 60, 60), m=1), sym(2.86)
         assert analyze(s, p).cond_wait == pytest.approx(42.308, abs=5e-4)
@@ -117,6 +138,24 @@ class TestAnalyzePinned:
     def test_analyze(self, la, m, c, p, cond_wait, residual, leaves):
         rep = analyze(ArrivalState(la=la, m=m, tagged_class=c), p)
         assert (repr(rep.cond_wait), repr(rep.residual_prob), len(rep.outcomes)) == (cond_wait, residual, leaves)
+
+
+class TestWarmMemos:
+    def test_report_independent_of_memo_contents(self):
+        # every cell from cleared memos, then every cell after other systems
+        # (and a tall snapshot) have filled and evicted every memo
+        p = asym(2.22, 2.86)
+        cells = [ArrivalState(la=la, m=m, tagged_class=c) for la in GRID for m in (1, 2, 3, 4) for c in (1, 2)]
+        cold = []
+        for s in cells:
+            clear_memos()
+            cold.append(analyze(s, p))
+        for other in (sym(2.86), sym(2.22), asym(2.86, 2.22), asym(2.22, 2.5), asym(2.5, 2.22)):
+            analyze(ArrivalState(la=(60, 0, 2, 1), m=1), other)
+            for s in cells:
+                analyze(s, other)
+        assert [analyze(s, p) for s in cells] == cold
+        assert [analyze(s, p) for s in cells] == cold
 
 
 class TestFirstCycleLeaf:
@@ -478,6 +517,19 @@ class TestTinyRates:
         s = 2.0**-1018
         with pytest.raises(NonPositiveRate, match="mean wait passes the largest float"):
             analyze(ArrivalState(la=(30, 30, 30, 30), m=3), SystemParams(lam=(s, s), mu=((2.05 * s, 2.05 * s),) * 2))
+
+    def test_steady_diagnostics_stay_finite(self):
+        # the steady route runs these rates scaled into [0.5, 1): the mean is
+        # the unscaled run's bit for bit, and the Little's-law diagnostics,
+        # which read inf unscaled, are those of every other s
+        est = simulate_steady_state(SystemParams(lam=(1e-306, 1e-306), mu=((3e-306, 3e-306),) * 2), self.sim)
+        assert repr(est.mean) == "2.1076474788879637e+306"
+        assert (repr(est.time_avg_in_system), repr(est.throughput_mean_system_time)) == (
+            "4.023727121861487", "4.3750099137684435",
+        )
+        unit = simulate_steady_state(SystemParams(lam=(1.0, 1.0), mu=((3.0, 3.0),) * 2), self.sim)
+        assert est.time_avg_in_system == pytest.approx(unit.time_avg_in_system, rel=1e-12)
+        assert est.throughput_mean_system_time == pytest.approx(unit.throughput_mean_system_time, rel=1e-12)
 
     # the cell above: every simulator clock passes 1.8e308 before the tagged
     # customer leaves, where deterministic_wait returned inf, 50 lockstep
