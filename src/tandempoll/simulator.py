@@ -19,8 +19,11 @@ routes use its rules:
 * ``deterministic_wait`` runs the tagged customer once through ``_Polling``
   with constant clocks, every duration equal to its mean.
 
-Events at the same instant: a step advances to the earliest clock and
-applies every event due within ``_TIE`` of it, in the order station-2
+Every route runs on the caller's rates times the power of two that brings
+their sum into [0.5, 1) (``_unit_rates``) and scales its times back, which is
+exact; so the results are scale-free, and the absolute ``_TIE`` window means
+the same at any scale.  Events at the same instant: a step advances to the
+earliest clock and applies every event due within ``_TIE`` of it, in the order station-2
 completion, station-1 hand-off, class-1 arrival, class-2 arrival; only then
 does each freed or idle server pick its next job, station 2 first.  Under
 constant clocks this makes a hand-off that lands exactly when the downstream
@@ -56,7 +59,6 @@ import numpy as np
 
 from .errors import NonPositiveRate, NonTermination
 from .model import ArrivalState, SystemParams, _count, _member, relabel_for_class2, validate_params
-from .primitives import _unit_scale
 
 __all__ = [
     "SimConfig",
@@ -371,6 +373,30 @@ def _run_tagged(net: _Polling, tagged_id: int, steps: int) -> float:
     return out[2]
 
 
+def _unit_rates(p: SystemParams) -> tuple[SystemParams, int]:
+    """(``p`` on its rates times 2**k, k): the power of two that brings the
+    rates' sum into [8, 16), where the paper's rate sets (lam = 1, mu from
+    2.22 to 2.86) already lie, or, for rates more than about 2**1025 apart,
+    the smallest rate to the smallest normal float.  Every route runs on
+    these rates, so ``_TIE`` means the same at any scale, and every time
+    comes out divided by 2**k exactly (``_unscaled`` takes it back)."""
+    (lam1, lam2), ((mu11, mu12), (mu21, mu22)) = p.lam, p.mu
+    rates = (lam1, lam2, mu11, mu12, mu21, mu22)
+    k = max(4 - math.frexp(sum(rates))[1], -1021 - math.frexp(min(rates))[1])
+    c = 2.0**k
+    return SystemParams(lam=(lam1 * c, lam2 * c), mu=((mu11 * c, mu12 * c), (mu21 * c, mu22 * c))), k
+
+
+def _unscaled(t: float, k: int) -> float:
+    """A tagged run's time on ``_unit_rates`` in the caller's units: ``t``
+    times 2**k, exact as ``math.ldexp``; raises ``NonPositiveRate`` past the
+    largest float."""
+    t *= 2.0**k
+    if t == _INF:
+        raise NonPositiveRate("the clock passed the largest float, 1.8e308, before the tagged customer left")
+    return t
+
+
 def deterministic_wait(s: ArrivalState, p: SystemParams) -> float:
     """Exact system time of the tagged customer when every class-i
     interarrival time is 1/lam_i (the first arrival at 1/lam_i) and every
@@ -378,7 +404,8 @@ def deterministic_wait(s: ArrivalState, p: SystemParams) -> float:
     service at t = 0.  Raises ``NonTermination`` past the step budget."""
     p = validate_params(p)
     s, p = relabel_for_class2(s, p)
-    return _tagged_sojourn(s, p, lambda: 1.0)
+    p, k = _unit_rates(p)
+    return _unscaled(_tagged_sojourn(s, p, lambda: 1.0), k)
 
 
 def _hash(h: int, mult: int):
@@ -584,8 +611,11 @@ def simulate_conditional(
     p = validate_params(p)
     tagged_class = s.tagged_class
     s, p = relabel_for_class2(s, p)
+    p, k = _unit_rates(p)
     if trace is not None:
+        start = len(trace)
         _tagged_sojourn(s, p, _unit_draws(_rngs(c.seed, 0, 1)[0]).__next__, trace, tagged_class - 1)
+        trace[start:] = [(_unscaled(t, k), *row) for t, *row in trace[start:]]
     reps = c.replications
     # A lockstep clock overflows to inf as the scalar's does, so each row
     # still matches the scalar engine.  At an inf clock every event is due at
@@ -595,9 +625,8 @@ def simulate_conditional(
         waits = np.concatenate([
             _conditional_batch(s, p, c.seed, lo, min(lo + _BATCH_ROWS, reps)) for lo in range(0, reps, _BATCH_ROWS)
         ])
-    if waits.max() == _INF:
-        raise NonPositiveRate("the clock passed the largest float, 1.8e308, before the tagged customer left")
-    e = _scale_down(waits)
+    _unscaled(float(waits.max()), k)
+    e = _scale_down(waits) + k
     mean = math.ldexp(float(waits.mean()), e)
     stderr = math.ldexp(float(waits.std(ddof=1) / math.sqrt(reps)), e) if reps > 1 else 0.0
     return SimEstimate(mean=mean, stderr=stderr, n=reps, seed=c.seed)
@@ -616,20 +645,13 @@ def simulate_steady_state(
     standard error.  Little's-law quantities are accumulated over the kept
     window across both classes.
 
-    Rates that sum below 0.5 run times 2**k, the power of two that
-    brings their sum into [0.5, 1), as in ``analyze``: every time comes out
-    divided by 2**k exactly, the mean and standard error are scaled back by
-    2**k, and the two diagnostics, which have no time unit, stay finite
-    where the unscaled head-count area and sojourn sum would pass the float
-    range.
+    The run takes the rates times 2**k (``_unit_rates``): the mean and
+    standard error are scaled back by 2**k, and the two diagnostics, which
+    have no time unit, stay finite where the unscaled head-count area and
+    sojourn sum would pass the float range.
     """
     measured = _member(measured_class, "measured_class", (1, 2)) - 1
-    p = validate_params(p)
-    scale, k = 1.0, 0
-    if sum(p.lam) + sum(p.mu[0]) + sum(p.mu[1]) < 0.5:
-        scale, (lam1, lam2, mu11, mu12, mu21, mu22) = _unit_scale(*p.lam, *p.mu[0], *p.mu[1])
-        k = math.frexp(scale)[1] - 1
-        p = SystemParams(lam=(lam1, lam2), mu=((mu11, mu12), (mu21, mu22)))
+    p, k = _unit_rates(validate_params(p))
     net = _Polling(p, _unit_draws(_rngs(c.seed, 0, 1)[0]).__next__)
     net.schedule_arrivals()
     kept = []
@@ -656,7 +678,7 @@ def simulate_steady_state(
             pooled_sum += out[2]
             if out[1] == measured:
                 kept.append(out[2])
-    if net.t * scale == _INF:
+    if net.t * 2.0**k == _INF:
         raise NonPositiveRate(f"the clock passed the largest float, 1.8e308, before {target} departures")
     kept_arr = np.asarray(kept)
     if kept_arr.shape[0] < _BATCHES:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -56,6 +57,20 @@ class TestProperties:
                 a = deterministic_wait(ArrivalState(la=la, m=m), TAU35)
                 b = deterministic_wait(ArrivalState(la=la, m=m), scaled)
                 assert b == pytest.approx(a / c, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [40, -40, 60, 400, -400])
+    def test_power_of_two_scales(self, k):
+        # the timeline once compared clocks within an absolute 1e-12 at the
+        # caller's scale: at 2**40 it missed 18 of these 36 cells, and at
+        # 2**60 it raised NonTermination
+        for mu in (2.05, 2.22, 2.5, 2.86, 3.5):
+            p = SystemParams(lam=(1.0, 1.0), mu=((mu, mu), (mu, mu)))
+            scaled = SystemParams(lam=(2.0**k, 2.0**k), mu=((mu * 2.0**k, mu * 2.0**k),) * 2)
+            for la in GRID:
+                for m in (1, 2, 3, 4):
+                    for c in (1, 2):
+                        s = ArrivalState(la=la, m=m, tagged_class=c)
+                        assert math.ldexp(deterministic_wait(s, scaled), k) == deterministic_wait(s, p), (mu, s)
 
     def test_on_service_time_lattice(self):
         # every event time is an integer number of arrivals plus services

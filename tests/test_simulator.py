@@ -379,8 +379,10 @@ class TestBatchStreams:
 
 class TestSmallRates:
     """At rates s = 2**-532 the system times are near 1e160 and their squares
-    pass the float range; every clock scales by the power of two, so each
-    estimate must be the s = 1 one over s, but for the absolute tie window."""
+    pass the float range.  Every route runs on its rates scaled by a power of
+    two into one range, so each estimate must be the s = 1 one over s, bit
+    for bit: the tie window is absolute, but the scaled clocks it compares
+    are the same at every s."""
 
     routes = {
         "conditional": lambda p: simulate_conditional(ArrivalState(la=(2, 2, 2, 2), m=3), p,
@@ -399,8 +401,20 @@ class TestSmallRates:
             small = run(2.0**-532)
         unit = run(1.0)
         assert math.isfinite(small.stderr) and small.stderr > 0
-        assert math.ldexp(small.mean, -532) == pytest.approx(unit.mean, rel=1e-12, abs=0)
-        assert math.ldexp(small.stderr, -532) == pytest.approx(unit.stderr, rel=1e-12, abs=0)
+        assert math.ldexp(small.mean, -532) == unit.mean
+        assert math.ldexp(small.stderr, -532) == unit.stderr
+
+    # the simulator once compared clocks within an absolute 1e-12 at the
+    # caller's scale: at 2**60 the (2,2,2,2) m=3 mean read 2.275 against
+    # 3.777 and the steady run and 2**400 raised NonTermination
+    @pytest.mark.parametrize("route", sorted(routes))
+    @pytest.mark.parametrize("k", [40, -40, 60, 400, -400])
+    def test_power_of_two_scales(self, route, k):
+        def run(s):
+            return self.routes[route](validate_params(SystemParams(lam=(s, s), mu=((3 * s, 3 * s),) * 2)))
+
+        scaled, unit = run(2.0**k), run(1.0)
+        assert (math.ldexp(scaled.mean, k), math.ldexp(scaled.stderr, k)) == (unit.mean, unit.stderr)
 
 
 def test_empty_queue_at_an_infinite_clock():
