@@ -50,8 +50,9 @@ trace.  It applies both exhaustive picks inline rather than through
 
 from __future__ import annotations
 
+import logging
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, fields
 from itertools import chain, permutations, repeat
 
@@ -70,6 +71,7 @@ __all__ = [
     "write_trace",
 ]
 
+_log = logging.getLogger(__name__)
 _INF = math.inf
 _TIE = 1e-12
 # Steps a tagged-customer run may take before it raises NonTermination.
@@ -344,25 +346,45 @@ class _Traced(_Polling):
         return out
 
 
-def _tagged_sojourn(s: ArrivalState, p: SystemParams, draw, trace=None, swap: int = 0) -> float:
+def _tagged_sojourn(s: ArrivalState, p: SystemParams, draw, trace=None, swap: int = 0, mu12=None) -> float:
     """System time of the tagged customer from snapshot ``s`` (relabelled,
-    validated parameters); raises ``NonTermination`` past the step budget."""
+    validated parameters), finished in expectation given ``mu12`` (see
+    ``_run_tagged``); raises ``NonTermination`` past the step budget."""
     net = _Polling(p, draw) if trace is None else _Traced(p, draw, trace, swap)
-    return _run_tagged(net, net.seed_snapshot(s), _STEP_BUDGET)
+    return _run_tagged(net, net.seed_snapshot(s), _STEP_BUDGET, mu12)[0]
 
 
-def _run_tagged(net: _Polling, tagged_id: int, steps: int) -> float:
-    """Step ``net`` until customer ``tagged_id`` leaves station 2 and return
-    its system time; raises ``NonTermination`` if ``steps`` steps do not
-    reach it (a row resumed from the lockstep gets what its lockstep steps
-    left of ``_STEP_BUDGET``), and ``NonPositiveRate`` if the clock passes
-    the largest float first.  From there every event is due at once, so
-    each step has a departure or pops an empty queue."""
+def _run_tagged(net: _Polling, tagged_id: int, steps: int, mu12=None) -> tuple[float, bool]:
+    """Step ``net`` until customer ``tagged_id`` leaves station 2; returns
+    its system time and whether it was finished in expectation.
+
+    Given ``mu12``, the run ends as soon as a step leaves the tagged customer
+    at station 2 with station 2 polled at class 1: service is exhaustive and
+    first come, first served, and services are memoryless, so from there it
+    leaves after ``ahead`` fresh Exp(mu12) services, ``ahead`` counting the
+    class-1 departures left, its own included.  The clock plus their mean,
+    ``ahead / mu12``, is an unbiased wait of no larger variance (conditional
+    Monte Carlo).  ``ahead`` starts at the class-1 FIFO's length, as the
+    tagged customer is its last; constant clocks have memory, and a trace
+    shows the whole path, so ``deterministic_wait`` and the traced replay
+    pass None and run to the departure.
+
+    Raises ``NonTermination`` if ``steps`` steps do not end the run (a row
+    resumed from the lockstep gets what its lockstep steps left of
+    ``_STEP_BUDGET``), and ``NonPositiveRate`` if the clock passes the
+    largest float first.  From there every event is due at once, so each
+    step has a departure or pops an empty queue."""
+    ahead = len(net.fifo[0])
+    n2, position = net.n[1], net.position
     try:
         for _ in range(steps):
             out = net.step()
-            if out is not None and (out[0] == tagged_id or net.t == _INF):
-                break
+            if out is not None:
+                if out[0] == tagged_id or net.t == _INF:
+                    break
+                ahead -= not out[1]
+            if mu12 is not None and ahead <= n2[0] and not position[1]:
+                return net.t + ahead / mu12, True
         else:
             raise NonTermination(f"tagged customer still in system after {_STEP_BUDGET} steps")
     except IndexError:  # a step pops an empty queue only at an inf clock
@@ -370,7 +392,7 @@ def _run_tagged(net: _Polling, tagged_id: int, steps: int) -> float:
             raise
     if net.t == _INF:
         raise NonPositiveRate("the clock passed the largest float, 1.8e308, before the tagged customer left")
-    return out[2]
+    return out[2], False
 
 
 def _unit_rates(p: SystemParams) -> tuple[SystemParams, int]:
@@ -466,11 +488,13 @@ def _rngs(seed: int, lo: int, hi: int) -> list:
     return [gen(pcg(Words(w))) for w in _stream_words(seed, lo, hi)]
 
 
-def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi: int) -> np.ndarray:
+def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi: int, tally=None) -> np.ndarray:
     """Tagged system times of replications ``lo .. hi - 1``, run in lockstep
     on numpy arrays and finished on the scalar engine; entry r equals
-    ``_tagged_sojourn`` on replication ``lo + r``'s stream (``_rngs``) bit
-    for bit, whatever batch holds it.
+    ``_tagged_sojourn`` with ``mu12`` on replication ``lo + r``'s stream
+    (``_rngs``) bit for bit, whatever batch holds it.  A ``tally`` Counter
+    gains the lockstep steps, the rows resumed and the rows finished in
+    expectation.
 
     Each array holds one quantity of ``_Polling`` across the live rows
     (``n``, ``end``, ``next_arrival`` as ``arrival``, and ``position`` as a
@@ -478,7 +502,9 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
     picks and IEEE operations to each row's first ``_DRAW_BLOCK`` draws: a
     buffer row filled once from its own Generator, read in the scalar order
     (arrival class 1, arrival class 2, station-2 start, station-1 start).
-    Rows that leave drop out of the arrays, not out of the buffer.
+    A row ends where ``_run_tagged`` would finish it in expectation, with
+    the same operations.  Rows that leave drop out of the arrays, not out of
+    the buffer.
 
     A row that has not finished leaves the lockstep one way, ``finish``: it
     goes on alone on a ``_Polling`` in its state (``resume``), drawing the
@@ -509,15 +535,20 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
     # Class-1 customers leave station 2 in arrival order, so the tagged one
     # (behind l12 + l11 others) leaves at this many class-1 departures.
     ahead = np.full(len(rngs), s.la[2] + s.la[0] + 1)
+    mu12 = p.mu[0][1]
     waits = np.empty(len(rngs))
+    resumed = expected = 0
 
     def finish(go):
         """Run the rows ``go`` flags to their end on the scalar engine."""
+        nonlocal resumed, expected
         state = (rows, nxt, ahead, *n[0], *n[1], *end, *arrival, *position)
         for i, at, k, *x in zip(*(v[go].tolist() for v in state)):
             net = _Polling(p, chain(draws[i, at - i * width:].tolist(), _unit_draws(rngs[i])).__next__)
             tagged_id = net.resume([x[0:2], x[2:4]], x[4:6], x[6:8], [int(c) for c in x[8:]], k)
-            waits[i] = _run_tagged(net, tagged_id, _STEP_BUDGET - steps)
+            waits[i], cut = _run_tagged(net, tagged_id, _STEP_BUDGET - steps, mu12)
+            resumed += 1
+            expected += cut
 
     steps = 0
     while len(rows) > _TAIL_ROWS and steps < _STEP_BUDGET:
@@ -558,10 +589,11 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
             np.putmask(end[j], go, t + flat[at] / rate)
             at = at + go
         nxt = at
-        out = ahead == 0
+        out = (ahead <= n[1][0]) & ~position[1]  # finished in expectation
         gone = out | (nxt > last)
         if gone.any():
-            waits[rows[out]] = t[out]  # the scalar's t - 0.0, the same float
+            waits[rows[out]] = t[out] + ahead[out] / mu12
+            expected += np.count_nonzero(out)
             far = gone ^ out
             if far.any():
                 finish(far)
@@ -570,6 +602,8 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
             n = [[x[live] for x in nj] for nj in n]
             position, end, arrival = ([x[live] for x in v] for v in (position, end, arrival))
     finish(np.full(len(rows), True))
+    if tally is not None:
+        tally.update(steps=steps, resumed=resumed, expected=expected)
     return waits
 
 
@@ -595,7 +629,9 @@ def simulate_conditional(
 
     Each replication re-creates the snapshot, injects the tagged customer at
     the tail of its class queue at station 1, and runs until that customer
-    departs station 2.  The replications run in the caller's process, in
+    sits at station 2 with station 2 polled at class 1; its wait is the
+    clock there plus the mean of the class-1 services it still waits for
+    there, its own included (see ``_run_tagged``).  The replications run in the caller's process, in
     lockstep batches of at most ``_BATCH_ROWS``; a row whose next step could
     run past its first ``_DRAW_BLOCK`` draws, and each batch's last
     ``_TAIL_ROWS`` rows, finish on the scalar engine.  A clock that passes
@@ -603,8 +639,11 @@ def simulate_conditional(
     positive integer and is otherwise ignored, as results never depended on
     it; it stays only for ``perfbench/``, until ROADMAP item 1 removes it.
     ``trace``, if a list is supplied, collects the event rows of replication
-    0, run once more through ``_Traced``, which writes them in the caller's
-    class labels (see ``write_trace``).
+    0, run once more through ``_Traced`` to its departure, which writes
+    them in the caller's class labels (see ``write_trace``).  Each call logs
+    one ``DEBUG`` record: the seed, the replications, the lockstep steps,
+    the rows resumed on the scalar engine and the share of replications
+    finished in expectation.
     """
     if _count(n_jobs) < 1:
         raise ValueError(f"n_jobs must be a positive integer, got {n_jobs!r}")
@@ -620,12 +659,17 @@ def simulate_conditional(
     # A lockstep clock overflows to inf as the scalar's does, so each row
     # still matches the scalar engine.  At an inf clock every event is due at
     # once: the row leaves with an inf wait, which raises below, or within
-    # _DRAW_BLOCK / 2 steps goes on alone, where _run_tagged raises.
+    # _DRAW_BLOCK / 2 steps goes on alone, where _run_tagged raises or
+    # finishes it with an inf wait.
+    tally = Counter()
     with np.errstate(over="ignore"):
         waits = np.concatenate([
-            _conditional_batch(s, p, c.seed, lo, min(lo + _BATCH_ROWS, reps)) for lo in range(0, reps, _BATCH_ROWS)
+            _conditional_batch(s, p, c.seed, lo, min(lo + _BATCH_ROWS, reps), tally)
+            for lo in range(0, reps, _BATCH_ROWS)
         ])
     _unscaled(float(waits.max()), k)
+    _log.debug("conditional seed=%d replications=%d lockstep steps=%d resumed=%d finished in expectation %.4f",
+               c.seed, reps, tally["steps"], tally["resumed"], tally["expected"] / reps)
     e = _scale_down(waits) + k
     mean = math.ldexp(float(waits.mean()), e)
     stderr = math.ldexp(float(waits.std(ddof=1) / math.sqrt(reps)), e) if reps > 1 else 0.0

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from first principles (plain Monte
 Carlo on the raw dynamics, exact rational enumeration, value iteration) and
-shares no code with the package internals it validates.  The one exception,
-``exact_timeline_wait``, reuses the simulator's event rules on purpose: what
-it checks is the floating-point clock arithmetic, not the rules.
+shares no code with the package internals it validates.  Two exceptions
+reuse the simulator's event rules on purpose: ``exact_timeline_wait``, which
+checks the floating-point clock arithmetic, not the rules, and
+``full_run_waits``, which checks the finish in expectation, not the rules.
 """
 
 from fractions import Fraction
@@ -266,6 +267,18 @@ def exact_timeline_wait(s, p):
             assert type(net.t) is Fraction, "the timeline left its exact clock"
             return float(out[2])
     raise RuntimeError("tagged customer did not leave within the step budget")
+
+
+def full_run_waits(s, p, seed, reps):
+    """Tagged system times of replications 0 .. reps - 1 from snapshot ``s``
+    (validated ``p``), each run on the scalar engine to the tagged customer's
+    departure: the plain Monte Carlo estimator that ``simulate_conditional``
+    replaced by finishing each replication in expectation.  Same streams,
+    same rules, so the two differ only by that finish."""
+    s, p = relabel_for_class2(s, p)
+    return np.array([
+        simulator._tagged_sojourn(s, p, simulator._unit_draws(rep_rng(seed, rep)).__next__) for rep in range(reps)
+    ])
 
 
 def rep_rng(seed, rep):

@@ -1,5 +1,6 @@
 
 import itertools
+import logging
 import math
 import warnings
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import rep_rng
+from oracles import full_run_waits, rep_rng
 
 from tandempoll import simulator
 from tandempoll.errors import NonPositiveRate, NonTermination, UnstableSystem
@@ -94,12 +95,12 @@ class TestReplayPinned:
     def test_conditional(self):
         a = simulate_conditional(ArrivalState(la=(2, 1, 1, 2), m=1), sym(2.86),
                                  SimConfig(replications=100, seed=2024))
-        assert repr(a) == ("SimEstimate(mean=2.113478224284256, stderr=0.12073775760034593, "
+        assert repr(a) == ("SimEstimate(mean=2.128972240851274, stderr=0.1003992159650253, "
                            "n=100, seed=2024)")
-        # one replication here takes 329 draws and reaches the third draw block
+        # one replication here takes 325 draws and reaches the third draw block
         b = simulate_conditional(ArrivalState(la=(20, 20, 20, 20), m=4, tagged_class=2), sym(2.22),
                                  SimConfig(replications=100, seed=2025))
-        assert repr(b) == ("SimEstimate(mean=19.13093481947116, stderr=0.4269184751585436, "
+        assert repr(b) == ("SimEstimate(mean=19.087992073773965, stderr=0.3855091752373279, "
                            "n=100, seed=2025)")
 
     def test_steady_state(self):
@@ -143,6 +144,32 @@ def test_exp_stream_matches_one_block():
     assert out.tolist() == drawn
 
 
+def scalar_run(s, p, seed, rep):
+    """Replication ``rep`` (relabelled, validated ``s`` and ``p``) on the
+    scalar loop with the cut, ``_run_tagged`` with mu12: its wait, and the
+    draws taken by the end of each of its steps."""
+    stream = simulator._unit_draws(rep_rng(seed, rep))
+    taken = 0
+
+    def draw():
+        nonlocal taken
+        taken += 1
+        return next(stream)
+
+    net = simulator._Polling(p, draw)
+    tagged_id = net.seed_snapshot(s)
+    after, step = [], net.step
+
+    def counted():
+        out = step()
+        after.append(taken)
+        return out
+
+    net.step = counted
+    wait, _ = simulator._run_tagged(net, tagged_id, simulator._STEP_BUDGET, p.mu[0][1])
+    return wait, after
+
+
 def generated_cells(count, seed):
     """Stable random rates with random snapshots: counts 0-9, m 1-4, and
     the tagged class alternating between 1 and 2."""
@@ -162,10 +189,10 @@ def generated_cells(count, seed):
 
 class TestBatchMatchesScalar:
     """``simulate_conditional`` runs its replications as a lockstep batch, a
-    second copy of ``_Polling``'s rules, and finishes on ``_Polling`` itself
-    every row a step could run past its first block of draws and its last
-    ``_TAIL_ROWS`` rows; each replication must give the scalar engine's
-    wait bit for bit.  The subclasses below run the same cases with no tail
+    second copy of ``_Polling``'s rules and of ``_run_tagged``'s finish in
+    expectation, and finishes on ``_Polling`` itself every row a step could
+    run past its first block of draws and its last ``_TAIL_ROWS`` rows; each
+    replication must give the scalar loop's wait with the cut bit for bit.  The subclasses below run the same cases with no tail
     handoff and with every row handed off right after seeding; here
     ``_TAIL_ROWS`` keeps its default."""
 
@@ -180,7 +207,7 @@ class TestBatchMatchesScalar:
     def scalar(s, p, seed, reps):
         s, p = relabel_for_class2(s, validate_params(p))
         return np.array([
-            simulator._tagged_sojourn(s, p, simulator._unit_draws(rep_rng(seed, rep)).__next__)
+            simulator._tagged_sojourn(s, p, simulator._unit_draws(rep_rng(seed, rep)).__next__, mu12=p.mu[0][1])
             for rep in reps
         ])
 
@@ -192,16 +219,7 @@ class TestBatchMatchesScalar:
     @staticmethod
     def draws_taken(s, p, seed, rep):
         s, p = relabel_for_class2(s, validate_params(p))
-        stream = simulator._unit_draws(rep_rng(seed, rep))
-        count = 0
-
-        def draw():
-            nonlocal count
-            count += 1
-            return next(stream)
-
-        simulator._tagged_sojourn(s, p, draw)
-        return count
+        return scalar_run(s, p, seed, rep)[1][-1]
 
     @pytest.mark.parametrize("s,p", generated_cells(16, seed=2024))
     def test_generated_cells(self, s, p):
@@ -264,36 +282,24 @@ class TestTailHandoff:
 
     @staticmethod
     def exits(s, p, seed, rep):
-        """The step at which the scalar engine's tagged customer leaves, and
+        """The step at which the scalar loop with the cut ends the run, and
         the first one before that after which a step could run past the
         first block of draws (None if there is none)."""
-        stream = simulator._unit_draws(rep_rng(seed, rep))
-        taken = 0
-
-        def draw():
-            nonlocal taken
-            taken += 1
-            return next(stream)
-
-        net = simulator._Polling(p, draw)
-        tagged_id = net.seed_snapshot(s)
-        outrun = None
-        for k in itertools.count(1):
-            out = net.step()
-            if out is not None and out[0] == tagged_id:
-                return k, outrun
-            if outrun is None and taken > simulator._DRAW_BLOCK - 4:  # a step draws at most 4
-                outrun = k
+        after = scalar_run(s, p, seed, rep)[1]
+        # a step draws at most 4
+        outrun = next((k for k, taken in enumerate(after[:-1], 1) if taken > simulator._DRAW_BLOCK - 4), None)
+        return len(after), outrun
 
     @staticmethod
     def expected(s, p, cfg):
-        """The rows still live once at most ``_TAIL_ROWS`` are, and the rows
-        resumed before that because a step could run them past their block."""
+        """The rows still live once at most ``_TAIL_ROWS`` are, the rows
+        resumed before that because a step could run them past their block,
+        and the lockstep steps run until then."""
         exits = [TestTailHandoff.exits(s, p, cfg.seed, rep) for rep in range(cfg.replications)]
         leave = np.array([outrun or k for k, outrun in exits])
         outran = np.array([outrun is not None for _, outrun in exits])
         stop = next(k for k in itertools.count() if np.count_nonzero(leave > k) <= simulator._TAIL_ROWS)
-        return np.count_nonzero(leave > stop), np.count_nonzero(outran & (leave <= stop))
+        return np.count_nonzero(leave > stop), np.count_nonzero(outran & (leave <= stop)), stop
 
     @pytest.mark.parametrize("reps", [2, 800])
     def test_last_rows_finish_on_the_scalar_engine(self, monkeypatch, reps):
@@ -301,7 +307,7 @@ class TestTailHandoff:
         cfg = SimConfig(replications=reps, seed=20240811)
         # rows that leave in one step can take the live count past
         # _TAIL_ROWS at once, which this seed's 800 rows do not
-        tail, outran = self.expected(s, p, cfg)
+        tail, outran, _ = self.expected(s, p, cfg)
         assert tail == min(reps, simulator._TAIL_ROWS)
         est, resumed = self.resumed(monkeypatch, s, p, cfg)
         assert resumed == tail + outran
@@ -339,6 +345,64 @@ class TestTailHandoff:
         assert len(calls) == cfg.replications and len(set(fed)) == len(fed) == resumed > 0
         assert all(log[0] == ("fill", False) and set(log[1:]) <= {("block", True)} for log in calls.values())
         assert any(len(log) > 1 for log in calls.values())
+
+
+class TestFinishInExpectation:
+    """Once the tagged customer sits at station 2 with station 2 polled at
+    class 1, ``simulate_conditional`` ends the replication with the clock
+    plus the mean of the class-1 services left there.  Checked against the
+    estimator that runs every replication to the departure
+    (``oracles.full_run_waits``), on the same streams."""
+
+    GRID = [(1, 1, 1, 1), (3, 3, 3, 3), (6, 6, 6, 6), (1, 1, 3, 3), (1, 1, 6, 6),
+            (3, 3, 1, 1), (6, 6, 1, 1), (3, 6, 3, 6), (6, 3, 6, 3)]
+
+    @staticmethod
+    def both(s, p, seed, reps):
+        est = simulate_conditional(s, p, SimConfig(replications=reps, seed=seed))
+        full = full_run_waits(s, p, seed, reps)
+        return est, full.mean(), full.std(ddof=1) / math.sqrt(reps)
+
+    def test_agrees_with_full_runs(self):
+        # the 72 cells of criterion 4, at its seed
+        far = []
+        for mu in (2.86, 2.22):
+            for la in self.GRID:
+                for m in (1, 2, 3, 4):
+                    est, mean, se = self.both(ArrivalState(la=la, m=m), sym(mu), 271828, 800)
+                    if abs(est.mean - mean) > 3 * math.hypot(est.stderr, se):
+                        far.append((mu, la, m, est.mean, mean))
+        assert not far
+
+    # a long station-2 class-1 queue leaves many services to their mean
+    @pytest.mark.parametrize("la,m", [((1, 1, 6, 6), 1), ((6, 6, 6, 6), 2)])
+    @pytest.mark.parametrize("mu", [2.86, 2.22])
+    def test_lower_variance(self, la, m, mu):
+        est, _, se = self.both(ArrivalState(la=la, m=m), sym(mu), 271828, 800)
+        assert est.stderr < se
+
+    def test_empty_system_is_exact(self):
+        # the tagged customer's station-1 service takes its stream's first
+        # draw; on reaching station 2 it waits one class-1 service, 1 / mu12
+        p = validate_params(SystemParams(lam=(1.0, 0.5), mu=((2.86, 2.22), (3.0, 4.0))))
+        s = ArrivalState(la=(0, 0, 0, 0), m=1)
+        waits = simulator._conditional_batch(s, p, 3, 0, 500)
+        first = np.array([rep_rng(3, rep).standard_exponential() for rep in range(500)])
+        assert waits.tolist() == (first / 2.86 + 1 / 2.22).tolist()
+        est = simulate_conditional(s, p, SimConfig(replications=500, seed=3))
+        assert (est.mean, est.stderr) == (float(waits.mean()), float(waits.std(ddof=1) / math.sqrt(500)))
+
+    def test_logs_one_record(self, caplog):
+        s, p = ArrivalState(la=(6, 6, 6, 6), m=3), sym(2.86)
+        cfg = SimConfig(replications=800, seed=20240811)
+        tail, outran, steps = TestTailHandoff.expected(s, p, cfg)
+        with caplog.at_level(logging.DEBUG, logger="tandempoll"):
+            simulate_conditional(s, p, cfg)
+        records = [r for r in caplog.records if r.name.startswith("tandempoll")]
+        assert [(r.name, r.levelno) for r in records] == [("tandempoll.simulator", logging.DEBUG)]
+        # every replication reaches the cut before it could leave
+        assert records[0].args == (20240811, 800, steps, tail + outran, 1.0)
+        assert "finished in expectation 1.0000" in records[0].getMessage()
 
 
 class TestBatchStreams:
@@ -453,12 +517,7 @@ class TestStepBudget:
 
     @staticmethod
     def steps_taken(s, p, seed, rep):
-        net = simulator._Polling(p, simulator._unit_draws(rep_rng(seed, rep)).__next__)
-        tagged_id = net.seed_snapshot(s)
-        for k in itertools.count(1):
-            out = net.step()
-            if out is not None and out[0] == tagged_id:
-                return k
+        return len(scalar_run(s, p, seed, rep)[1])
 
     # a budget counts every step of a row, lockstep and scalar alike: the
     # longest of 60 rows is handed off mid-run at 20 rows and right after
