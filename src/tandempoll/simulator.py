@@ -4,15 +4,17 @@
 routes use its rules:
 
 * ``simulate_conditional`` starts from the snapshot a tagged customer sees
-  (queue lengths plus server positions), runs until the tagged customer
-  leaves station 2, and averages the tagged system time over replications.
-  Its replications run as one lockstep numpy batch (``_conditional_batch``)
+  (queue lengths plus server positions), runs until the tagged customer's
+  last leg is fixed (it sits at station 2, polled at class 1), finishes
+  with the mean of what is left, and averages the tagged system time over
+  replications (``_run_tagged``).  Its replications run as one lockstep numpy batch (``_conditional_batch``)
   that applies the same rules in the same order to each row's first block
   of draws.  A row leaves it one way: resumed from its lockstep state, it
   finishes alone on ``_Polling`` itself, once its next step could run past
   that block or at most ``_TAIL_ROWS`` rows are left.  So each
   replication's wait equals ``_Polling``'s bit for bit; a requested trace
-  replays replication 0 through ``_Traced``, in the caller's labels;
+  replays replication 0 through ``_Traced`` to its departure, in the
+  caller's labels;
 * ``simulate_steady_state`` runs one long ``_Polling`` run and estimates the
   long-run mean system time (waiting inclusive of service) of a class via
   batch means, discarding a warm-up prefix;
@@ -20,11 +22,12 @@ routes use its rules:
   with constant clocks, every duration equal to its mean.
 
 Every route runs on the caller's rates times the power of two that brings
-their sum into [0.5, 1) (``_unit_rates``) and scales its times back, which is
-exact; so the results are scale-free, and the absolute ``_TIE`` window means
-the same at any scale.  Events at the same instant: a step advances to the
-earliest clock and applies every event due within ``_TIE`` of it, in the order station-2
-completion, station-1 hand-off, class-1 arrival, class-2 arrival; only then
+their sum into [8, 16) (``_scaled_rates``) and scales its times back, which
+is exact; so the results are scale-free, and the absolute ``_TIE`` window
+means the same at any scale.  Events at the same instant: a step advances to
+the earliest clock and applies every event due within ``_TIE`` of it, in the
+order station-2 completion, station-1 hand-off, class-1 arrival, class-2
+arrival; only then
 does each freed or idle server pick its next job, station 2 first.  Under
 constant clocks this makes a hand-off that lands exactly when the downstream
 server finishes count as available work, as zero switchover requires.  The
@@ -395,7 +398,7 @@ def _run_tagged(net: _Polling, tagged_id: int, steps: int, mu12=None) -> tuple[f
     return out[2], False
 
 
-def _unit_rates(p: SystemParams) -> tuple[SystemParams, int]:
+def _scaled_rates(p: SystemParams) -> tuple[SystemParams, int]:
     """(``p`` on its rates times 2**k, k): the power of two that brings the
     rates' sum into [8, 16), where the paper's rate sets (lam = 1, mu from
     2.22 to 2.86) already lie, or, for rates more than about 2**1025 apart,
@@ -410,7 +413,7 @@ def _unit_rates(p: SystemParams) -> tuple[SystemParams, int]:
 
 
 def _unscaled(t: float, k: int) -> float:
-    """A tagged run's time on ``_unit_rates`` in the caller's units: ``t``
+    """A tagged run's time on ``_scaled_rates`` in the caller's units: ``t``
     times 2**k, exact as ``math.ldexp``; raises ``NonPositiveRate`` past the
     largest float."""
     t *= 2.0**k
@@ -426,7 +429,7 @@ def deterministic_wait(s: ArrivalState, p: SystemParams) -> float:
     service at t = 0.  Raises ``NonTermination`` past the step budget."""
     p = validate_params(p)
     s, p = relabel_for_class2(s, p)
-    p, k = _unit_rates(p)
+    p, k = _scaled_rates(p)
     return _unscaled(_tagged_sojourn(s, p, lambda: 1.0), k)
 
 
@@ -631,13 +634,14 @@ def simulate_conditional(
     the tail of its class queue at station 1, and runs until that customer
     sits at station 2 with station 2 polled at class 1; its wait is the
     clock there plus the mean of the class-1 services it still waits for
-    there, its own included (see ``_run_tagged``).  The replications run in the caller's process, in
-    lockstep batches of at most ``_BATCH_ROWS``; a row whose next step could
-    run past its first ``_DRAW_BLOCK`` draws, and each batch's last
-    ``_TAIL_ROWS`` rows, finish on the scalar engine.  A clock that passes
-    the largest float raises ``NonPositiveRate``.  ``n_jobs`` must be a
-    positive integer and is otherwise ignored, as results never depended on
-    it; it stays only for ``perfbench/``, until ROADMAP item 1 removes it.
+    there, its own included (see ``_run_tagged``).  The replications run in
+    the caller's process, in lockstep batches of at most ``_BATCH_ROWS``; a
+    row whose next step could run past its first ``_DRAW_BLOCK`` draws, and
+    each batch's last ``_TAIL_ROWS`` rows, finish on the scalar engine.  A
+    clock that passes the largest float raises ``NonPositiveRate``.
+    ``n_jobs`` must be a positive integer and is otherwise ignored, as
+    results never depended on it; it stays only for ``perfbench/``, until
+    ROADMAP item 1 removes it.
     ``trace``, if a list is supplied, collects the event rows of replication
     0, run once more through ``_Traced`` to its departure, which writes
     them in the caller's class labels (see ``write_trace``).  Each call logs
@@ -650,7 +654,7 @@ def simulate_conditional(
     p = validate_params(p)
     tagged_class = s.tagged_class
     s, p = relabel_for_class2(s, p)
-    p, k = _unit_rates(p)
+    p, k = _scaled_rates(p)
     if trace is not None:
         start = len(trace)
         _tagged_sojourn(s, p, _unit_draws(_rngs(c.seed, 0, 1)[0]).__next__, trace, tagged_class - 1)
@@ -689,13 +693,13 @@ def simulate_steady_state(
     standard error.  Little's-law quantities are accumulated over the kept
     window across both classes.
 
-    The run takes the rates times 2**k (``_unit_rates``): the mean and
+    The run takes the rates times 2**k (``_scaled_rates``): the mean and
     standard error are scaled back by 2**k, and the two diagnostics, which
     have no time unit, stay finite where the unscaled head-count area and
     sojourn sum would pass the float range.
     """
     measured = _member(measured_class, "measured_class", (1, 2)) - 1
-    p, k = _unit_rates(validate_params(p))
+    p, k = _scaled_rates(validate_params(p))
     net = _Polling(p, _unit_draws(_rngs(c.seed, 0, 1)[0]).__next__)
     net.schedule_arrivals()
     kept = []

@@ -192,9 +192,10 @@ class TestBatchMatchesScalar:
     second copy of ``_Polling``'s rules and of ``_run_tagged``'s finish in
     expectation, and finishes on ``_Polling`` itself every row a step could
     run past its first block of draws and its last ``_TAIL_ROWS`` rows; each
-    replication must give the scalar loop's wait with the cut bit for bit.  The subclasses below run the same cases with no tail
-    handoff and with every row handed off right after seeding; here
-    ``_TAIL_ROWS`` keeps its default."""
+    replication must give the scalar loop's wait with the cut bit for bit.
+    The subclasses below run the same cases with no tail handoff and with
+    every row handed off right after seeding; here ``_TAIL_ROWS`` keeps its
+    default."""
 
     TAIL_ROWS = None
 
