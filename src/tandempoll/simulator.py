@@ -349,12 +349,12 @@ class _Traced(_Polling):
         return out
 
 
-def _tagged_sojourn(s: ArrivalState, p: SystemParams, draw, trace=None, swap: int = 0, mu12=None) -> float:
+def _tagged_sojourn(s: ArrivalState, p: SystemParams, draw, trace=None, swap: int = 0) -> float:
     """System time of the tagged customer from snapshot ``s`` (relabelled,
-    validated parameters), finished in expectation given ``mu12`` (see
-    ``_run_tagged``); raises ``NonTermination`` past the step budget."""
+    validated parameters), run to its departure; raises ``NonTermination``
+    past the step budget."""
     net = _Polling(p, draw) if trace is None else _Traced(p, draw, trace, swap)
-    return _run_tagged(net, net.seed_snapshot(s), _STEP_BUDGET, mu12)[0]
+    return _run_tagged(net, net.seed_snapshot(s), _STEP_BUDGET)[0]
 
 
 def _run_tagged(net: _Polling, tagged_id: int, steps: int, mu12=None) -> tuple[float, bool]:
@@ -376,7 +376,8 @@ def _run_tagged(net: _Polling, tagged_id: int, steps: int, mu12=None) -> tuple[f
     resumed from the lockstep gets what its lockstep steps left of
     ``_STEP_BUDGET``), and ``NonPositiveRate`` if the clock passes the
     largest float first.  From there every event is due at once, so each
-    step has a departure or pops an empty queue."""
+    step has a departure or pops an empty queue, or reaches the cut and
+    returns inf, which ``simulate_conditional`` refuses."""
     ahead = len(net.fifo[0])
     n2, position = net.n[1], net.position
     try:
@@ -494,8 +495,8 @@ def _rngs(seed: int, lo: int, hi: int) -> list:
 def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi: int, tally=None) -> np.ndarray:
     """Tagged system times of replications ``lo .. hi - 1``, run in lockstep
     on numpy arrays and finished on the scalar engine; entry r equals
-    ``_tagged_sojourn`` with ``mu12`` on replication ``lo + r``'s stream
-    (``_rngs``) bit for bit, whatever batch holds it.  A ``tally`` Counter
+    ``_run_tagged`` with ``mu12`` from the snapshot on replication
+    ``lo + r``'s stream (``_rngs``) bit for bit, whatever batch holds it.  A ``tally`` Counter
     gains the lockstep steps, the rows resumed and the rows finished in
     expectation.
 

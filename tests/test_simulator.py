@@ -207,10 +207,7 @@ class TestBatchMatchesScalar:
     @staticmethod
     def scalar(s, p, seed, reps):
         s, p = relabel_for_class2(s, validate_params(p))
-        return np.array([
-            simulator._tagged_sojourn(s, p, simulator._unit_draws(rep_rng(seed, rep)).__next__, mu12=p.mu[0][1])
-            for rep in reps
-        ])
+        return np.array([scalar_run(s, p, seed, rep)[0] for rep in reps])
 
     @staticmethod
     def batch(s, p, seed, lo, hi):
@@ -440,6 +437,20 @@ class TestBatchStreams:
         TestReplayPinned().test_conditional()
         TestReplayPinned().test_steady_state()
         TestTracePinned().test_rows(ArrivalState(la=(1, 1, 0, 1), m=2), TestTracePinned.CLASS1)
+
+
+def test_rates_far_apart():
+    # scaled to sum into [8, 16), 2**-1018 beside 1e30 would fall to 0.0
+    # and divide by zero; the smallest rate then goes to the smallest
+    # normal float, and the answers stay scale-free
+    s = ArrivalState(la=(1, 1, 1, 1), m=1)
+    for k in (0, 40):
+        p = validate_params(SystemParams(lam=(2.0**(k - 1018),) * 2, mu=((1e30 * 2.0**k,) * 2,) * 2))
+        waits = (deterministic_wait(s, p), simulate_conditional(s, p, SimConfig(replications=50, seed=1)).mean)
+        if k:
+            assert tuple(math.ldexp(w, k) for w in waits) == unit
+        unit = waits
+    assert all(0 < w < 1e-29 for w in unit)
 
 
 class TestSmallRates:
