@@ -7,11 +7,12 @@ routes use its rules:
   (queue lengths plus server positions), runs until the tagged customer's
   last leg is fixed (it sits at station 2, polled at class 1), finishes
   with the mean of what is left, and averages the tagged system time over
-  replications (``_run_tagged``).  Its replications run as one lockstep numpy batch (``_conditional_batch``)
-  that applies the same rules in the same order to each row's first block
-  of draws.  A row leaves it one way: resumed from its lockstep state, it
-  finishes alone on ``_Polling`` itself, once its next step could run past
-  that block or at most ``_TAIL_ROWS`` rows are left.  So each
+  replications (``_run_tagged``).  Its replications run as one lockstep
+  numpy batch (``_conditional_batch``) that applies the same rules in the
+  same order to each row's first block of draws.  A row leaves it one way:
+  resumed from its lockstep state, it finishes alone on ``_Polling``
+  itself, once its next step could run past that block or at most
+  ``_TAIL_ROWS`` rows are left.  So each
   replication's wait equals ``_Polling``'s bit for bit; a requested trace
   replays replication 0 through ``_Traced`` to its departure, in the
   caller's labels;
@@ -496,9 +497,9 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
     """Tagged system times of replications ``lo .. hi - 1``, run in lockstep
     on numpy arrays and finished on the scalar engine; entry r equals
     ``_run_tagged`` with ``mu12`` from the snapshot on replication
-    ``lo + r``'s stream (``_rngs``) bit for bit, whatever batch holds it.  A ``tally`` Counter
-    gains the lockstep steps, the rows resumed and the rows finished in
-    expectation.
+    ``lo + r``'s stream (``_rngs``) bit for bit, whatever batch holds it.
+    A ``tally`` Counter gains the lockstep steps, the rows resumed and the
+    rows finished in expectation.
 
     Each array holds one quantity of ``_Polling`` across the live rows
     (``n``, ``end``, ``next_arrival`` as ``arrival``, and ``position`` as a
@@ -632,14 +633,13 @@ def simulate_conditional(
     """Tagged-customer mean system time from snapshot ``s``.
 
     Each replication re-creates the snapshot, injects the tagged customer at
-    the tail of its class queue at station 1, and runs until that customer
-    sits at station 2 with station 2 polled at class 1; its wait is the
-    clock there plus the mean of the class-1 services it still waits for
-    there, its own included (see ``_run_tagged``).  The replications run in
-    the caller's process, in lockstep batches of at most ``_BATCH_ROWS``; a
-    row whose next step could run past its first ``_DRAW_BLOCK`` draws, and
-    each batch's last ``_TAIL_ROWS`` rows, finish on the scalar engine.  A
-    clock that passes the largest float raises ``NonPositiveRate``.
+    the tail of its class queue at station 1, and runs until that customer's
+    last leg is fixed, which it finishes in expectation (``_run_tagged``).
+    The replications run in the caller's process, in lockstep batches of at
+    most ``_BATCH_ROWS``; a row whose next step could run past its first
+    ``_DRAW_BLOCK`` draws, and each batch's last ``_TAIL_ROWS`` rows, finish
+    on the scalar engine.  A clock that passes the largest float raises
+    ``NonPositiveRate``.
     ``n_jobs`` must be a positive integer and is otherwise ignored, as
     results never depended on it; it stays only for ``perfbench/``, until
     ROADMAP item 1 removes it.
