@@ -8,7 +8,8 @@ class TandemPollError(Exception):
 class NonPositiveRate(TandemPollError):
     """A rate is zero, negative, non-finite or below 2**-1018, the rates sum
     past the largest float, or a steady-state run's clock or an absorption
-    time passes it."""
+    time passes it; or, on a simulated route, the rates lie more than about
+    2**1025 apart, too far for one float scale to hold them all."""
 
 
 class UnstableSystem(TandemPollError):

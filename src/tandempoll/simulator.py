@@ -36,15 +36,20 @@ rule cannot change a stochastic result: two exponential clocks land within
 ``_TIE`` of each other with negligible probability, so in practice each step
 applies one event, drawing in the order of a one-event-per-step loop.
 
-Each replication draws the stream numpy's ``SeedSequence(seed,
-spawn_key=(replication,))`` gives it, so results do not depend on batching.
-One builder, ``_rngs``, makes every stream, for the lockstep batch, the
-steady-state run and the traced replay alike: it seeds numpy's PCG64 from
-the words ``_stream_words`` hashes, and builds no SeedSequence.  Both engines
-fetch draws ``_DRAW_BLOCK`` at a time: ``_unit_draws`` for a scalar run, and
-one buffer row per replication, filled once, in the batch.  The block size
-cannot change a result (see ``_unit_draws``).  A tagged run whose clock
-passes the largest float raises ``NonPositiveRate``.
+Replication r of ``simulate_conditional`` takes its first ``_DRAW_BLOCK``
+unit-exponential draws from one stream per call, ``default_rng(seed)``
+(``_blocks``): draws ``r * _DRAW_BLOCK`` on, row r of a block each batch
+draws at once.  From its ``_DRAW_BLOCK + 1``-th draw on it reads its own
+stream, numpy's ``SeedSequence(seed, spawn_key=(r,))``, distinct from the
+block stream, whose SeedSequence has no spawn key.  So a result depends on
+(seed, replication) alone, whatever the batching.  One builder, ``_rngs``,
+makes every per-replication stream: those of the rows the batch resumes,
+and replication 0's for the steady-state run and, after its block row, for
+the traced replay.  It seeds numpy's PCG64 from the words ``_stream_words``
+hashes, and builds no SeedSequence.  The scalar engine fetches draws
+``_DRAW_BLOCK`` at a time (``_unit_draws``), which cannot change a result.
+A tagged run whose clock passes the largest float raises
+``NonPositiveRate``, as do rates too far apart for one float scale.
 
 ``_Polling.step`` is the scalar hot loop: it runs about three times per
 departure of a steady-state run and once per event of every timeline and
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass, fields
 from itertools import chain, permutations, repeat
@@ -403,14 +409,18 @@ def _run_tagged(net: _Polling, tagged_id: int, steps: int, mu12=None) -> tuple[f
 def _scaled_rates(p: SystemParams) -> tuple[SystemParams, int]:
     """(``p`` on its rates times 2**k, k): the power of two that brings the
     rates' sum into [8, 16), where the paper's rate sets (lam = 1, mu from
-    2.22 to 2.86) already lie, or, for rates more than about 2**1025 apart,
-    the smallest rate to the smallest normal float.  Every route runs on
-    these rates, so ``_TIE`` means the same at any scale, and every time
-    comes out divided by 2**k exactly (``_unscaled`` takes it back)."""
+    2.22 to 2.86) already lie.  Every route runs on these rates, so ``_TIE``
+    means the same at any scale, and every time comes out divided by 2**k
+    exactly (``_unscaled`` takes it back).  Raises ``NonPositiveRate`` for
+    rates more than about 2**1025 apart, whose smallest would fall below the
+    normal float range there and lose its precision or become 0."""
     (lam1, lam2), ((mu11, mu12), (mu21, mu22)) = p.lam, p.mu
     rates = (lam1, lam2, mu11, mu12, mu21, mu22)
-    k = max(4 - math.frexp(sum(rates))[1], -1021 - math.frexp(min(rates))[1])
+    k = 4 - math.frexp(sum(rates))[1]
     c = 2.0**k
+    if min(rates) * c < sys.float_info.min:
+        raise NonPositiveRate(f"rates from {min(rates)!r} to {max(rates)!r} lie too far apart to simulate: scaled to "
+                              f"sum into [8, 16), the smallest falls below {sys.float_info.min!r}")
     return SystemParams(lam=(lam1 * c, lam2 * c), mu=((mu11 * c, mu12 * c), (mu21 * c, mu22 * c))), k
 
 
@@ -452,18 +462,19 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _stream_words(seed: int, lo: int, hi: int) -> np.ndarray:
-    """Row r holds ``SeedSequence(seed, spawn_key=(lo + r,)).generate_state(4,
-    np.uint64)`` for any replication ``lo + r`` below 2**64.  SeedSequence
-    mixes its entropy (the seed's 32-bit words, low first and zero-padded to
-    4, then the index: one word below 2**32, two from there) into a pool of 4
-    words and hashes the pool into 8 output words, with constants that never
-    depend on the data; so the same steps on ``uint32`` columns hash every row
-    at once, mixing in a high word only where there is one.  Rows are
-    C-contiguous, as PCG64 reads the words through the data pointer."""
+def _stream_words(seed: int, reps) -> np.ndarray:
+    """Row r holds ``SeedSequence(seed, spawn_key=(reps[r],)).generate_state(4,
+    np.uint64)`` for replication indices ``reps`` below 2**64, in any order.
+    SeedSequence mixes its entropy (the seed's 32-bit words, low first and
+    zero-padded to 4, then the index: one word below 2**32, two from there)
+    into a pool of 4 words and hashes the pool into 8 output words, with
+    constants that never depend on the data; so the same steps on ``uint32``
+    columns hash every row at once, mixing in a high word only where there is
+    one.  Rows are C-contiguous, as PCG64 reads the words through the data
+    pointer."""
     words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
     entropy = [np.array([w], np.uint32) for w in words + [0] * (4 - len(words))]
-    reps = np.arange(lo, hi, dtype=np.uint64)
+    reps = np.array(reps, dtype=np.uint64)
     entropy.append(reps.astype(np.uint32))
     hashmix = _hash(0x43B0D7E5, 0x931E8875)
     pool = [hashmix(w) for w in entropy[:4]]
@@ -471,33 +482,54 @@ def _stream_words(seed: int, lo: int, hi: int) -> np.ndarray:
         pool[j] = _mix(pool[j], hashmix(pool[i]))
     for w in entropy[4:]:
         pool = [_mix(x, hashmix(w)) for x in pool]
-    if hi > 1 << 32:  # a window below 2**32 skips this
-        high = reps >> 32
+    high = reps >> 32
+    if high.any():  # indices below 2**32 skip this
         pool = [np.where(high > 0, _mix(x, hashmix(high.astype(np.uint32))), x) for x in pool]
     out = _hash(0x8B51F9DD, 0x58F38DED)
     return np.stack([out(pool[i % 4]) for i in range(8)], axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _rngs(seed: int, lo: int, hi: int) -> list:
-    """The Generators of replications ``lo .. hi - 1``: numpy's PCG64 seeded
-    from ``_stream_words``, so each draws the stream ``SeedSequence(seed,
-    spawn_key=(rep,))`` gives it, with none built.  The one stream builder:
-    the batch, the steady-state run and the traced replay take theirs here."""
+def _rngs(seed: int, reps) -> list:
+    """The Generators of replications ``reps``, a sequence of indices: numpy's
+    PCG64 seeded from ``_stream_words``, so each draws the stream
+    ``SeedSequence(seed, spawn_key=(rep,))`` gives it, with none built.  The
+    one builder of per-replication streams.  A conditional replication reads
+    its own only after its first ``_DRAW_BLOCK`` draws, so the lockstep batch
+    builds those of the rows it resumes alone; the steady-state run and the
+    traced replay take replication 0's."""
     class Words(np.random.bit_generator.ISeedSequence):  # here, as it loads numpy.random
         def __init__(self, words):
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words  # PCG64 asks for (4, np.uint64) alone
-    pcg, gen = np.random.PCG64, np.random.Generator
-    return [gen(pcg(Words(w))) for w in _stream_words(seed, lo, hi)]
+    return [np.random.Generator(np.random.PCG64(Words(w))) for w in _stream_words(seed, reps)]
 
 
-def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi: int, tally=None) -> np.ndarray:
+def _blocks(seed: int, lo: int = 0) -> np.random.Generator:
+    """The call's block stream, ``default_rng(seed)``, past the first blocks
+    of replications below ``lo``: its draws ``r * _DRAW_BLOCK`` on are
+    replication r's first ``_DRAW_BLOCK``.  ``SeedSequence(seed)`` has no
+    spawn key, so this stream is none of ``_rngs``'."""
+    blocks = np.random.default_rng(seed)
+    blocks.standard_exponential((lo, _DRAW_BLOCK))
+    return blocks
+
+
+def _draws(first: np.ndarray, rng: np.random.Generator):
+    """A replication's draw function: the rest of its first block ``first``,
+    then its own stream ``rng``, ``_DRAW_BLOCK`` at a time."""
+    return chain(first.tolist(), _unit_draws(rng)).__next__
+
+
+def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi: int, tally=None,
+                       blocks=None) -> np.ndarray:
     """Tagged system times of replications ``lo .. hi - 1``, run in lockstep
     on numpy arrays and finished on the scalar engine; entry r equals
     ``_run_tagged`` with ``mu12`` from the snapshot on replication
-    ``lo + r``'s stream (``_rngs``) bit for bit, whatever batch holds it.
+    ``lo + r``'s draws bit for bit, whatever batch holds it: its row of the
+    block stream ``blocks`` (by default ``_blocks(seed, lo)``, which must
+    stand at replication ``lo``'s row), then its own stream (``_rngs``).
     A ``tally`` Counter gains the lockstep steps, the rows resumed and the
     rows finished in expectation.
 
@@ -505,24 +537,23 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
     (``n``, ``end``, ``next_arrival`` as ``arrival``, and ``position`` as a
     flag "polled at class 2"), and a step applies ``_Polling.step``'s events,
     picks and IEEE operations to each row's first ``_DRAW_BLOCK`` draws: a
-    buffer row filled once from its own Generator, read in the scalar order
-    (arrival class 1, arrival class 2, station-2 start, station-1 start).
-    A row ends where ``_run_tagged`` would finish it in expectation, with
-    the same operations.  Rows that leave drop out of the arrays, not out of
-    the buffer.
+    buffer of ``hi - lo`` rows, drawn from ``blocks`` in one call, read in
+    the scalar order (arrival class 1, arrival class 2, station-2 start,
+    station-1 start).  A row ends where ``_run_tagged`` would finish it in
+    expectation, with the same operations.  Rows that leave drop out of the
+    arrays, not out of the buffer.
 
     A row that has not finished leaves the lockstep one way, ``finish``: it
     goes on alone on a ``_Polling`` in its state (``resume``), drawing the
-    rest of its buffer row, then its stream's next blocks, through
-    ``_run_tagged`` with what is left of the step budget.  So goes a row
-    whose next step could run past its buffer row, and every live row once
-    at most ``_TAIL_ROWS`` are live or the budget is spent.
+    rest of its buffer row, then its own stream, built for the rows resumed
+    alone, through ``_run_tagged`` with what is left of the step budget.  So
+    goes a row whose next step could run past its buffer row, and every live
+    row once at most ``_TAIL_ROWS`` are live or the budget is spent.
     """
-    width = _DRAW_BLOCK
-    rngs = _rngs(seed, lo, hi)
-    draws = np.empty((len(rngs), width))
-    for rng, buf in zip(rngs, draws):
-        rng.standard_exponential(out=buf)
+    width, size = _DRAW_BLOCK, hi - lo
+    if blocks is None:
+        blocks = _blocks(seed, lo)
+    draws = blocks.standard_exponential((size, width))
     flat = draws.reshape(-1)
     # Every row starts from the same snapshot, so the scalar seeding runs
     # once on whole columns of draws: each clock it sets is a per-row array
@@ -531,25 +562,26 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
     taken = iter(range(width))
     net = _Polling(p, lambda: draws[:, next(taken)])
     net.seed_snapshot(s)
-    end, arrival = ([np.full(len(rngs), x) for x in v] for v in (net.end, net.next_arrival))
-    n = [[np.full(len(rngs), x) for x in nj] for nj in net.n]
-    position = [np.full(len(rngs), c == 1) for c in net.position]
-    rows = np.arange(len(rngs))
+    end, arrival = ([np.full(size, x) for x in v] for v in (net.end, net.next_arrival))
+    n = [[np.full(size, x) for x in nj] for nj in net.n]
+    position = [np.full(size, c == 1) for c in net.position]
+    rows = np.arange(size)
     nxt = rows * width + next(taken)    # flat index of each row's next draw
     last = rows * width + (width - 4)   # past it, a step could run off the row
     # Class-1 customers leave station 2 in arrival order, so the tagged one
     # (behind l12 + l11 others) leaves at this many class-1 departures.
-    ahead = np.full(len(rngs), s.la[2] + s.la[0] + 1)
+    ahead = np.full(size, s.la[2] + s.la[0] + 1)
     mu12 = p.mu[0][1]
-    waits = np.empty(len(rngs))
+    waits = np.empty(size)
     resumed = expected = 0
 
     def finish(go):
         """Run the rows ``go`` flags to their end on the scalar engine."""
         nonlocal resumed, expected
-        state = (rows, nxt, ahead, *n[0], *n[1], *end, *arrival, *position)
-        for i, at, k, *x in zip(*(v[go].tolist() for v in state)):
-            net = _Polling(p, chain(draws[i, at - i * width:].tolist(), _unit_draws(rngs[i])).__next__)
+        state = [v[go].tolist() for v in (rows, nxt, ahead, *n[0], *n[1], *end, *arrival, *position)]
+        rngs = _rngs(seed, [lo + i for i in state[0]])
+        for rng, (i, at, k, *x) in zip(rngs, zip(*state)):
+            net = _Polling(p, _draws(draws[i, at - i * width:], rng))
             tagged_id = net.resume([x[0:2], x[2:4]], x[4:6], x[6:8], [int(c) for c in x[8:]], k)
             waits[i], cut = _run_tagged(net, tagged_id, _STEP_BUDGET - steps, mu12)
             resumed += 1
@@ -636,15 +668,18 @@ def simulate_conditional(
     the tail of its class queue at station 1, and runs until that customer's
     last leg is fixed, which it finishes in expectation (``_run_tagged``).
     The replications run in the caller's process, in lockstep batches of at
-    most ``_BATCH_ROWS``; a row whose next step could run past its first
-    ``_DRAW_BLOCK`` draws, and each batch's last ``_TAIL_ROWS`` rows, finish
-    on the scalar engine.  A clock that passes the largest float raises
+    most ``_BATCH_ROWS``, which take their rows' first ``_DRAW_BLOCK`` draws
+    in turn from the call's one block stream (``_blocks``); a row whose next
+    step could run past them, and each batch's last ``_TAIL_ROWS`` rows,
+    finish on the scalar engine.  A clock that passes the largest float, or
+    rates too far apart to scale (``_scaled_rates``), raise
     ``NonPositiveRate``.
     ``n_jobs`` must be a positive integer and is otherwise ignored, as
     results never depended on it; it stays only for ``perfbench/``, until
     ROADMAP item 1 removes it.
     ``trace``, if a list is supplied, collects the event rows of replication
-    0, run once more through ``_Traced`` to its departure, which writes
+    0, run once more on its draws through ``_Traced`` to its departure, past
+    the step at which its wait was finished in expectation, which writes
     them in the caller's class labels (see ``write_trace``).  Each call logs
     one ``DEBUG`` record: the seed, the replications, the lockstep steps,
     the rows resumed on the scalar engine and the share of replications
@@ -658,7 +693,8 @@ def simulate_conditional(
     p, k = _scaled_rates(p)
     if trace is not None:
         start = len(trace)
-        _tagged_sojourn(s, p, _unit_draws(_rngs(c.seed, 0, 1)[0]).__next__, trace, tagged_class - 1)
+        draw = _draws(_blocks(c.seed).standard_exponential(_DRAW_BLOCK), _rngs(c.seed, [0])[0])
+        _tagged_sojourn(s, p, draw, trace, tagged_class - 1)
         trace[start:] = [(_unscaled(t, k), *row) for t, *row in trace[start:]]
     reps = c.replications
     # A lockstep clock overflows to inf as the scalar's does, so each row
@@ -667,9 +703,10 @@ def simulate_conditional(
     # _DRAW_BLOCK / 2 steps goes on alone, where _run_tagged raises or
     # finishes it with an inf wait.
     tally = Counter()
+    blocks = _blocks(c.seed)
     with np.errstate(over="ignore"):
         waits = np.concatenate([
-            _conditional_batch(s, p, c.seed, lo, min(lo + _BATCH_ROWS, reps), tally)
+            _conditional_batch(s, p, c.seed, lo, min(lo + _BATCH_ROWS, reps), tally, blocks)
             for lo in range(0, reps, _BATCH_ROWS)
         ])
     _unscaled(float(waits.max()), k)
@@ -701,7 +738,7 @@ def simulate_steady_state(
     """
     measured = _member(measured_class, "measured_class", (1, 2)) - 1
     p, k = _scaled_rates(validate_params(p))
-    net = _Polling(p, _unit_draws(_rngs(c.seed, 0, 1)[0]).__next__)
+    net = _Polling(p, _unit_draws(_rngs(c.seed, [0])[0]).__next__)
     net.schedule_arrivals()
     kept = []
     pooled_sum = 0.0

@@ -10,6 +10,7 @@ checks the floating-point clock arithmetic, not the rules, and
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -273,12 +274,10 @@ def full_run_waits(s, p, seed, reps):
     """Tagged system times of replications 0 .. reps - 1 from snapshot ``s``
     (validated ``p``), each run on the scalar engine to the tagged customer's
     departure: the plain Monte Carlo estimator that ``simulate_conditional``
-    replaced by finishing each replication in expectation.  Same streams,
-    same rules, so the two differ only by that finish."""
+    replaced by finishing each replication in expectation.  Same draws
+    (``rep_draws``), same rules, so the two differ only by that finish."""
     s, p = relabel_for_class2(s, p)
-    return np.array([
-        simulator._tagged_sojourn(s, p, simulator._unit_draws(rep_rng(seed, rep)).__next__) for rep in range(reps)
-    ])
+    return np.array([simulator._tagged_sojourn(s, p, rep_draws(seed, rep).__next__) for rep in range(reps)])
 
 
 def rep_rng(seed, rep):
@@ -286,3 +285,19 @@ def rep_rng(seed, rep):
     by ``SeedSequence(seed, spawn_key=(rep,))``.  The simulator derives the
     same stream without a SeedSequence; the tests hold the two equal."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+
+
+@lru_cache(maxsize=4)
+def _first_blocks(seed, rows):
+    return np.random.default_rng(seed).standard_exponential((rows, simulator._DRAW_BLOCK))
+
+
+def rep_draws(seed, rep):
+    """Replication ``rep``'s unit-exponential draws in ``simulate_conditional``,
+    as numpy gives them: row ``rep`` of the block of 128-draw rows that
+    ``default_rng(seed)`` draws, then the stream of ``rep_rng(seed, rep)``
+    from its first draw.  The block is drawn once per seed for the first
+    1,024 replications (numpy fills it row after row, so a taller block has
+    the same rows)."""
+    block = _first_blocks(seed, max(1024, 1 << rep.bit_length()))[rep]
+    return chain(block.tolist(), simulator._unit_draws(rep_rng(seed, rep)))

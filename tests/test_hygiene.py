@@ -1,4 +1,5 @@
-"""Source hygiene: the package keeps no private helper that nothing calls."""
+"""Source hygiene: the package keeps no private helper that nothing calls,
+no unbounded memo, and one place per kind of random stream."""
 
 import ast
 from pathlib import Path
@@ -80,3 +81,42 @@ def test_every_memo_is_bounded():
         if name == "cache" or call is None or _literal_maxsize(call) is None
     ]
     assert unbounded == [], "memos without an explicit, finite maxsize"
+
+
+STREAM_BUILDERS = {"Generator", "PCG64", "default_rng", "SeedSequence"}
+
+
+def _stream_uses(tree):
+    """(enclosing function, name) for every reference to a numpy stream
+    builder outside a type annotation; a reference, not only a call, so that
+    an alias taken anywhere counts where it is taken."""
+    annotations = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            ann = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            ann = node.returns
+        else:
+            continue
+        if ann is not None:
+            annotations.update(id(sub) for sub in ast.walk(ann))
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name if where is None else where
+        name = node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name) else None
+        if name in STREAM_BUILDERS and id(node) not in annotations:
+            yield where, name
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+
+    return list(visit(tree, None))
+
+
+def test_one_stream_builder():
+    # every simulated draw comes from a replication's own stream, built in
+    # _rngs, or from the call's block stream, built in _blocks; a third
+    # builder would be a second stream layout to keep equal to these
+    uses = _stream_uses(ast.parse((SRC / "simulator.py").read_text()))
+    assert {where for where, _ in uses} == {"_rngs", "_blocks"}, uses
+    assert [where for where, name in uses if name == "default_rng"] == ["_blocks"]

@@ -2,6 +2,7 @@
 import itertools
 import logging
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import full_run_waits, rep_rng
+from oracles import full_run_waits, rep_draws, rep_rng
 
 from tandempoll import simulator
 from tandempoll.errors import NonPositiveRate, NonTermination, UnstableSystem
@@ -95,13 +96,19 @@ class TestReplayPinned:
     def test_conditional(self):
         a = simulate_conditional(ArrivalState(la=(2, 1, 1, 2), m=1), sym(2.86),
                                  SimConfig(replications=100, seed=2024))
-        assert repr(a) == ("SimEstimate(mean=2.128972240851274, stderr=0.1003992159650253, "
+        assert repr(a) == ("SimEstimate(mean=2.1005140666875066, stderr=0.07695327826953378, "
                            "n=100, seed=2024)")
-        # one replication here takes 325 draws and reaches the third draw block
+        # no replication here reads past its first block (the most take 114
+        # draws); of the 1,000 below, 6 go on to their own streams, one to
+        # its 160th draw
         b = simulate_conditional(ArrivalState(la=(20, 20, 20, 20), m=4, tagged_class=2), sym(2.22),
                                  SimConfig(replications=100, seed=2025))
-        assert repr(b) == ("SimEstimate(mean=19.087992073773965, stderr=0.3855091752373279, "
+        assert repr(b) == ("SimEstimate(mean=18.422453373101824, stderr=0.22032765233382157, "
                            "n=100, seed=2025)")
+        c = simulate_conditional(ArrivalState(la=(20, 20, 20, 20), m=4, tagged_class=2), sym(2.22),
+                                 SimConfig(replications=1000, seed=2025))
+        assert repr(c) == ("SimEstimate(mean=18.526615274032533, stderr=0.06795920619131711, "
+                           "n=1000, seed=2025)")
 
     def test_steady_state(self):
         cfg = SimConfig(seed=5, warmup_departures=500, horizon_departures=20_000)
@@ -135,20 +142,19 @@ def test_exp_stream_matches_one_block():
     # fixed blocks must reproduce a single draw of the same length
     drawn = list(itertools.islice(simulator._unit_draws(np.random.default_rng(123)), 20_000))
     assert drawn == np.random.default_rng(123).exponential(size=20_000).tolist()
-    # a batch row's first block is filled in place, and a resumed row's
-    # _unit_draws blocks go on with the stream from there
+    # numpy fills a 2-D block row after row, so the block stream gives a
+    # replication the same first block whatever rows each batch draws
     rng = np.random.default_rng(123)
-    out = np.empty(20_000)
-    rng.standard_exponential(out=out[:128])
-    rng.standard_exponential(out=out[128:])
-    assert out.tolist() == drawn
+    rows = [rng.standard_exponential((k, simulator._DRAW_BLOCK)) for k in (1, 7, 32, 116)]
+    assert np.concatenate(rows).reshape(-1).tolist() == drawn[:156 * simulator._DRAW_BLOCK]
 
 
-def scalar_run(s, p, seed, rep):
+def scalar_run(s, p, seed, rep, stream=None):
     """Replication ``rep`` (relabelled, validated ``s`` and ``p``) on the
-    scalar loop with the cut, ``_run_tagged`` with mu12: its wait, and the
-    draws taken by the end of each of its steps."""
-    stream = simulator._unit_draws(rep_rng(seed, rep))
+    scalar loop with the cut, ``_run_tagged`` with mu12, on its draws
+    ``stream`` (by default ``rep_draws``): its wait, and the draws taken by
+    the end of each of its steps."""
+    stream = rep_draws(seed, rep) if stream is None else stream
     taken = 0
 
     def draw():
@@ -192,7 +198,8 @@ class TestBatchMatchesScalar:
     second copy of ``_Polling``'s rules and of ``_run_tagged``'s finish in
     expectation, and finishes on ``_Polling`` itself every row a step could
     run past its first block of draws and its last ``_TAIL_ROWS`` rows; each
-    replication must give the scalar loop's wait with the cut bit for bit.
+    replication must give the scalar loop's wait with the cut bit for bit,
+    on the same draws (``oracles.rep_draws``).
     The subclasses below run the same cases with no tail handoff and with
     every row handed off right after seeding; here ``_TAIL_ROWS`` keeps its
     default."""
@@ -225,15 +232,25 @@ class TestBatchMatchesScalar:
 
     def test_rows_refill_their_draws(self):
         s, p = ArrivalState(la=(20, 20, 20, 20), m=4, tagged_class=2), sym(2.22)
-        used = max(self.draws_taken(s, p, 2025, rep) for rep in range(10, 30))
-        assert used > 2 * simulator._DRAW_BLOCK  # so some row draws a third block
-        assert np.array_equal(self.batch(s, p, 2025, 10, 30), self.scalar(s, p, 2025, range(10, 30)))
+        used = max(self.draws_taken(s, p, 2025, rep) for rep in range(1280, 1300))
+        # so some row reads past its first block and its own stream's first
+        assert used > 2 * simulator._DRAW_BLOCK
+        assert np.array_equal(self.batch(s, p, 2025, 1280, 1300), self.scalar(s, p, 2025, range(1280, 1300)))
 
     def test_window_straddling_2_32(self):
-        # numpy reads an index from 2**32 up as two words, one below as one
-        s, p = ArrivalState(la=(2, 3, 1, 2), m=3, tagged_class=2), sym(2.22)
+        # numpy reads an index from 2**32 up as two words, one below as one.
+        # The first blocks of these rows lie 2**39 draws into the block
+        # stream, so the batch and the oracle take them from another stream;
+        # past them, each row here reads its own
+        s, p = ArrivalState(la=(60, 60, 60, 60), m=4, tagged_class=2), sym(2.22)
         lo, hi = 2**32 - 3, 2**32 + 3
-        assert np.array_equal(self.batch(s, p, 13, lo, hi), self.scalar(s, p, 13, range(lo, hi)))
+        first = np.random.default_rng(13).standard_exponential((hi - lo, simulator._DRAW_BLOCK))
+        s, p = relabel_for_class2(s, validate_params(p))
+        runs = [scalar_run(s, p, 13, rep, itertools.chain(row.tolist(), simulator._unit_draws(rep_rng(13, rep))))
+                for rep, row in zip(range(lo, hi), first)]
+        assert min(after[-1] for _, after in runs) > simulator._DRAW_BLOCK
+        batch = simulator._conditional_batch(s, p, 13, lo, hi, blocks=np.random.default_rng(13))
+        assert np.array_equal(batch, [wait for wait, _ in runs])
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_replications_cross_blocks(self, monkeypatch, rows):
@@ -312,37 +329,27 @@ class TestTailHandoff:
         monkeypatch.setattr(simulator, "_TAIL_ROWS", 0)
         assert self.resumed(monkeypatch, s, p, cfg) == (est, self.expected(s, p, cfg)[1])
 
-    def test_generators_draw_only_for_resumed_rows(self, monkeypatch):
-        # a batch Generator is drawn from once, to fill its buffer row, and
-        # after that only through the _unit_draws of its row, once resumed
+    def test_generators_draw_only_for_resumed_rows(self, monkeypatch, caplog):
+        # a replication reads its own stream only past its first block, so
+        # the batch builds one Generator for each row it resumes, and no
+        # other: with no tail handoff, those a step could run past the block
         s, p = ArrivalState(la=(6, 6, 6, 6), m=3), sym(2.22)
         cfg = SimConfig(replications=800, seed=20240811)
         monkeypatch.setattr(simulator, "_TAIL_ROWS", 0)
         est = simulate_conditional(s, p, cfg)
-        calls, fed = {}, []
+        built, rngs = [], simulator._rngs
 
-        class Spy:
-            def __init__(self, rng):
-                self.rng = rng
-                calls[self] = []
+        def spy(seed, reps):
+            built.extend(reps)
+            return rngs(seed, reps)
 
-            def standard_exponential(self, *args, **kwargs):
-                calls[self].append(("fill" if "out" in kwargs else "block", self in fed))
-                return self.rng.standard_exponential(*args, **kwargs)
-
-        rngs, real_unit_draws = simulator._rngs, simulator._unit_draws
-
-        def unit_draws(rng):
-            fed.append(rng)
-            return real_unit_draws(rng)
-
-        monkeypatch.setattr(simulator, "_rngs", lambda *args: [Spy(rng) for rng in rngs(*args)])
-        monkeypatch.setattr(simulator, "_unit_draws", unit_draws)
-        spied, resumed = self.resumed(monkeypatch, s, p, cfg)
+        monkeypatch.setattr(simulator, "_rngs", spy)
+        with caplog.at_level(logging.DEBUG, logger="tandempoll"):
+            spied, resumed = self.resumed(monkeypatch, s, p, cfg)
         assert spied == est
-        assert len(calls) == cfg.replications and len(set(fed)) == len(fed) == resumed > 0
-        assert all(log[0] == ("fill", False) and set(log[1:]) <= {("block", True)} for log in calls.values())
-        assert any(len(log) > 1 for log in calls.values())
+        assert len(built) == resumed == caplog.records[-1].args[3] > 0
+        outran = [rep for rep in range(cfg.replications) if self.exits(s, p, cfg.seed, rep)[1] is not None]
+        assert sorted(built) == outran
 
 
 class TestFinishInExpectation:
@@ -350,7 +357,7 @@ class TestFinishInExpectation:
     class 1, ``simulate_conditional`` ends the replication with the clock
     plus the mean of the class-1 services left there.  Checked against the
     estimator that runs every replication to the departure
-    (``oracles.full_run_waits``), on the same streams."""
+    (``oracles.full_run_waits``), on the same draws."""
 
     GRID = [(1, 1, 1, 1), (3, 3, 3, 3), (6, 6, 6, 6), (1, 1, 3, 3), (1, 1, 6, 6),
             (3, 3, 1, 1), (6, 6, 1, 1), (3, 6, 3, 6), (6, 3, 6, 3)]
@@ -380,12 +387,13 @@ class TestFinishInExpectation:
         assert est.stderr < se
 
     def test_empty_system_is_exact(self):
-        # the tagged customer's station-1 service takes its stream's first
-        # draw; on reaching station 2 it waits one class-1 service, 1 / mu12
+        # the tagged customer's station-1 service takes its first draw, the
+        # first of its block row; at station 2 it waits one class-1 service,
+        # 1 / mu12
         p = validate_params(SystemParams(lam=(1.0, 0.5), mu=((2.86, 2.22), (3.0, 4.0))))
         s = ArrivalState(la=(0, 0, 0, 0), m=1)
         waits = simulator._conditional_batch(s, p, 3, 0, 500)
-        first = np.array([rep_rng(3, rep).standard_exponential() for rep in range(500)])
+        first = np.array([next(rep_draws(3, rep)) for rep in range(500)])
         assert waits.tolist() == (first / 2.86 + 1 / 2.22).tolist()
         est = simulate_conditional(s, p, SimConfig(replications=500, seed=3))
         assert (est.mean, est.stderr) == (float(waits.mean()), float(waits.std(ddof=1) / math.sqrt(500)))
@@ -418,18 +426,30 @@ class TestBatchStreams:
     @example(seed=10**40, lo=2**32 - 3, width=6)  # straddles 2**32
     def test_words_and_streams_match_numpy(self, seed, lo, width):
         hi = lo + width
-        words = simulator._stream_words(seed, lo, hi)
+        words = simulator._stream_words(seed, range(lo, hi))
         assert words.shape == (width, 4)
         for row, rep in zip(words, range(lo, hi)):
             assert np.array_equal(row, np.random.SeedSequence(seed, spawn_key=(rep,)).generate_state(4, np.uint64))
-        rngs = simulator._rngs(seed, lo, hi)
+        rngs = simulator._rngs(seed, range(lo, hi))
         assert len(rngs) == width
         for rng, rep in zip(rngs, range(lo, hi)):
             assert np.array_equal(rng.standard_exponential(300), rep_rng(seed, rep).standard_exponential(300))
 
+    def test_scattered_indices_straddling_2_32(self):
+        # a batch asks for the streams of the rows it resumes alone, a
+        # scattered set in any order, from either side of 2**32
+        reps = [2**32 + 7, 5, 2**32 - 1, 2**33 + 1, 2**32, 900, 2**64 - 1, 0, 2**31]
+        for seed in (0, 271828, 10**40):
+            words = simulator._stream_words(seed, reps)
+            assert words.shape == (len(reps), 4)
+            for row, rep in zip(words, reps):
+                assert np.array_equal(row, np.random.SeedSequence(seed, spawn_key=(rep,)).generate_state(4, np.uint64))
+
     def test_batch_builds_no_seed_sequence(self, monkeypatch):
         # a SeedSequence per row cost most of a simulate_conditional call;
         # the steady-state run and the traced replay take the same builder
+        # (the block stream's one SeedSequence per call is built inside
+        # numpy's default_rng, which this patch does not reach)
         def refuse(*args, **kwargs):
             raise AssertionError("a run built a SeedSequence")
 
@@ -440,17 +460,29 @@ class TestBatchStreams:
 
 
 def test_rates_far_apart():
-    # scaled to sum into [8, 16), 2**-1018 beside 1e30 would fall to 0.0
-    # and divide by zero; the smallest rate then goes to the smallest
-    # normal float, and the answers stay scale-free
+    # scaled to sum into [8, 16), 2**-1018 beside 1e30 falls below the
+    # normal floats; every simulated route refuses such rates and names
+    # them.  Before, lam = 1e-300 beside mu = 1e300 read 1.994e-300 on
+    # (1,1,1,1) m=1, against a limit of about 4.23e-300
     s = ArrivalState(la=(1, 1, 1, 1), m=1)
-    for k in (0, 40):
-        p = validate_params(SystemParams(lam=(2.0**(k - 1018),) * 2, mu=((1e30 * 2.0**k,) * 2,) * 2))
-        waits = (deterministic_wait(s, p), simulate_conditional(s, p, SimConfig(replications=50, seed=1)).mean)
-        if k:
-            assert tuple(math.ldexp(w, k) for w in waits) == unit
-        unit = waits
-    assert all(0 < w < 1e-29 for w in unit)
+    for lam, mu in ((2.0**-1018, 1e30), (1e-300, 1e300)):
+        p = validate_params(SystemParams(lam=(lam, lam), mu=((mu, mu), (mu, mu))))
+        routes = (lambda: deterministic_wait(s, p),
+                  lambda: simulate_conditional(s, p, SimConfig(replications=50, seed=1)),
+                  lambda: simulate_steady_state(p, SimConfig(seed=1, warmup_departures=10, horizon_departures=100)))
+        for route in routes:
+            with pytest.raises(NonPositiveRate, match=re.escape(f"rates from {lam!r} to {mu!r} lie too far apart")):
+                route()
+    # the edge: beside four mu = 32 the rates sum into [128, 256) and scale
+    # by 2**-4, which takes 2**-1018 to the smallest normal float; beside
+    # mu = 64 it would fall to 2**-1023
+    for mu in (32.0, 64.0):
+        p = validate_params(SystemParams(lam=(2.0**-1018,) * 2, mu=((mu, mu), (mu, mu))))
+        if mu == 32:
+            assert deterministic_wait(s, p) == 3 / 32
+        else:
+            with pytest.raises(NonPositiveRate, match="too far apart"):
+                deterministic_wait(s, p)
 
 
 class TestSmallRates:
@@ -653,6 +685,25 @@ class TestTraceInvariants:
         assert len(twin) > 10
         assert out[1:] == [swapped(r) for r in twin]
 
+    @pytest.mark.parametrize("la,m,seed", [((3, 2, 1, 2), 3, 12), ((6, 6, 6, 6), 4, 99), ((1, 1, 1, 1), 2, 5)])
+    def test_cut_reads_replication_0s_wait(self, la, m, seed):
+        # the traced replay is replication 0 on its draws, run on to its
+        # departure: at its first step that satisfies the cut, the clock plus
+        # the mean of the class-1 services left is the wait the estimate
+        # includes, bit for bit
+        s, p = ArrivalState(la=la, m=m), sym(2.22)
+        out = []
+        simulate_conditional(s, p, SimConfig(replications=1, seed=seed), trace=out)
+        ahead = la[0] + la[2] + 1
+        for t, group in itertools.groupby(out[1:], key=lambda r: r[0]):
+            step = list(group)
+            ahead -= sum(r[1] == "depart" and r[3] == 1 for r in step)
+            if ahead <= step[0][7] and step[0][10] == 1:  # L12, S2
+                break
+        else:
+            raise AssertionError("the trace never reached the cut")
+        assert t + ahead / 2.22 == simulator._conditional_batch(s, p, seed, 0, 200)[0]
+
     def test_write_trace(self, rows, tmp_path):
         path = tmp_path / "trace.txt"
         write_trace(rows, path)
@@ -663,45 +714,45 @@ class TestTraceInvariants:
 
 class TestTracePinned:
     """Every row of two short traces, pinned, so that a change to a row's
-    kind, order, id, snapshot or class labels fails here.  Both servers go
-    idle and both start in one step.  The class-2 run is the class-1 run's
-    twin (same draws, classes and positions swapped)."""
+    kind, order, id, snapshot or class labels fails here.  Station 2 goes
+    idle twice, and both servers start in one step.  The class-2 run is the
+    class-1 run's twin (same draws, classes and positions swapped)."""
 
     CLASS1 = [
         (0.0, "init", 1, 1, 4, 2, 1, 0, 1, 1, 2),
-        (0.0008765268541324875, "depart", 2, 2, 1, 2, 1, 0, 0, 1, 0),
-        (0.26460782677712813, "transfer", 1, 1, 2, 1, 1, 1, 0, 1, 1),
-        (0.26460782677712813, "start", 2, 1, 2, 1, 1, 1, 0, 1, 1),
-        (0.26460782677712813, "start", 1, 1, 4, 1, 1, 1, 0, 1, 1),
-        (0.5376595300260356, "depart", 2, 1, 2, 1, 1, 0, 0, 1, 0),
-        (0.6063978354565028, "transfer", 1, 1, 4, 0, 1, 1, 0, 2, 1),
-        (0.6063978354565028, "start", 2, 1, 4, 0, 1, 1, 0, 2, 1),
-        (0.6063978354565028, "start", 1, 2, 3, 0, 1, 1, 0, 2, 1),
-        (0.7318357847349892, "transfer", 1, 2, 3, 0, 0, 1, 1, 0, 1),
-        (0.7969086373796048, "arrival", 1, 2, 5, 0, 1, 1, 1, 2, 1),
-        (0.7969086373796048, "start", 1, 2, 5, 0, 1, 1, 1, 2, 1),
-        (0.9045481287141346, "arrival", 1, 2, 6, 0, 2, 1, 1, 2, 1),
-        (1.3388278136387082, "arrival", 1, 1, 7, 1, 2, 1, 1, 2, 1),
-        (1.5541309019751168, "depart", 2, 1, 4, 1, 2, 0, 1, 2, 2),
-        (1.5541309019751168, "start", 2, 2, 3, 1, 2, 0, 1, 2, 2),
+        (0.07003947834186743, "transfer", 1, 1, 2, 1, 1, 1, 1, 1, 2),
+        (0.07003947834186743, "start", 1, 1, 4, 1, 1, 1, 1, 1, 2),
+        (0.09207173888130354, "arrival", 1, 1, 5, 2, 1, 1, 1, 1, 2),
+        (0.17202651430532978, "arrival", 1, 2, 6, 2, 2, 1, 1, 1, 2),
+        (0.23388703486840876, "arrival", 1, 2, 7, 2, 3, 1, 1, 1, 2),
+        (0.29933410149292633, "depart", 2, 2, 1, 2, 3, 1, 0, 1, 1),
+        (0.29933410149292633, "start", 2, 1, 2, 2, 3, 1, 0, 1, 1),
+        (0.5016233037183058, "depart", 2, 1, 2, 2, 3, 0, 0, 1, 0),
+        (0.5330732463052328, "arrival", 1, 1, 8, 3, 3, 0, 0, 1, 0),
+        (0.5817119599597659, "transfer", 1, 1, 4, 2, 3, 1, 0, 1, 1),
+        (0.5817119599597659, "start", 2, 1, 4, 2, 3, 1, 0, 1, 1),
+        (0.5817119599597659, "start", 1, 1, 5, 2, 3, 1, 0, 1, 1),
+        (0.5828881209925451, "arrival", 1, 2, 9, 2, 4, 1, 0, 1, 1),
+        (0.8485508694254973, "arrival", 1, 1, 10, 3, 4, 1, 0, 1, 1),
+        (1.317163719683815, "depart", 2, 1, 4, 3, 4, 0, 0, 1, 0),
     ]
     CLASS2 = [
         (0.0, "init", 1, 2, 4, 1, 2, 1, 0, 2, 1),
-        (0.0008765268541324875, "depart", 2, 1, 1, 1, 2, 0, 0, 2, 0),
-        (0.26460782677712813, "transfer", 1, 2, 2, 1, 1, 0, 1, 2, 2),
-        (0.26460782677712813, "start", 2, 2, 2, 1, 1, 0, 1, 2, 2),
-        (0.26460782677712813, "start", 1, 2, 4, 1, 1, 0, 1, 2, 2),
-        (0.5376595300260356, "depart", 2, 2, 2, 1, 1, 0, 0, 2, 0),
-        (0.6063978354565028, "transfer", 1, 2, 4, 1, 0, 0, 1, 1, 2),
-        (0.6063978354565028, "start", 2, 2, 4, 1, 0, 0, 1, 1, 2),
-        (0.6063978354565028, "start", 1, 1, 3, 1, 0, 0, 1, 1, 2),
-        (0.7318357847349892, "transfer", 1, 1, 3, 0, 0, 1, 1, 0, 2),
-        (0.7969086373796048, "arrival", 1, 1, 5, 1, 0, 1, 1, 1, 2),
-        (0.7969086373796048, "start", 1, 1, 5, 1, 0, 1, 1, 1, 2),
-        (0.9045481287141346, "arrival", 1, 1, 6, 2, 0, 1, 1, 1, 2),
-        (1.3388278136387082, "arrival", 1, 2, 7, 2, 1, 1, 1, 1, 2),
-        (1.5541309019751168, "depart", 2, 2, 4, 2, 1, 1, 0, 1, 1),
-        (1.5541309019751168, "start", 2, 1, 3, 2, 1, 1, 0, 1, 1),
+        (0.07003947834186743, "transfer", 1, 2, 2, 1, 1, 1, 1, 2, 1),
+        (0.07003947834186743, "start", 1, 2, 4, 1, 1, 1, 1, 2, 1),
+        (0.09207173888130354, "arrival", 1, 2, 5, 1, 2, 1, 1, 2, 1),
+        (0.17202651430532978, "arrival", 1, 1, 6, 2, 2, 1, 1, 2, 1),
+        (0.23388703486840876, "arrival", 1, 1, 7, 3, 2, 1, 1, 2, 1),
+        (0.29933410149292633, "depart", 2, 1, 1, 3, 2, 0, 1, 2, 2),
+        (0.29933410149292633, "start", 2, 2, 2, 3, 2, 0, 1, 2, 2),
+        (0.5016233037183058, "depart", 2, 2, 2, 3, 2, 0, 0, 2, 0),
+        (0.5330732463052328, "arrival", 1, 2, 8, 3, 3, 0, 0, 2, 0),
+        (0.5817119599597659, "transfer", 1, 2, 4, 3, 2, 0, 1, 2, 2),
+        (0.5817119599597659, "start", 2, 2, 4, 3, 2, 0, 1, 2, 2),
+        (0.5817119599597659, "start", 1, 2, 5, 3, 2, 0, 1, 2, 2),
+        (0.5828881209925451, "arrival", 1, 1, 9, 4, 2, 0, 1, 2, 2),
+        (0.8485508694254973, "arrival", 1, 2, 10, 4, 3, 0, 1, 2, 2),
+        (1.317163719683815, "depart", 2, 2, 4, 4, 3, 0, 0, 2, 0),
     ]
 
     @pytest.mark.parametrize("s,expected", [
