@@ -43,11 +43,12 @@ draws at once.  From its ``_DRAW_BLOCK + 1``-th draw on it reads its own
 stream, numpy's ``SeedSequence(seed, spawn_key=(r,))``, distinct from the
 block stream, whose SeedSequence has no spawn key.  So a result depends on
 (seed, replication) alone, whatever the batching.  One builder, ``_rngs``,
-makes every per-replication stream: those of the rows the batch resumes,
-and replication 0's for the steady-state run and, after its block row, for
-the traced replay.  It seeds numpy's PCG64 from the words ``_stream_words``
-hashes, and builds no SeedSequence.  The scalar engine fetches draws
-``_DRAW_BLOCK`` at a time (``_unit_draws``), which cannot change a result.
+makes every per-replication stream from numpy's own SeedSequence, hashing
+none by hand, and only when it is first read: a resumed row builds its own
+only if it reads past its block row, about 3 rows of an 800-replication
+call.  The steady-state run and the traced replay, after its block row, take
+replication 0's.  The scalar engine fetches draws ``_DRAW_BLOCK`` at a time
+(``_unit_draws``), which cannot change a result.
 A tagged run whose clock passes the largest float raises
 ``NonPositiveRate``, as do rates too far apart for one float scale.
 
@@ -64,7 +65,7 @@ import math
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass, fields
-from itertools import chain, permutations, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -445,65 +446,16 @@ def deterministic_wait(s: ArrivalState, p: SystemParams) -> float:
     return _unscaled(_tagged_sojourn(s, p, lambda: 1.0), k)
 
 
-def _hash(h: int, mult: int):
-    """SeedSequence's hash step on ``uint32`` arrays; its constant ``h``
-    advances on every call whatever the data."""
-    def step(v):
-        nonlocal h
-        v = v ^ h
-        h = h * mult & 0xFFFFFFFF
-        v = v * h
-        return v ^ v >> 16
-    return step
-
-
-def _mix(x, y):
-    r = 0xCA01F9DD * x - 0x4973F715 * y
-    return r ^ r >> 16
-
-
-def _stream_words(seed: int, reps) -> np.ndarray:
-    """Row r holds ``SeedSequence(seed, spawn_key=(reps[r],)).generate_state(4,
-    np.uint64)`` for replication indices ``reps`` below 2**64, in any order.
-    SeedSequence mixes its entropy (the seed's 32-bit words, low first and
-    zero-padded to 4, then the index: one word below 2**32, two from there)
-    into a pool of 4 words and hashes the pool into 8 output words, with
-    constants that never depend on the data; so the same steps on ``uint32``
-    columns hash every row at once, mixing in a high word only where there is
-    one.  Rows are C-contiguous, as PCG64 reads the words through the data
-    pointer."""
-    words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = [np.array([w], np.uint32) for w in words + [0] * (4 - len(words))]
-    reps = np.array(reps, dtype=np.uint64)
-    entropy.append(reps.astype(np.uint32))
-    hashmix = _hash(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(w) for w in entropy[:4]]
-    for i, j in permutations(range(4), 2):
-        pool[j] = _mix(pool[j], hashmix(pool[i]))
-    for w in entropy[4:]:
-        pool = [_mix(x, hashmix(w)) for x in pool]
-    high = reps >> 32
-    if high.any():  # indices below 2**32 skip this
-        pool = [np.where(high > 0, _mix(x, hashmix(high.astype(np.uint32))), x) for x in pool]
-    out = _hash(0x8B51F9DD, 0x58F38DED)
-    return np.stack([out(pool[i % 4]) for i in range(8)], axis=1).astype("<u4").view("<u8").astype(np.uint64)
-
-
-def _rngs(seed: int, reps) -> list:
-    """The Generators of replications ``reps``, a sequence of indices: numpy's
-    PCG64 seeded from ``_stream_words``, so each draws the stream
-    ``SeedSequence(seed, spawn_key=(rep,))`` gives it, with none built.  The
-    one builder of per-replication streams.  A conditional replication reads
-    its own only after its first ``_DRAW_BLOCK`` draws, so the lockstep batch
-    builds those of the rows it resumes alone; the steady-state run and the
-    traced replay take replication 0's."""
-    class Words(np.random.bit_generator.ISeedSequence):  # here, as it loads numpy.random
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words  # PCG64 asks for (4, np.uint64) alone
-    return [np.random.Generator(np.random.PCG64(Words(w))) for w in _stream_words(seed, reps)]
+def _rngs(seed: int, rep: int):
+    """Replication ``rep``'s own stream, built when first asked for: a
+    generator that, on its first resume, builds numpy's
+    ``Generator(PCG64(SeedSequence(seed, spawn_key=(rep,))))`` and yields its
+    ``_unit_draws`` once.  The one builder of per-replication streams, and
+    none is hashed by hand.  Under ``chain.from_iterable`` a conditional
+    replication, which reads its own stream only after its first
+    ``_DRAW_BLOCK`` draws, builds it only if it reads that far; the
+    steady-state run and the traced replay take replication 0's."""
+    yield _unit_draws(np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(rep,)))))
 
 
 def _blocks(seed: int, lo: int = 0) -> np.random.Generator:
@@ -516,10 +468,12 @@ def _blocks(seed: int, lo: int = 0) -> np.random.Generator:
     return blocks
 
 
-def _draws(first: np.ndarray, rng: np.random.Generator):
-    """A replication's draw function: the rest of its first block ``first``,
-    then its own stream ``rng``, ``_DRAW_BLOCK`` at a time."""
-    return chain(first.tolist(), _unit_draws(rng)).__next__
+def _draws(first: np.ndarray, seed: int, rep: int):
+    """Replication ``rep``'s draw function: the rest of its first block
+    ``first``, then its own stream (``_rngs``), built only once ``first``
+    runs out.  Each draw is the ``__next__`` of C-level iterators, which
+    resume no Python frame."""
+    return chain(first.tolist(), chain.from_iterable(_rngs(seed, rep))).__next__
 
 
 def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi: int, tally=None,
@@ -545,8 +499,10 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
 
     A row that has not finished leaves the lockstep one way, ``finish``: it
     goes on alone on a ``_Polling`` in its state (``resume``), drawing the
-    rest of its buffer row, then its own stream, built for the rows resumed
-    alone, through ``_run_tagged`` with what is left of the step budget.  So
+    rest of its buffer row, then its own stream, built by ``_rngs`` only if
+    the row reads past its buffer row (``_draws``), through ``_run_tagged``
+    with what is left of the step budget.  Live rows are compacted with one
+    integer index, taken once per step that drops rows.  So
     goes a row whose next step could run past its buffer row, and every live
     row once at most ``_TAIL_ROWS`` are live or the budget is spent.
     """
@@ -579,9 +535,8 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
         """Run the rows ``go`` flags to their end on the scalar engine."""
         nonlocal resumed, expected
         state = [v[go].tolist() for v in (rows, nxt, ahead, *n[0], *n[1], *end, *arrival, *position)]
-        rngs = _rngs(seed, [lo + i for i in state[0]])
-        for rng, (i, at, k, *x) in zip(rngs, zip(*state)):
-            net = _Polling(p, _draws(draws[i, at - i * width:], rng))
+        for i, at, k, *x in zip(*state):
+            net = _Polling(p, _draws(draws[i, at - i * width:], seed, lo + i))
             tagged_id = net.resume([x[0:2], x[2:4]], x[4:6], x[6:8], [int(c) for c in x[8:]], k)
             waits[i], cut = _run_tagged(net, tagged_id, _STEP_BUDGET - steps, mu12)
             resumed += 1
@@ -634,7 +589,7 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
             far = gone ^ out
             if far.any():
                 finish(far)
-            live = ~gone
+            live = np.flatnonzero(~gone)
             rows, nxt, last, ahead = rows[live], nxt[live], last[live], ahead[live]
             n = [[x[live] for x in nj] for nj in n]
             position, end, arrival = ([x[live] for x in v] for v in (position, end, arrival))
@@ -676,7 +631,7 @@ def simulate_conditional(
     ``NonPositiveRate``.
     ``n_jobs`` must be a positive integer and is otherwise ignored, as
     results never depended on it; it stays only for ``perfbench/``, until
-    ROADMAP item 1 removes it.
+    ROADMAP item 13 removes it.
     ``trace``, if a list is supplied, collects the event rows of replication
     0, run once more on its draws through ``_Traced`` to its departure, past
     the step at which its wait was finished in expectation, which writes
@@ -693,7 +648,7 @@ def simulate_conditional(
     p, k = _scaled_rates(p)
     if trace is not None:
         start = len(trace)
-        draw = _draws(_blocks(c.seed).standard_exponential(_DRAW_BLOCK), _rngs(c.seed, [0])[0])
+        draw = _draws(_blocks(c.seed).standard_exponential(_DRAW_BLOCK), c.seed, 0)
         _tagged_sojourn(s, p, draw, trace, tagged_class - 1)
         trace[start:] = [(_unscaled(t, k), *row) for t, *row in trace[start:]]
     reps = c.replications
@@ -738,7 +693,7 @@ def simulate_steady_state(
     """
     measured = _member(measured_class, "measured_class", (1, 2)) - 1
     p, k = _scaled_rates(validate_params(p))
-    net = _Polling(p, _unit_draws(_rngs(c.seed, [0])[0]).__next__)
+    net = _Polling(p, next(_rngs(c.seed, 0)).__next__)
     net.schedule_arrivals()
     kept = []
     pooled_sum = 0.0

@@ -282,8 +282,8 @@ def full_run_waits(s, p, seed, reps):
 
 def rep_rng(seed, rep):
     """Replication ``rep``'s Generator as numpy itself builds it: PCG64 seeded
-    by ``SeedSequence(seed, spawn_key=(rep,))``.  The simulator derives the
-    same stream without a SeedSequence; the tests hold the two equal."""
+    by ``SeedSequence(seed, spawn_key=(rep,))``.  The simulator's ``_rngs``
+    builds the same stream; the tests hold the two equal."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 

@@ -1,5 +1,5 @@
-"""Source hygiene: the package keeps no private helper that nothing calls,
-no unbounded memo, and one place per kind of random stream."""
+"""Source hygiene: the package keeps no helper that nothing calls, no
+unbounded memo, and one place per kind of random stream."""
 
 import ast
 from pathlib import Path
@@ -41,6 +41,39 @@ def test_no_unused_private_helpers():
         if not any(n == name and not (f == fname and node.lineno <= line <= node.end_lineno) for f, n, line in uses)
     ]
     assert unused == [], "private names referenced nowhere in the package but their own definition"
+
+
+def _exports(node):
+    """Whether ``node`` assigns the module's ``__all__``."""
+    return isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def test_no_orphan_helpers():
+    # every module-level function or class, public or private, is used
+    # somewhere in the package besides its own definition: called, named,
+    # imported by another module or listed in its module's __all__
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    uses = [
+        (fname, name, node.lineno)
+        for fname, tree in trees.items()
+        for node in ast.walk(tree)
+        for name in (
+            [node.id] if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else [c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)] if _exports(node)
+            else []
+        )
+    ]
+    orphans = [
+        f"{fname}:{node.lineno} {node.name}"
+        for fname, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not any(n == node.name and not (f == fname and node.lineno <= line <= node.end_lineno)
+                    for f, n, line in uses)
+    ]
+    assert orphans == [], "module-level functions or classes that nothing in the package uses"
 
 
 def _memos(tree):

@@ -4,12 +4,11 @@ import logging
 import math
 import re
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from oracles import full_run_waits, rep_draws, rep_rng
 
 from tandempoll import simulator
@@ -329,27 +328,32 @@ class TestTailHandoff:
         monkeypatch.setattr(simulator, "_TAIL_ROWS", 0)
         assert self.resumed(monkeypatch, s, p, cfg) == (est, self.expected(s, p, cfg)[1])
 
-    def test_generators_draw_only_for_resumed_rows(self, monkeypatch, caplog):
+    @pytest.mark.parametrize("tail_rows", [None, 0])
+    def test_streams_built_only_past_the_block(self, monkeypatch, tail_rows):
         # a replication reads its own stream only past its first block, so
-        # the batch builds one Generator for each row it resumes, and no
-        # other: with no tail handoff, those a step could run past the block
-        s, p = ArrivalState(la=(6, 6, 6, 6), m=3), sym(2.22)
-        cfg = SimConfig(replications=800, seed=20240811)
-        monkeypatch.setattr(simulator, "_TAIL_ROWS", 0)
-        est = simulate_conditional(s, p, cfg)
+        # the batch builds the streams of exactly the rows that read that
+        # far, and none for a resumed row that never does
+        if tail_rows is not None:
+            monkeypatch.setattr(simulator, "_TAIL_ROWS", tail_rows)
+        s, p = relabel_for_class2(ArrivalState(la=(20, 20, 20, 20), m=4, tagged_class=2), sym(2.22))
+        reps = range(1280, 1300)
         built, rngs = [], simulator._rngs
 
-        def spy(seed, reps):
-            built.extend(reps)
-            return rngs(seed, reps)
+        def spy(seed, rep):
+            for draws in rngs(seed, rep):  # recorded once built
+                built.append(rep)
+                yield draws
 
         monkeypatch.setattr(simulator, "_rngs", spy)
-        with caplog.at_level(logging.DEBUG, logger="tandempoll"):
-            spied, resumed = self.resumed(monkeypatch, s, p, cfg)
-        assert spied == est
-        assert len(built) == resumed == caplog.records[-1].args[3] > 0
-        outran = [rep for rep in range(cfg.replications) if self.exits(s, p, cfg.seed, rep)[1] is not None]
-        assert sorted(built) == outran
+        tally = Counter()
+        waits = simulator._conditional_batch(s, p, 2025, reps.start, reps.stop, tally)
+        runs = [scalar_run(s, p, 2025, rep) for rep in reps]
+        assert waits.tolist() == [wait for wait, _ in runs]
+        past = [rep for rep, (_, after) in zip(reps, runs) if after[-1] > simulator._DRAW_BLOCK]
+        assert sorted(built) == past
+        assert 0 < len(built) <= tally["resumed"]
+        if tail_rows is None:  # 20 rows are the tail: all resume, most build nothing
+            assert len(built) < tally["resumed"] == len(reps)
 
 
 class TestFinishInExpectation:
@@ -412,51 +416,19 @@ class TestFinishInExpectation:
 
 
 class TestBatchStreams:
-    """Every run hashes its replications' seed words itself
-    (``_stream_words``).  The words, and the streams numpy's PCG64 draws
-    from them, must stay numpy's own (``oracles.rep_rng``) for every index,
-    2**32 and up included, so that a change in numpy's seeding fails here."""
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-    @given(
-        seed=st.sampled_from([0, 2**32 - 1, 2**32, 10**40]) | st.integers(0, 2**160),
-        lo=st.sampled_from([0, 1000, 2**31, 2**32 - 3, 2**32 + 5]),
-        width=st.integers(1, 6),
-    )
-    @example(seed=10**40, lo=2**32 - 3, width=6)  # straddles 2**32
-    def test_words_and_streams_match_numpy(self, seed, lo, width):
-        hi = lo + width
-        words = simulator._stream_words(seed, range(lo, hi))
-        assert words.shape == (width, 4)
-        for row, rep in zip(words, range(lo, hi)):
-            assert np.array_equal(row, np.random.SeedSequence(seed, spawn_key=(rep,)).generate_state(4, np.uint64))
-        rngs = simulator._rngs(seed, range(lo, hi))
-        assert len(rngs) == width
-        for rng, rep in zip(rngs, range(lo, hi)):
-            assert np.array_equal(rng.standard_exponential(300), rep_rng(seed, rep).standard_exponential(300))
+    """Every per-replication stream comes from ``_rngs``, which builds it
+    from numpy's ``SeedSequence(seed, spawn_key=(rep,))``.  Its draws must
+    stay numpy's own (``oracles.rep_rng``) for every index, 2**32 and up
+    included, so that a change in how the builder seeds fails here."""
 
     def test_scattered_indices_straddling_2_32(self):
-        # a batch asks for the streams of the rows it resumes alone, a
-        # scattered set in any order, from either side of 2**32
+        # a batch builds the streams of the rows that read past their block,
+        # a scattered set in any order, from either side of 2**32
         reps = [2**32 + 7, 5, 2**32 - 1, 2**33 + 1, 2**32, 900, 2**64 - 1, 0, 2**31]
-        for seed in (0, 271828, 10**40):
-            words = simulator._stream_words(seed, reps)
-            assert words.shape == (len(reps), 4)
-            for row, rep in zip(words, reps):
-                assert np.array_equal(row, np.random.SeedSequence(seed, spawn_key=(rep,)).generate_state(4, np.uint64))
-
-    def test_batch_builds_no_seed_sequence(self, monkeypatch):
-        # a SeedSequence per row cost most of a simulate_conditional call;
-        # the steady-state run and the traced replay take the same builder
-        # (the block stream's one SeedSequence per call is built inside
-        # numpy's default_rng, which this patch does not reach)
-        def refuse(*args, **kwargs):
-            raise AssertionError("a run built a SeedSequence")
-
-        monkeypatch.setattr(np.random, "SeedSequence", refuse)
-        TestReplayPinned().test_conditional()
-        TestReplayPinned().test_steady_state()
-        TestTracePinned().test_rows(ArrivalState(la=(1, 1, 0, 1), m=2), TestTracePinned.CLASS1)
+        for seed in (0, 2**32, 10**40):
+            for rep in reps:
+                drawn = list(itertools.islice(next(simulator._rngs(seed, rep)), 300))
+                assert drawn == rep_rng(seed, rep).standard_exponential(300).tolist()
 
 
 def test_rates_far_apart():
