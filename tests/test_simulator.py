@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import full_run_waits, rep_draws, rep_rng
 
 from tandempoll import simulator
@@ -420,6 +422,22 @@ class TestBatchStreams:
     from numpy's ``SeedSequence(seed, spawn_key=(rep,))``.  Its draws must
     stay numpy's own (``oracles.rep_rng``) for every index, 2**32 and up
     included, so that a change in how the builder seeds fails here."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        seed=st.sampled_from([0, 2**32 - 1, 2**32, 10**40]) | st.integers(0, 2**160),
+        lo=st.sampled_from([0, 1000, 2**31, 2**32 - 3, 2**32 + 5]),
+        width=st.integers(1, 6),
+    )
+    @example(seed=10**40, lo=2**32 - 3, width=6)  # straddles 2**32
+    def test_words_and_streams_match_numpy(self, seed, lo, width):
+        # a run of consecutive indices: each stream is seeded by numpy's own
+        # SeedSequence words, so its draws are rep_rng's, one row after another
+        for rep in range(lo, lo + width):
+            stream = simulator._rngs(seed, rep)
+            drawn = list(itertools.islice(next(stream), 300))
+            assert drawn == rep_rng(seed, rep).standard_exponential(300).tolist()
+            assert next(stream, None) is None  # one stream per replication
 
     def test_scattered_indices_straddling_2_32(self):
         # a batch builds the streams of the rows that read past their block,
