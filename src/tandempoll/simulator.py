@@ -52,10 +52,11 @@ replication 0's.  The scalar engine fetches draws ``_DRAW_BLOCK`` at a time
 A tagged run whose clock passes the largest float raises
 ``NonPositiveRate``, as do rates too far apart for one float scale.
 
-``_Polling.step`` is the scalar hot loop: it runs about three times per
-departure of a steady-state run and once per event of every timeline and
-trace.  It applies both exhaustive picks inline rather than through
-``_pick``, and draws through the ``__next__`` of a C-level iterator.
+``_Polling.run`` is the one scalar event loop, about three steps per
+steady-state departure: each steady-state run, timeline and resumed row is
+one call, which keeps the clocks, the time, the id counter and the rates in
+locals and writes the state back once.  It applies both exhaustive picks
+inline rather than through ``_pick``; ``step`` is its one-step form.
 """
 
 from __future__ import annotations
@@ -169,9 +170,9 @@ class _Polling:
     leaving station 2 is the head of its class's FIFO.  A server is idle
     exactly when its completion time ``end[j]`` is infinite.  Customers
     take the ids 1, 2, ... in order of entry, so the head count is
-    ``next_cid`` less the departures so far, as ``len(fifo[0]) +
-    len(fifo[1])`` also gives; the engine keeps no time averages, which
-    ``simulate_steady_state`` accumulates itself from that difference.
+    ``next_cid`` less ``departures``, as ``len(fifo[0]) + len(fifo[1])``
+    also gives.  ``run`` also totals the ``steps``, the head count's time
+    integral ``area`` and the departures' system times ``waited``.
 
     Each duration is ``draw()`` divided by its rate: a unit exponential
     (the ``__next__`` of the C-level iterator ``_unit_draws`` returns) for
@@ -189,13 +190,14 @@ class _Polling:
         self.position = [0, 0]           # class the server is polled at
         self.next_arrival = [_INF, _INF]
         self.t = 0.0
-        self.next_cid = 0
+        self.next_cid = self.steps = self.departures = 0
+        self.area = self.waited = 0.0
 
     def _pick(self, j: int) -> None:
         """Exhaustive polling: stay on the current class while station j has
         work of it, else switch (zero switchover), else idle where it is.
 
-        Only ``seed_snapshot`` calls it; ``step`` inlines the same rule with
+        Only ``seed_snapshot`` calls it; ``run`` inlines the same rule with
         the same operations and draw order."""
         n = self.n[j]
         c = self.position[j]
@@ -248,71 +250,95 @@ class _Polling:
             self.next_arrival[c] = self.t + self.draw() / self.lam[c]
 
     def step(self):
-        """Apply the events at the earliest clock (see the module docstring);
-        returns (cid, class index, system time) when a customer leaves
-        station 2, else None.
+        """``run``'s one-step form: (cid, class index, system time) when a
+        customer leaves station 2, else None."""
+        return self.run(1, target=self.departures + 1)
 
-        The clocks are read once into locals, and each freed or idle server
-        picks by ``_pick``'s rule written out inline, station 2 first: the
-        step is the simulation's hot loop, where a method call per pick is
-        a large share of the cost.
-        """
-        end, arrival = self.end, self.next_arrival
-        e1, e2 = end
-        a1, a2 = arrival
-        t = e2  # explicit compares: several times cheaper than min()
-        if e1 < t:
-            t = e1
-        if a1 < t:
-            t = a1
-        if a2 < t:
-            t = a2
-        self.t = t
-        due = t + _TIE
-        n1, n2 = self.n
-        pos = self.position
-        draw = self.draw
-        out = None
-        done2 = e2 <= due
-        if done2:
-            c = pos[1]
-            cid, arr = self.fifo[c].popleft()
-            n2[c] -= 1
-            out = cid, c, t - arr
-        done1 = e1 <= due
-        if done1:
-            c = pos[0]
-            n1[c] -= 1
-            n2[c] += 1
-        if a1 <= due:
-            self.next_cid += 1
-            self.fifo[0].append((self.next_cid, t))
-            n1[0] += 1
-            arrival[0] = a1 + draw() / self.lam[0]
-        if a2 <= due:
-            self.next_cid += 1
-            self.fifo[1].append((self.next_cid, t))
-            n1[1] += 1
-            arrival[1] = a2 + draw() / self.lam[1]
-        if done2 or e2 == _INF:
-            c = pos[1]
-            if not n2[c] and n2[1 - c]:
-                c = pos[1] = 1 - c
-            end[1] = t + draw() / self.mu[c][1] if n2[c] else _INF
-        if done1 or e1 == _INF:
-            c = pos[0]
-            if not n1[c] and n1[1 - c]:
-                c = pos[0] = 1 - c
-            end[0] = t + draw() / self.mu[c][0] if n1[c] else _INF
+    def run(self, steps: int, *, tagged_id=-1, cut=False, target=-1, measured=None, keep=None):
+        """Apply up to ``steps`` steps of events; returns None if they pass,
+        else what ends the run first: the departure (cid, class index, system
+        time) of ``tagged_id``, of anyone at an infinite clock, or the one
+        that brings ``departures`` to ``target``; or, given ``cut``, a step
+        after which the tagged customer, ``ahead`` class-1 departures from
+        leaving, sits at station 2 polled at class 1 (``_run_tagged``):
+        (``tagged_id``, None, the clock plus ``ahead / mu12``).  A departure
+        of class ``measured`` passes its system time to ``keep``.  The state
+        is written back once, also when a step raises (it pops an empty queue
+        only at an infinite clock)."""
+        (lam1, lam2), ((mu11, mu12), (mu21, mu22)) = self.lam, self.mu
+        (e1, e2), (a1, a2) = self.end, self.next_arrival
+        (n1, n2), pos, fifo, draw = self.n, self.position, self.fifo, self.draw
+        push1, push2 = fifo[0].append, fifo[1].append
+        t, cid, departed, area, waited = self.t, self.next_cid, self.departures, self.area, self.waited
+        ahead, out, k = len(fifo[0]), None, -1  # the tagged customer is the class-1 FIFO's last
+        try:
+            for k in range(steps):
+                now = e2  # explicit compares: several times cheaper than min()
+                if e1 < now:
+                    now = e1
+                if a1 < now:
+                    now = a1
+                if a2 < now:
+                    now = a2
+                area += (cid - departed) * (now - t)
+                t = now
+                due = t + _TIE
+                done2 = e2 <= due
+                if done2:
+                    gone = pos[1]
+                    who, arrived = fifo[gone].popleft()
+                    n2[gone] -= 1
+                    w = t - arrived
+                    departed += 1
+                    waited += w
+                    ahead -= not gone
+                    if gone == measured:
+                        keep(w)
+                done1 = e1 <= due
+                if done1:
+                    c = pos[0]
+                    n1[c] -= 1
+                    n2[c] += 1
+                if a1 <= due:
+                    cid += 1
+                    push1((cid, t))
+                    n1[0] += 1
+                    a1 += draw() / lam1
+                if a2 <= due:
+                    cid += 1
+                    push2((cid, t))
+                    n1[1] += 1
+                    a2 += draw() / lam2
+                if done2 or e2 == _INF:
+                    c = pos[1]
+                    if not n2[c] and n2[1 - c]:
+                        c = pos[1] = 1 - c
+                    e2 = t + draw() / (mu22 if c else mu12) if n2[c] else _INF
+                if done1 or e1 == _INF:
+                    c = pos[0]
+                    if not n1[c] and n1[1 - c]:
+                        c = pos[0] = 1 - c
+                    e1 = t + draw() / (mu21 if c else mu11) if n1[c] else _INF
+                if done2 and (departed == target or who == tagged_id or t == _INF):
+                    out = who, gone, w
+                    break
+                if cut and ahead <= n2[0] and not pos[1]:
+                    out = tagged_id, None, t + ahead / mu12
+                    break
+        finally:
+            self.end[:], self.next_arrival[:] = (e1, e2), (a1, a2)
+            self.t, self.next_cid, self.departures, self.area, self.waited = t, cid, departed, area, waited
+            self.steps += k + 1
         return out
 
 
 class _Traced(_Polling):
     """``_Polling`` that appends trace rows (see ``write_trace``) to ``trace``
     in the caller's class labels; ``swap`` is 1 for a class-2 caller, whose
-    problem was relabelled.  A step's rows are read off the clocks around the
-    unchanged ``_Polling.step``, so each shows the post-step snapshot (S = 0:
-    idle server), in the order depart, transfer, arrivals, starts."""
+    problem was relabelled.  It runs ``_Polling.run`` one step at a time and
+    reads each step's rows off the state around it, so each shows the
+    post-step snapshot (S = 0: idle server), in the order depart, transfer,
+    arrivals, starts."""
 
     def __init__(self, p: SystemParams, draw, trace, swap: int):
         super().__init__(p, draw)
@@ -336,75 +362,57 @@ class _Traced(_Polling):
         self._write([("init", 0, 0, tagged_id)])
         return tagged_id
 
-    def step(self):
-        end, arrival, cid = self.end[:], self.next_arrival[:], self.next_cid
-        held = (self.position[0], self._in_service(0)) if end[0] != _INF else None
-        out = super().step()
-        if self.t == _INF:  # held may be None; _run_tagged raises
-            return out
-        due = self.t + _TIE
-        rows = [] if out is None else [("depart", 1, out[1], out[0])]
-        if end[0] <= due:
-            rows.append(("transfer", 0, *held))
-        for c in (0, 1):
-            if arrival[c] <= due:
-                cid += 1
-                rows.append(("arrival", 0, c, cid))
-        for j in (1, 0):
-            if (end[j] <= due or end[j] == _INF) and self.end[j] != _INF:
-                rows.append(("start", j, self.position[j], self._in_service(j)))
-        self._write(rows)
-        return out
+    def run(self, steps: int, **stop):
+        for _ in range(steps):
+            end, arrival, cid = self.end[:], self.next_arrival[:], self.next_cid
+            held = [(self.position[j], self._in_service(j)) if end[j] != _INF else None for j in (0, 1)]
+            out = super().run(1, **stop)
+            if self.t != _INF:  # else held may be None, and _run_tagged raises
+                due = self.t + _TIE
+                rows = [(kind, j, *held[j]) for kind, j in (("depart", 1), ("transfer", 0)) if end[j] <= due]
+                for c in (0, 1):
+                    if arrival[c] <= due:
+                        cid += 1
+                        rows.append(("arrival", 0, c, cid))
+                rows += [("start", j, self.position[j], self._in_service(j)) for j in (1, 0)
+                         if (end[j] <= due or end[j] == _INF) and self.end[j] != _INF]
+                self._write(rows)
+            if out is not None:
+                return out
+        return None
 
 
-def _tagged_sojourn(s: ArrivalState, p: SystemParams, draw, trace=None, swap: int = 0) -> float:
-    """System time of the tagged customer from snapshot ``s`` (relabelled,
-    validated parameters), run to its departure; raises ``NonTermination``
-    past the step budget."""
-    net = _Polling(p, draw) if trace is None else _Traced(p, draw, trace, swap)
-    return _run_tagged(net, net.seed_snapshot(s), _STEP_BUDGET)[0]
-
-
-def _run_tagged(net: _Polling, tagged_id: int, steps: int, mu12=None) -> tuple[float, bool]:
-    """Step ``net`` until customer ``tagged_id`` leaves station 2; returns
+def _run_tagged(net: _Polling, tagged_id: int, steps: int, cut: bool = False) -> tuple[float, bool]:
+    """Run ``net`` until customer ``tagged_id`` leaves station 2; returns
     its system time and whether it was finished in expectation.
 
-    Given ``mu12``, the run ends as soon as a step leaves the tagged customer
+    Given ``cut``, the run ends as soon as a step leaves the tagged customer
     at station 2 with station 2 polled at class 1: service is exhaustive and
     first come, first served, and services are memoryless, so from there it
     leaves after ``ahead`` fresh Exp(mu12) services, ``ahead`` counting the
     class-1 departures left, its own included.  The clock plus their mean,
     ``ahead / mu12``, is an unbiased wait of no larger variance (conditional
-    Monte Carlo).  ``ahead`` starts at the class-1 FIFO's length, as the
-    tagged customer is its last; constant clocks have memory, and a trace
-    shows the whole path, so ``deterministic_wait`` and the traced replay
-    pass None and run to the departure.
+    Monte Carlo).  Constant clocks have memory, and a trace shows the whole
+    path, so ``deterministic_wait`` and the traced replay run to the
+    departure.
 
-    Raises ``NonTermination`` if ``steps`` steps do not end the run (a row
-    resumed from the lockstep gets what its lockstep steps left of
-    ``_STEP_BUDGET``), and ``NonPositiveRate`` if the clock passes the
-    largest float first.  From there every event is due at once, so each
-    step has a departure or pops an empty queue, or reaches the cut and
-    returns inf, which ``simulate_conditional`` refuses."""
-    ahead = len(net.fifo[0])
-    n2, position = net.n[1], net.position
+    Raises ``NonTermination`` if ``steps`` steps do not end the run (a
+    resumed lockstep row gets what is left of ``_STEP_BUDGET``), and
+    ``NonPositiveRate`` if the clock passes the largest float first: from
+    there every event is due at once, so a step departs, pops an empty
+    queue, or reaches the cut and returns inf, which
+    ``simulate_conditional`` refuses."""
     try:
-        for _ in range(steps):
-            out = net.step()
-            if out is not None:
-                if out[0] == tagged_id or net.t == _INF:
-                    break
-                ahead -= not out[1]
-            if mu12 is not None and ahead <= n2[0] and not position[1]:
-                return net.t + ahead / mu12, True
-        else:
-            raise NonTermination(f"tagged customer still in system after {_STEP_BUDGET} steps")
+        out = net.run(steps, tagged_id=tagged_id, cut=cut)
     except IndexError:  # a step pops an empty queue only at an inf clock
         if net.t != _INF:
             raise
-    if net.t == _INF:
-        raise NonPositiveRate("the clock passed the largest float, 1.8e308, before the tagged customer left")
-    return out[2], False
+    else:
+        if out is None:
+            raise NonTermination(f"tagged customer still in system after {_STEP_BUDGET} steps")
+        if out[1] is None or net.t != _INF:
+            return out[2], out[1] is None
+    raise NonPositiveRate("the clock passed the largest float, 1.8e308, before the tagged customer left")
 
 
 def _scaled_rates(p: SystemParams) -> tuple[SystemParams, int]:
@@ -443,7 +451,10 @@ def deterministic_wait(s: ArrivalState, p: SystemParams) -> float:
     p = validate_params(p)
     s, p = relabel_for_class2(s, p)
     p, k = _scaled_rates(p)
-    return _unscaled(_tagged_sojourn(s, p, lambda: 1.0), k)
+    net = _Polling(p, lambda: 1.0)
+    wait = _unscaled(_run_tagged(net, net.seed_snapshot(s), _STEP_BUDGET)[0], k)
+    _log.debug("deterministic steps=%d", net.steps)
+    return wait
 
 
 def _rngs(seed: int, rep: int):
@@ -480,7 +491,7 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
                        blocks=None) -> np.ndarray:
     """Tagged system times of replications ``lo .. hi - 1``, run in lockstep
     on numpy arrays and finished on the scalar engine; entry r equals
-    ``_run_tagged`` with ``mu12`` from the snapshot on replication
+    ``_run_tagged`` with the cut from the snapshot on replication
     ``lo + r``'s draws bit for bit, whatever batch holds it: its row of the
     block stream ``blocks`` (by default ``_blocks(seed, lo)``, which must
     stand at replication ``lo``'s row), then its own stream (``_rngs``).
@@ -489,7 +500,7 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
 
     Each array holds one quantity of ``_Polling`` across the live rows
     (``n``, ``end``, ``next_arrival`` as ``arrival``, and ``position`` as a
-    flag "polled at class 2"), and a step applies ``_Polling.step``'s events,
+    flag "polled at class 2"), and a step applies ``_Polling.run``'s events,
     picks and IEEE operations to each row's first ``_DRAW_BLOCK`` draws: a
     buffer of ``hi - lo`` rows, drawn from ``blocks`` in one call, read in
     the scalar order (arrival class 1, arrival class 2, station-2 start,
@@ -538,7 +549,7 @@ def _conditional_batch(s: ArrivalState, p: SystemParams, seed: int, lo: int, hi:
         for i, at, k, *x in zip(*state):
             net = _Polling(p, _draws(draws[i, at - i * width:], seed, lo + i))
             tagged_id = net.resume([x[0:2], x[2:4]], x[4:6], x[6:8], [int(c) for c in x[8:]], k)
-            waits[i], cut = _run_tagged(net, tagged_id, _STEP_BUDGET - steps, mu12)
+            waits[i], cut = _run_tagged(net, tagged_id, _STEP_BUDGET - steps, True)
             resumed += 1
             expected += cut
 
@@ -649,7 +660,8 @@ def simulate_conditional(
     if trace is not None:
         start = len(trace)
         draw = _draws(_blocks(c.seed).standard_exponential(_DRAW_BLOCK), c.seed, 0)
-        _tagged_sojourn(s, p, draw, trace, tagged_class - 1)
+        net = _Traced(p, draw, trace, tagged_class - 1)
+        _run_tagged(net, net.seed_snapshot(s), _STEP_BUDGET)
         trace[start:] = [(_unscaled(t, k), *row) for t, *row in trace[start:]]
     reps = c.replications
     # A lockstep clock overflows to inf as the scalar's does, so each row
@@ -695,30 +707,16 @@ def simulate_steady_state(
     p, k = _scaled_rates(validate_params(p))
     net = _Polling(p, next(_rngs(c.seed, 0)).__next__)
     net.schedule_arrivals()
-    kept = []
-    pooled_sum = 0.0
-    departures = 0
+    kept, area0, time0 = [], 0.0, 0.0
     target = c.warmup_departures + c.horizon_departures
-    step = net.step
-    # time integral of the head count, which is the ids handed out less the
-    # departures: the run starts empty and every arrival takes the next id
-    area = area0 = time0 = 0.0
-    while departures < target:
-        t, in_system = net.t, net.next_cid - departures
-        try:
-            out = step()
-        except IndexError:  # a step pops an empty queue only once the clock is inf
-            break
-        area += in_system * (net.t - t)
-        if out is None:
-            continue
-        departures += 1
-        if departures == c.warmup_departures:
-            area0, time0 = area, net.t
-        if departures > c.warmup_departures:
-            pooled_sum += out[2]
-            if out[1] == measured:
-                kept.append(out[2])
+    try:
+        if c.warmup_departures:
+            net.run(sys.maxsize, target=c.warmup_departures)
+            # the window's area is a difference of totals; its system times are summed afresh
+            area0, time0, net.waited = net.area, net.t, 0.0
+        net.run(sys.maxsize, target=target, measured=measured, keep=kept.append)
+    except IndexError:  # a step pops an empty queue only once the clock is inf
+        pass
     if net.t * 2.0**k == _INF:
         raise NonPositiveRate(f"the clock passed the largest float, 1.8e308, before {target} departures")
     kept_arr = np.asarray(kept)
@@ -732,13 +730,15 @@ def simulate_steady_state(
     batches = kept_arr[:usable].reshape(_BATCHES, -1).mean(axis=1)
     mean = math.ldexp(float(kept_arr.mean()), e)
     stderr = math.ldexp(float(batches.std(ddof=1) / math.sqrt(_BATCHES)), e)
+    _log.debug("steady seed=%d steps=%d warm-up=%d kept=%d measured class=%d",
+               c.seed, net.steps, c.warmup_departures, kept_arr.shape[0], measured + 1)
     return SteadyStateEstimate(
         mean=mean,
         stderr=stderr,
         n=kept_arr.shape[0],
         seed=c.seed,
-        time_avg_in_system=(area - area0) / (net.t - time0),
-        throughput_mean_system_time=(p.lam[0] + p.lam[1]) * (pooled_sum / c.horizon_departures),
+        time_avg_in_system=(net.area - area0) / (net.t - time0),
+        throughput_mean_system_time=(p.lam[0] + p.lam[1]) * (net.waited / c.horizon_departures),
     )
 
 

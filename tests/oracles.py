@@ -277,7 +277,8 @@ def full_run_waits(s, p, seed, reps):
     replaced by finishing each replication in expectation.  Same draws
     (``rep_draws``), same rules, so the two differ only by that finish."""
     s, p = relabel_for_class2(s, p)
-    return np.array([simulator._tagged_sojourn(s, p, rep_draws(seed, rep).__next__) for rep in range(reps)])
+    nets = (simulator._Polling(p, rep_draws(seed, rep).__next__) for rep in range(reps))
+    return np.array([simulator._run_tagged(net, net.seed_snapshot(s), simulator._STEP_BUDGET)[0] for net in nets])
 
 
 def rep_rng(seed, rep):

@@ -1,8 +1,10 @@
+import logging
 import math
 from fractions import Fraction as F
 
 import pytest
 
+from tandempoll import simulator
 from tandempoll.simulator import deterministic_wait
 from tandempoll.model import ArrivalState, SystemParams
 from tandempoll.scenarios import analyze
@@ -95,6 +97,22 @@ class TestProperties:
         avg = sum(rel) / len(rel)
         assert 0.11 <= avg <= 0.31
         assert sum(1 for r in rel if r > 0) > len(rel) / 2
+
+
+def test_logs_one_record(caplog):
+    s, p = ArrivalState(la=(3, 2, 1, 2), m=3), TAU35
+    with caplog.at_level(logging.DEBUG, logger="tandempoll"):
+        deterministic_wait(s, p)
+    records = [r for r in caplog.records if r.name.startswith("tandempoll")]
+    assert [(r.name, r.levelno) for r in records] == [("tandempoll.simulator", logging.DEBUG)]
+    # the loop counts its own steps; a replay one step at a time to the
+    # tagged customer's departure (rates already in [8, 16)) takes as many
+    net = simulator._Polling(p, lambda: 1.0)
+    tagged_id, out, steps = net.seed_snapshot(s), None, 0
+    while out is None or out[0] != tagged_id:
+        out = net.step()
+        steps += 1
+    assert records[0].args == (steps,) and steps > 10
 
 
 class TestExactTimeline:

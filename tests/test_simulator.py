@@ -132,6 +132,43 @@ class TestReplayPinned:
             "throughput_mean_system_time=10.331688242864447)"
         )
 
+    # stable rate sets drawn from random.Random(20261020): lam from
+    # U(0.2, 1.2), mu from U(1.5, 4.0), times a scale 10**U(-2, 2), each to 3
+    # significant digits, kept when both loads are below 0.9; most take a
+    # power-of-two scale other than 1
+    GENERATED = [
+        ((0.0204, 0.0158), ((0.0827, 0.0675), (0.0804, 0.124)), 100, 1,
+         "SteadyStateEstimate(mean=48.58910205738356, stderr=2.0223392395415525, n=1686, seed=100, "
+         "time_avg_in_system=1.693549770388857, throughput_mean_system_time=1.6890534448844428)"),
+        ((0.0179, 0.0256), ((0.28, 0.24), (0.156, 0.18)), 101, 2,
+         "SteadyStateEstimate(mean=14.686709058971468, stderr=0.3966549207080512, n=1759, seed=101, "
+         "time_avg_in_system=0.568794728700131, throughput_mean_system_time=0.5802024376446528)"),
+        ((113.0, 39.1), ((310.0, 366.0), (320.0, 383.0)), 102, 1,
+         "SteadyStateEstimate(mean=0.01073035054614503, stderr=0.000511861385913108, n=2229, seed=102, "
+         "time_avg_in_system=1.732041973952653, throughput_mean_system_time=1.7122079443769789)"),
+        ((15.4, 4.54), ((45.8, 25.2), (61.9, 61.8)), 103, 2,
+         "SteadyStateEstimate(mean=0.2343376705893543, stderr=0.03130860189187738, n=667, seed=103, "
+         "time_avg_in_system=3.3064783722363957, throughput_mean_system_time=3.2779471801667053)"),
+        ((0.0842, 0.027), ((0.213, 0.282), (0.126, 0.118)), 104, 1,
+         "SteadyStateEstimate(mean=25.48142455608355, stderr=1.6270689754485919, n=2271, seed=104, "
+         "time_avg_in_system=2.980246279153937, throughput_mean_system_time=2.989862049632513)"),
+        ((0.0094, 0.007), ((0.0775, 0.0474), (0.069, 0.0601)), 105, 2,
+         "SteadyStateEstimate(mean=45.570668764125664, stderr=1.7150356062838812, n=1277, seed=105, "
+         "time_avg_in_system=0.7685492346236169, throughput_mean_system_time=0.7563831621171914)"),
+        ((1.01, 1.17), ((4.58, 3.6), (2.91, 4.51)), 106, 1,
+         "SteadyStateEstimate(mean=1.4157212802242922, stderr=0.11936272435244248, n=1372, seed=106, "
+         "time_avg_in_system=2.772029069853298, throughput_mean_system_time=2.8264087487834795)"),
+        ((0.0908, 0.0875), ((0.354, 0.349), (0.273, 0.487)), 107, 2,
+         "SteadyStateEstimate(mean=11.335690273158674, stderr=0.5344322694905849, n=1476, seed=107, "
+         "time_avg_in_system=2.2499061131863125, throughput_mean_system_time=2.198308047722975)"),
+    ]
+
+    @pytest.mark.parametrize("lam,mu,seed,measured,expected", GENERATED)
+    def test_steady_state_generated(self, lam, mu, seed, measured, expected):
+        p = validate_params(SystemParams(lam=lam, mu=mu))
+        cfg = SimConfig(seed=seed, warmup_departures=200, horizon_departures=3000)
+        assert repr(simulate_steady_state(p, cfg, measured)) == expected
+
     def test_deterministic(self):
         p = validate_params(SystemParams(lam=(1.0, 0.5), mu=((2.86, 2.22), (3.0, 4.0))))
         w = deterministic_wait(ArrivalState(la=(3, 2, 1, 2), m=3, tagged_class=2), p)
@@ -152,28 +189,39 @@ def test_exp_stream_matches_one_block():
 
 def scalar_run(s, p, seed, rep, stream=None):
     """Replication ``rep`` (relabelled, validated ``s`` and ``p``) on the
-    scalar loop with the cut, ``_run_tagged`` with mu12, on its draws
-    ``stream`` (by default ``rep_draws``): its wait, and the draws taken by
-    the end of each of its steps."""
+    scalar loop with the cut, ``_run_tagged``, on its draws ``stream`` (by
+    default ``rep_draws``): its wait, and the draws taken by the end of each
+    of its steps.  The loop runs every step at once, so the draws per step
+    come from a replay on the same draws, one ``step`` at a time with the
+    cut applied after each; the replay must reach the same wait in as many
+    steps and draws as the loop."""
     stream = rep_draws(seed, rep) if stream is None else stream
-    taken = 0
+    ours, theirs = itertools.tee(stream)
+    taken = Counter()
 
-    def draw():
-        nonlocal taken
-        taken += 1
-        return next(stream)
+    def draws(name, it):
+        def draw():
+            taken[name] += 1
+            return next(it)
+        return draw
 
-    net = simulator._Polling(p, draw)
-    tagged_id = net.seed_snapshot(s)
-    after, step = [], net.step
-
-    def counted():
-        out = step()
-        after.append(taken)
-        return out
-
-    net.step = counted
-    wait, _ = simulator._run_tagged(net, tagged_id, simulator._STEP_BUDGET, p.mu[0][1])
+    net = simulator._Polling(p, draws("loop", ours))
+    wait, _ = simulator._run_tagged(net, net.seed_snapshot(s), simulator._STEP_BUDGET, True)
+    replay = simulator._Polling(p, draws("replay", theirs))
+    tagged_id = replay.seed_snapshot(s)
+    ahead, after = len(replay.fifo[0]), []
+    while True:
+        out = replay.step()
+        after.append(taken["replay"])
+        if out is not None:
+            if out[0] == tagged_id:
+                replayed = out[2]
+                break
+            ahead -= not out[1]
+        if ahead <= replay.n[1][0] and not replay.position[1]:
+            replayed = replay.t + ahead / p.mu[0][1]
+            break
+    assert (replayed, len(after), taken["replay"]) == (wait, net.steps, taken["loop"])
     return wait, after
 
 
@@ -784,6 +832,23 @@ class TestSteadyState:
         a = simulate_steady_state(sym(2.86), cfg)
         b = simulate_steady_state(sym(2.86), cfg)
         assert a == b
+
+    def test_logs_one_record(self, caplog):
+        p, cfg = sym(2.86), SimConfig(seed=5, warmup_departures=500, horizon_departures=2000)
+        with caplog.at_level(logging.DEBUG, logger="tandempoll"):
+            est = simulate_steady_state(p, cfg, measured_class=2)
+        records = [r for r in caplog.records if r.name.startswith("tandempoll")]
+        assert [(r.name, r.levelno) for r in records] == [("tandempoll.simulator", logging.DEBUG)]
+        # the loop counts its own steps; a replay one step at a time on the
+        # same draws (rates already in [8, 16)) takes as many
+        net = simulator._Polling(p, next(simulator._rngs(5, 0)).__next__)
+        net.schedule_arrivals()
+        steps = departures = 0
+        while departures < 2500:
+            departures += net.step() is not None
+            steps += 1
+        assert records[0].args == (5, steps, 500, est.n, 2)
+        assert "kept=%d measured class=2" % est.n in records[0].getMessage()
 
 
 class TestSettingsRejected:
