@@ -47,6 +47,7 @@ from .model import (
     TruncationConfig,
     _member,
     _queue_lengths,
+    _shown,
     validate_params,
 )
 from .scenarios import analyze
@@ -96,7 +97,7 @@ class ExperimentConfig:
                 raise ValueError(f"config needs at least one {name[:-1]}")
         bad = [mode for mode in self.modes if mode not in _MODES]
         if bad:
-            raise ValueError(f"unknown modes: {bad}")
+            raise ValueError(f"unknown modes: {_shown(bad)}")
         if self.output is not None and not isinstance(self.output, str):
             raise ValueError(f"output must be a string, got {type(self.output).__name__}")
 
@@ -164,7 +165,7 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
         raw = _object(json.load(fh), "config")
     if raw.get("schema") != SCHEMA:
-        raise ValueError(f"expected schema {SCHEMA!r}, got {raw.get('schema')!r}")
+        raise ValueError(f"expected schema {SCHEMA!r}, got {_shown(raw.get('schema'))}")
     # the config's keys are ExperimentConfig's fields, with rates for params
     known = {"schema", "rates"} | {f.name for f in dataclasses.fields(ExperimentConfig)} - {"params"}
     _object(raw, "config", ("rates", "cases"), known)

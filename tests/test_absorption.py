@@ -157,6 +157,40 @@ class TestMfpt:
         assert scaled == pytest.approx(base / c, rel=1e-9)
 
 
+class TestConvergedLevels:
+    """Every level i >= 1 below the first two bit-equal inverses shares one
+    inverse; the tables are those of an inverse per level.  Literals printed
+    before that change, at (lam, mu1, mu2) = (1, 2.22, 2.22), whose
+    elimination converges 115 levels below the top at n = 160 and 148 at 256."""
+
+    RATES = (1.0, 2.22, 2.22)
+
+    @pytest.mark.parametrize("n,u,w,p2,t,ovf", [
+        (160, 0, 1, None, 0.5950843775136379, 7.012030720546145e-58),
+        (160, 0, 100, None, 81.29535071217771, 7.202937973470922e-23),
+        (160, 1, 1, 0.5299552401507791, 0.2741409757246726, 4.1678568968401925e-60),
+        (160, 2, 150, 1.725792844356176e-17, 99.28675217967861, 1.1944058079173765e-05),
+        (160, 80, 80, 0.0001331167987441243, 93.67825431883386, 9.378214095516524e-10),
+        (160, 159, 1, 0.915212940384034, 4.118226642484964, 0.053765445190201634),
+        (256, 0, 1, None, 0.5950843775136379, 3.110330780179923e-91),
+        (256, 0, 100, None, 81.29535071217772, 2.5385731915106595e-56),
+        (256, 1, 1, 0.5299552401507791, 0.2741409757246726, 1.150506925889915e-93),
+        (256, 2, 150, 1.7257949907596034e-17, 99.28677353358093, 2.466462700460032e-40),
+        (256, 80, 80, 0.00013311679874412457, 93.67825431883391, 7.550507093137926e-39),
+        (256, 255, 1, 0.9217932432432107, 5.252389648073734, 0.05376544519020162),
+    ])
+    def test_tables_pinned(self, n, u, w, p2, t, ovf):
+        sol = lattice_solution(*self.RATES, n)
+        assert (sol.p2[u - 1, w - 1] if u else None, sol.time[u, w - 1], sol.overflow[u, w - 1]) == (p2, t, ovf)
+
+    def test_build_keeps_fewer_inverses(self, caplog):
+        lattice_solution.cache_clear()
+        with caplog.at_level(logging.DEBUG, logger="tandempoll"):
+            lattice_solution(*self.RATES, 160)
+        [build] = [r for r in caplog.records if r.name.startswith("tandempoll")]
+        assert build.args[3] == 160 and 1 < build.args[4] < 161
+
+
 class TestLadder:
     RATES = (1.3, 1.6, 2.0)
 
@@ -241,6 +275,8 @@ class TestLadder:
             mfpt_to_empty(1, 10, *self.RATES)   # cached: no record
             absorption_probs(1, 10, *self.RATES)
         assert [r.args[:4] for r in builds] == [(*self.RATES, n) for n in (20, 40, 80)]
-        assert all(r.levelno == logging.DEBUG and r.args[4] > 0 for r in builds)
-        assert "n=80" in builds[-1].getMessage()
+        assert all(r.levelno == logging.DEBUG and r.args[5] > 0 for r in builds)
+        # no pair of inverses converges this low: one inverse per level
+        assert [r.args[4] for r in builds] == [21, 41, 81]
+        assert "n=80 inverses=81" in builds[-1].getMessage()
         assert len([r for r in caplog.records if r.name.startswith("tandempoll")]) == 3

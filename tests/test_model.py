@@ -48,6 +48,14 @@ class TestValidate:
         with pytest.raises(NonPositiveRate, match="positive and finite"):
             validate_params(SystemParams(lam=(bad, 1.0), mu=((3.0, 3.0), (3.0, 3.0))))
 
+    @pytest.mark.parametrize("bad", [10**400, -10**5000, Fraction(10**400, 3)],
+                             ids=["401-digit", "5001-digit", "huge-fraction"])
+    def test_long_values_echoed_short(self, bad):
+        # str() of an int past 4,300 digits raises, so the echo names its size
+        with pytest.raises(NonPositiveRate, match="positive and finite") as err:
+            validate_params(SystemParams(lam=(bad, 1.0), mu=((3.0, 3.0), (3.0, 3.0))))
+        assert len(str(err.value)) < 150
+
     def test_idempotent(self):
         p = sym(2.86)
         assert validate_params(validate_params(p)) == p

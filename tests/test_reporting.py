@@ -381,6 +381,8 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("polling-wait: ") and err.count("\n") == 1
         assert named in err and "Traceback" not in err
+        # a value is echoed cut short: 10**400 in about 40 characters, not 401
+        assert len(err) < 200 + len(str(tmp_path))
 
     def test_unwritable_report_fails_before_the_batch(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(reporting, "run_experiment", lambda cfg: pytest.fail("batch ran"))

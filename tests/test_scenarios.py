@@ -140,6 +140,15 @@ class TestAnalyzePinned:
         assert (repr(rep.cond_wait), repr(rep.residual_prob), len(rep.outcomes)) == (cond_wait, residual, leaves)
 
 
+def test_analyze_pinned_on_converged_lattices():
+    # (60, 60, 60, 60) reads the n = 160 and n = 256 boxes, whose lower
+    # levels share one inverse once the elimination converges; literals
+    # printed before that change
+    rep = analyze(ArrivalState(la=(60, 60, 60, 60), m=1), sym(2.22))
+    assert (repr(rep.cond_wait), repr(rep.residual_prob), len(rep.outcomes)) == (
+        "54.50469001891791", "1.9172292190335063e-09", 5)
+
+
 class TestWarmMemos:
     def test_report_independent_of_memo_contents(self):
         # every cell from cleared memos, then every cell after other systems

@@ -3,6 +3,7 @@ import itertools
 import logging
 import math
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -849,6 +850,20 @@ class TestSteadyState:
             steps += 1
         assert records[0].args == (5, steps, 500, est.n, 2)
         assert "kept=%d measured class=2" % est.n in records[0].getMessage()
+
+    def test_kept_sojourns_take_8_bytes_each(self):
+        # class 2 arrives rarely, so about every departure is kept
+        p = validate_params(SystemParams(lam=(1.0, 0.01), mu=((2.86, 2.86), (2.86, 2.86))))
+        simulate_steady_state(p, SimConfig(seed=4, warmup_departures=0, horizon_departures=100))
+        tracemalloc.start()
+        try:
+            est = simulate_steady_state(p, SimConfig(seed=5, warmup_departures=0, horizon_departures=101_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one double a kept sojourn, read back without a copy; a list of
+        # floats copied into numpy took about 40 bytes each
+        assert est.n > 99_000 and peak < 16 * est.n
 
 
 class TestSettingsRejected:
