@@ -211,12 +211,7 @@ def swap_class_labels(s: ArrivalState, p: SystemParams) -> tuple[ArrivalState, S
         m=5 - s.m,  # both server positions flip
         tagged_class=3 - s.tagged_class,
     )
-    swapped_params = replace(
-        p,
-        lam=(p.lam[1], p.lam[0]),
-        mu=(p.mu[1], p.mu[0]),
-    )
-    return swapped, swapped_params
+    return swapped, SystemParams(lam=(p.lam[1], p.lam[0]), mu=(p.mu[1], p.mu[0]))
 
 
 def relabel_for_class2(s: ArrivalState, p: SystemParams) -> tuple[ArrivalState, SystemParams]:

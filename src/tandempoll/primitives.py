@@ -16,10 +16,25 @@ Everything here is a pure function of its arguments.  Every primitive
 the scenario tree calls is memoised in a bounded ``lru_cache`` keyed by
 values (rates are converted to float first): ``race_erlang`` and
 ``transfer_count_pmf`` keep 1,024 entries, ``drain_wait`` and
-``race_busy_period`` 4,096, and ``drain_wait`` also keeps its table of
-the last four rate pairs.  One tree asks for at most a few hundred
+``race_busy_period`` 4,096.  One tree asks for at most a few hundred
 entries of each, and a sweep over fresh rates never hits an older one,
 so a larger memo would only hold memory.
+
+Behind three of those memos sits one table per key, extended in place, so
+that a query computes only what no earlier query of its key has, and each
+entry is computed by the same operations in the same order whatever the
+order of the queries:
+
+* ``_drain_rows`` (mu1, mu2), the last 4 keys: ``drain_wait``'s rows,
+  about N**2 / 2 floats after a query with u + w = N (0.7 MB at N = 400);
+* ``_tick_powers`` (lam1, mu1, mu2, w), the last 64 keys: the busy-period
+  tick series a and its convolution powers, at most about
+  u (16 w + 230) bytes read up to u (71 KB at u = w = 60);
+* ``_erlang_sums`` (mu1, mu2, w), the last 64 keys: the running sums of
+  the Erlang race's terms, about 8 u + 400 bytes read up to u.
+
+A grid of 36 cells at fresh rates reads 14-20 tick-power and 7
+Erlang-sum keys.
 """
 
 from __future__ import annotations
@@ -211,6 +226,17 @@ def _nb_log_term(r: int, s: int, mu1: float, mu2: float) -> float:
     return log_pr + s * log_q + math.lgamma(r + s) - math.lgamma(r + 1) - math.lgamma(s)
 
 
+@lru_cache(maxsize=64)
+def _erlang_sums(mu1: float, mu2: float, w: int) -> array:
+    """The running sums of one (mu1, mu2, w): entry u holds the sum of
+    exp(``_nb_log_term``(r, w)) over r < u, added in order of r, as far as
+    queries have needed it.  ``race_erlang`` extends the entries in place;
+    the memo keeps the last 64 keys.  A table read up to u holds about
+    8 u + 400 bytes, 0.9 KB at u = 60, so the memo holds 64 times that
+    at most."""
+    return array("d", [0.0])
+
+
 @lru_cache(maxsize=1024)
 def race_erlang(u: int, mu1: float, w: int, mu2: float) -> float:
     """P(u services at rate mu1 all finish before w services at rate mu2).
@@ -222,7 +248,10 @@ def race_erlang(u: int, mu1: float, w: int, mu2: float) -> float:
     can take that sum of positive terms past 1; the result is floored at 0.
     Degenerate counts follow the convention that an empty Erlang clock
     rings at time zero: u = 0 gives 1.0, w = 0 gives 0.0.  Memoised
-    (1,024 entries).
+    (1,024 entries).  The partial sums of one (mu1, mu2, w) are kept
+    (``_erlang_sums``) and only extended, each entry the previous one plus
+    one term, so a query costs the terms no earlier query of its key has
+    added, and its value never depends on what the table already holds.
     """
     if u < 0 or w < 0:
         raise InvalidSupport(f"counts must be non-negative, got ({u}, {w})")
@@ -231,15 +260,35 @@ def race_erlang(u: int, mu1: float, w: int, mu2: float) -> float:
     if w == 0:
         return 0.0
     mu1, mu2 = float(mu1), float(mu2)  # a cached value depends on values alone
-    acc = 0.0
-    for r in range(u):
-        acc += math.exp(_nb_log_term(r, w, mu1, mu2))
-    return max(0.0, 1.0 - acc)
+    sums = _erlang_sums(mu1, mu2, w)
+    for r in range(len(sums) - 1, u):
+        sums.append(sums[r] + math.exp(_nb_log_term(r, w, mu1, mu2)))
+    return max(0.0, 1.0 - sums[u])
 
 
 # ---------------------------------------------------------------------------
 # Erlang vs M/M/1 busy period race
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=64)
+def _tick_powers(lam1: float, mu1: float, mu2: float, w: int) -> list[np.ndarray]:
+    """The tick-count series of one (lam1, mu1, mu2, w): entry k holds
+    a^{*(k+1)}, the (k + 1)-fold convolution of a cut to its first w terms,
+    as far as queries have needed it (the series a itself is built here).
+    ``race_busy_period`` extends the list in place; the memo keeps the last
+    64 keys.  An entry of length w is a view of its convolution's 2w - 1
+    floats and two array headers, so a table read up to u holds at most
+    about u (16 w + 230) bytes: 71 KB at u = w = 60, and the memo 64
+    times that at most."""
+    _, (lam1, mu1, mu2) = _unit_scale(lam1, mu1, mu2)
+    s = lam1 + mu1 + mu2
+    r = math.sqrt(s * s - 4.0 * lam1 * mu1)
+    a = np.empty(w)
+    a[0] = 2.0 * mu1 / (s + r)
+    for k in range(1, w):
+        a[k] = (mu2 * a[k - 1] + lam1 * np.dot(a[1:k], a[k - 1:0:-1])) / r
+    return [a]
+
 
 @lru_cache(maxsize=4096)
 def race_busy_period(u: int, lam1: float, mu1: float, w: int, mu2: float) -> float:
@@ -260,7 +309,11 @@ def race_busy_period(u: int, lam1: float, mu1: float, w: int, mu2: float) -> flo
     1 - sum_{k<w} (a^{*u})_k: a finite sum of positive terms, with no
     truncation of the time axis.  Degenerate counts: w = 0 wins instantly
     (returns 1.0) and u = 0 empties instantly (returns 0.0), with the
-    w = 0 convention taking precedence.
+    w = 0 convention taking precedence.  The powers of a of one
+    (lam1, mu1, mu2, w) are kept (``_tick_powers``) and only extended,
+    each the previous one convolved with a and cut to w terms, so a query
+    costs the convolutions no earlier query of its key has made, and its
+    value never depends on what the table already holds.
     """
     if u < 0 or w < 0:
         raise InvalidSupport(f"counts must be non-negative, got ({u}, {w})")
@@ -270,14 +323,8 @@ def race_busy_period(u: int, lam1: float, mu1: float, w: int, mu2: float) -> flo
         return 0.0
     lam1, mu1, mu2 = float(lam1), float(mu1), float(mu2)  # a cached value depends on values alone
     hitting_mean(u, lam1, mu1)  # raises UnstableQueue unless lam1 < mu1
-    _, (lam1, mu1, mu2) = _unit_scale(lam1, mu1, mu2)
-    s = lam1 + mu1 + mu2
-    r = math.sqrt(s * s - 4.0 * lam1 * mu1)
-    a = np.empty(w)
-    a[0] = 2.0 * mu1 / (s + r)
-    for k in range(1, w):
-        a[k] = (mu2 * a[k - 1] + lam1 * np.dot(a[1:k], a[k - 1:0:-1])) / r
-    ticks = a
-    for _ in range(u - 1):
-        ticks = np.convolve(ticks, a)[:w]
-    return min(1.0, max(0.0, 1.0 - float(ticks.sum())))
+    powers = _tick_powers(lam1, mu1, mu2, w)
+    a = powers[0]
+    for _ in range(len(powers), u):
+        powers.append(np.convolve(powers[-1], a)[:w])
+    return min(1.0, max(0.0, 1.0 - float(powers[u - 1].sum())))

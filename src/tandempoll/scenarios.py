@@ -27,6 +27,7 @@ the split on K is kept as an explicit finite sum.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -40,6 +41,8 @@ __all__ = ["SubScenarioOutcome", "ScenarioReport", "analyze"]
 _DEFAULT_TRUNC = TruncationConfig()
 # Repeating levels of stage C expanded before ThresholdUnreached.
 _MAX_DEPTH = 50
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -67,16 +70,25 @@ def _nnint(x: float) -> int:
     return n if n > 0 else 0
 
 
+# log k! for k < 256, the bounds nearly every call asks for (most ask for
+# 1 to 6); a longer bound computes its own
+_LOG_FACTORIAL = tuple(math.lgamma(k + 1) for k in range(256))
+
+
 def _truncated_poisson_mean(mean: float, bound: int) -> float:
     """E[V | V <= bound] for V ~ Poisson(mean)."""
     if bound <= 0 or mean <= 0.0:
         return 0.0
     log_mean = math.log(mean)
-    log_terms = [k * log_mean - mean - math.lgamma(k + 1) for k in range(bound + 1)]
+    log_fact = _LOG_FACTORIAL if bound < len(_LOG_FACTORIAL) else [math.lgamma(k + 1) for k in range(bound + 1)]
+    log_terms = [k * log_mean - mean - log_fact[k] for k in range(bound + 1)]
     m = max(log_terms)
-    probs = [math.exp(lt - m) for lt in log_terms]
-    z = sum(probs)
-    return sum(k * pk for k, pk in enumerate(probs)) / z
+    z = total = 0.0
+    for k, lt in enumerate(log_terms):
+        pk = math.exp(lt - m)
+        z += pk
+        total += k * pk
+    return total / z
 
 
 def _served(x: float, rate: float, t: float) -> float:
@@ -98,6 +110,7 @@ class _Engine:
         self.tau22 = 1.0 / self.mu22
         self._leaves: dict[str, list[float]] = {}
         self.residual = 0.0
+        self.depth = 0  # the deepest repeating level of stage C expanded
 
     # -- plumbing ----------------------------------------------------------
 
@@ -206,6 +219,8 @@ class _Engine:
 
         level = 1
         while True:
+            if level > self.depth:
+                self.depth = level
             # P(station 2 clears b class-2 customers before station 1's
             # class-1 queue, holding a and replenished by arrivals, empties)
             p_f = race_busy_period(_nnint(a), self.lam1, self.mu11, _nnint(b), self.mu22)
@@ -347,7 +362,10 @@ def analyze(s: ArrivalState, p: SystemParams, trunc: TruncationConfig = _DEFAULT
     Expands the scenario tree for ``s.m`` until the unresolved mass is
     below ``trunc.eps`` (the residual contributes zero wait) and aggregates
     the leaves.  A class-2 tagged customer is relabeled onto the class-1
-    analysis first; the report carries the caller's ``s.m``.
+    analysis first; the report carries the caller's ``s.m``.  Each call
+    that returns logs one ``DEBUG`` record on ``tandempoll.scenarios``: m,
+    the leaf count, the deepest repeating level of stage C expanded (0 if
+    none) and the residual mass.
     """
     relabeled, p = relabel_for_class2(s, validate_params(p))
     # Rates that sum below 0.5 run times c, the power of two that brings
@@ -362,4 +380,7 @@ def analyze(s: ArrivalState, p: SystemParams, trunc: TruncationConfig = _DEFAULT
         p = SystemParams(lam=(lam1, lam2), mu=((mu11, mu12), (mu21, mu22)))
     eng = _Engine(p, trunc)
     eng.run(relabeled)
-    return eng.report(s.m, c)
+    rep = eng.report(s.m, c)
+    _log.debug("analyze m=%d leaves=%d stage-C depth=%d residual=%.3e",
+               s.m, len(rep.outcomes), eng.depth, rep.residual_prob)
+    return rep

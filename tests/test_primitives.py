@@ -216,16 +216,84 @@ class TestDrainWait:
         assert [drain_wait(*q, 2.86, 2.22) for q in queries] == cold
 
 
+def clear_primitive_memos():
+    """Empty every memo of ``primitives``, the answers and their tables."""
+    for fn in vars(primitives).values():
+        if callable(getattr(fn, "cache_clear", None)):
+            fn.cache_clear()
+
+
+class TestRaceTables:
+    """``race_busy_period`` and ``race_erlang`` keep one table per key
+    (``_tick_powers``: a's convolution powers per (rates, w);
+    ``_erlang_sums``: the running sums per (mu1, mu2, w)) and extend it in
+    place.  In these orders a query extends a table, reads a shorter u
+    from it, switches w and switches rates, and the answer memo is emptied
+    before each query, so that each reads the table as the earlier ones
+    left it; each must equal the value from cleared memos."""
+
+    BUSY = [(3, 1.0, 2.86, 8, 2.22), (9, 1.0, 2.86, 8, 2.22), (2, 1.0, 2.86, 8, 2.22),
+            (9, 1.0, 2.86, 3, 2.22), (12, 1.0, 2.86, 8, 2.22), (5, 0.5, 2.22, 8, 2.86),
+            (1, 1.0, 2.86, 8, 2.22), (30, 1.0, 2.86, 20, 2.22), (4, 1.0, 2.86, 20, 2.22)]
+    ERLANG = [(3, 2.86, 5, 2.22), (9, 2.86, 5, 2.22), (2, 2.86, 5, 2.22), (9, 2.86, 2, 2.22),
+              (12, 2.86, 5, 2.22), (5, 2.22, 5, 2.86), (1, 2.86, 5, 2.22), (40, 2.86, 30, 2.22),
+              (7, 2.86, 30, 2.22)]
+
+    @staticmethod
+    def busy_by_query(u, lam1, mu1, w, mu2):
+        """``race_busy_period`` with no table: a built afresh, then u - 1
+        convolutions, as each query computed it before the tables."""
+        _, (lam1, mu1, mu2) = primitives._unit_scale(lam1, mu1, mu2)
+        s = lam1 + mu1 + mu2
+        r = math.sqrt(s * s - 4.0 * lam1 * mu1)
+        a = np.empty(w)
+        a[0] = 2.0 * mu1 / (s + r)
+        for k in range(1, w):
+            a[k] = (mu2 * a[k - 1] + lam1 * np.dot(a[1:k], a[k - 1:0:-1])) / r
+        ticks = a
+        for _ in range(u - 1):
+            ticks = np.convolve(ticks, a)[:w]
+        return min(1.0, max(0.0, 1.0 - float(ticks.sum())))
+
+    @staticmethod
+    def erlang_by_query(u, mu1, w, mu2):
+        """``race_erlang`` with no table: the u terms summed afresh."""
+        acc = 0.0
+        for r in range(u):
+            acc += math.exp(primitives._nb_log_term(r, w, mu1, mu2))
+        return max(0.0, 1.0 - acc)
+
+    @pytest.mark.parametrize("fn,by_query,queries", [
+        (race_busy_period, busy_by_query, BUSY), (race_erlang, erlang_by_query, ERLANG),
+    ])
+    def test_value_independent_of_earlier_queries(self, fn, by_query, queries):
+        cold = []
+        for q in queries:
+            clear_primitive_memos()
+            cold.append(fn(*q))
+        assert cold == [by_query.__func__(*q) for q in queries]
+        clear_primitive_memos()
+        warm = []
+        for q in queries:
+            fn.cache_clear()  # read the table, not the memo of answers
+            warm.append(fn(*q))
+        assert warm == cold
+
+
 class TestMemoKeys:
-    """``race_erlang`` and ``transfer_count_pmf`` are memoised.  numpy counts
-    and rates are one key with their Python values, so the entry a numpy
-    call leaves must be the Python computation, and serve both."""
+    """The race primitives and ``transfer_count_pmf`` are memoised, the
+    races with a table per key behind the memo.  numpy counts and rates are
+    one key with their Python values, so the entries a numpy call leaves,
+    in the memo and in its table, must be the Python computation, and
+    serve both."""
 
     CALLS = [
         (race_erlang, (3, 2.86, 5, 2.22)),
         (race_erlang, (7, 2.22, 2, 2.86)),
         (transfer_count_pmf, (4, 3, 2.86, 2.22)),
         (transfer_count_pmf, (0, 6, 2.22, 2.86)),
+        (race_busy_period, (3, 1.0, 2.86, 5, 2.22)),
+        (race_busy_period, (7, 0.5, 2.22, 2, 2.86)),
     ]
 
     @staticmethod
@@ -239,17 +307,22 @@ class TestMemoKeys:
     @pytest.mark.parametrize("fn,args", CALLS)
     def test_numpy_call_leaves_the_python_value(self, fn, args, kind):
         typed, plain = self.typed(args, kind)
-        fn.cache_clear()
+        clear_primitive_memos()
         first = fn(*typed)
         again = fn(*plain)
         assert fn.cache_info().hits == 1
+        # a larger count reads on from the table the numpy call left
+        bigger = (plain[0] + 1,) + plain[1:]
+        longer = fn(*bigger)
+        clear_primitive_memos()
         assert type(first) is float and type(again) is float
         assert first == again == fn.__wrapped__(*plain)
+        assert longer == fn(*bigger)
 
     @pytest.mark.parametrize("fn,args", CALLS)
     def test_python_entry_serves_numpy_calls(self, fn, args):
         typed, plain = self.typed(args, np.float64)
-        fn.cache_clear()
+        clear_primitive_memos()
         first = fn(*plain)
         assert fn(*typed) == first and fn.cache_info().hits == 1
 

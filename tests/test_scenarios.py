@@ -1,6 +1,9 @@
 import collections
+import hashlib
 import json
+import logging
 import math
+import re
 import time
 import warnings
 
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tandempoll import absorption, primitives, reporting
+from tandempoll import absorption, primitives, reporting, scenarios
 from tandempoll.absorption import mfpt_to_empty
 from tandempoll.errors import NonPositiveRate, SingularSystem, TandemPollError
 from tandempoll.simulator import SimConfig, deterministic_wait, simulate_conditional, simulate_steady_state
@@ -22,10 +25,11 @@ GRID = [
     (1, 1, 3, 3), (1, 1, 6, 6), (3, 3, 1, 1),
     (6, 6, 1, 1), (3, 6, 3, 6), (6, 3, 6, 3),
 ]
-# every memo the analytic route reads through
-MEMOS = (
-    primitives.race_erlang, primitives.transfer_count_pmf, primitives.drain_wait, primitives._drain_rows,
-    primitives.race_busy_period, absorption._read_start, absorption.lattice_solution,
+# every memo the analytic route reads through: each lru_cache of the
+# primitives and the lattice, the answers and the tables behind them
+MEMOS = tuple(
+    fn for mod in (primitives, absorption) for fn in vars(mod).values()
+    if callable(getattr(fn, "cache_clear", None))
 )
 
 
@@ -147,6 +151,88 @@ def test_analyze_pinned_on_converged_lattices():
     rep = analyze(ArrivalState(la=(60, 60, 60, 60), m=1), sym(2.22))
     assert (repr(rep.cond_wait), repr(rep.residual_prob), len(rep.outcomes)) == (
         "54.50469001891791", "1.9172292190335063e-09", 5)
+
+
+class TestGridPinned:
+    """The whole grid, bit for bit: the 36 cells, both tagged classes, at
+    three class-asymmetric rate points, hashed over the ``repr``s of each
+    cell's analytic wait, residual and deterministic wait.  The digest was
+    printed before the race tables and the one-loop truncated Poisson mean
+    went in; a change meant to keep every number must leave it."""
+
+    POINTS = [
+        SystemParams(lam=(0.7, 1.1), mu=((2.5, 3.1), (4.0, 2.9))),
+        SystemParams(lam=(1.2, 0.6), mu=((2.0, 3.5), (2.4, 1.9))),
+        SystemParams(lam=(0.4, 1.3), mu=((1.1, 0.9), (5.5, 3.2))),
+    ]
+
+    def test_digest(self):
+        h = hashlib.sha256()
+        for p in self.POINTS:
+            p = validate_params(p)
+            for la in GRID:
+                for m in (1, 2, 3, 4):
+                    for c in (1, 2):
+                        s = ArrivalState(la=la, m=m, tagged_class=c)
+                        rep = analyze(s, p)
+                        h.update(f"{rep.cond_wait!r} {rep.residual_prob!r} {deterministic_wait(s, p)!r}\n".encode())
+        assert h.hexdigest() == "fc022f01545d5dd9901d4093e4ba369a5effd5abb162f0a4e95d9b46cde18136"
+
+
+class TestTruncatedPoissonMean:
+    """``_truncated_poisson_mean`` takes log k! from a table for k < 256
+    and sums in one loop; it must give the three-pass form's values."""
+
+    @staticmethod
+    def three_pass(mean, bound):
+        """The earlier form: log k! from ``math.lgamma``, then the terms,
+        their exponentials and two sums, one after another."""
+        if bound <= 0 or mean <= 0.0:
+            return 0.0
+        log_mean = math.log(mean)
+        log_terms = [k * log_mean - mean - math.lgamma(k + 1) for k in range(bound + 1)]
+        m = max(log_terms)
+        probs = [math.exp(lt - m) for lt in log_terms]
+        z = sum(probs)
+        return sum(k * pk for k, pk in enumerate(probs)) / z
+
+    # printed by the three-pass form before the change
+    @pytest.mark.parametrize("mean,bound,expected", [
+        (0.3, 1, "0.23076923076923075"),
+        (2.5, 3, "1.7945823927765236"),
+        (4.7, 6, "3.9045998431041107"),
+        (12.0, 20, "11.882452326959227"),
+        (80.5, 150, "80.4999999998858"),
+        (300.0, 400, "299.99999829837236"),
+        (1e-3, 5, "0.001"),
+        (900.0, 1200, "899.9999999999976"),
+    ])
+    def test_pinned(self, mean, bound, expected):
+        assert repr(scenarios._truncated_poisson_mean(mean, bound)) == expected
+
+    @pytest.mark.parametrize("bound", [1, 6, 254, 255, 256, 257, 300, 1000])
+    def test_matches_the_three_pass_form(self, bound):
+        assert len(scenarios._LOG_FACTORIAL) == 256
+        for mean in (1e-6, 0.37, 3.0, 0.5 * bound, bound - 0.5, bound, 1.5 * bound + 7.25, 1e4):
+            assert repr(scenarios._truncated_poisson_mean(mean, bound)) == repr(self.three_pass(mean, bound))
+
+
+class TestAnalyzeLog:
+    @pytest.mark.parametrize("la,m,c,p", [
+        ((6, 6, 6, 6), 1, 1, sym(2.22)),
+        ((3, 6, 3, 6), 2, 2, sym(2.22)),
+        ((6, 3, 6, 3), 3, 1, asym(2.22, 2.86)),
+        ((0, 0, 0, 0), 4, 1, sym(2.86)),
+    ])
+    def test_logs_one_record(self, caplog, la, m, c, p):
+        s = ArrivalState(la=la, m=m, tagged_class=c)
+        with caplog.at_level(logging.DEBUG, logger="tandempoll.scenarios"):
+            rep = analyze(s, p)
+        records = [r for r in caplog.records if r.name.startswith("tandempoll")]
+        assert [(r.name, r.levelno) for r in records] == [("tandempoll.scenarios", logging.DEBUG)]
+        # the deepest stage-C level is the largest F level a leaf names
+        depth = max((int(n) for o in rep.outcomes for n in re.findall(r"F′?(\d+)", o.label)), default=0)
+        assert records[0].args == (m, len(rep.outcomes), depth, rep.residual_prob)
 
 
 class TestWarmMemos:
